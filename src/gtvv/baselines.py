@@ -10,7 +10,7 @@ import numpy as np
 
 from .sh import Dictionary, Direction, make_omni_beam, order_from_channels
 from .spectral import GtvvMatrix, SpectrumTensor
-from .velocity import EstimatorConfig, estimate_gtvv
+from .velocity import _ENERGY_FLOOR, EstimatorConfig, estimate_gtvv
 
 
 @dataclass(frozen=True)
@@ -40,20 +40,27 @@ def srp_map(spec: SpectrumTensor, dictionary: Dictionary) -> PowerMap:
 
     Each frame's contribution is normalized by the frame energy, so the map
     (and its argmax in particular) is invariant to global signal scaling.
+    Frames at or below `_ENERGY_FLOOR` times the largest frame energy are
+    skipped: normalizing them would blow their rounding noise up to O(1).
+
+    The atoms are real, so the power of atom a summed over a frame b
+    (bins x channels) is aᵀ Re(bᴴ b) a. The map is therefore diag(Aᵀ C A)
+    with the channels x channels covariance C = Σ_u Re(b_uᴴ b_u) / E_u.
     """
     if spec.frames == 0:
         raise ValueError("empty spectrum")
     if dictionary.atoms.shape[0] != spec.channels:
         raise ValueError("dictionary order does not match the spectrum")
-    values = np.zeros(len(dictionary))
-    for u in range(spec.frames):
-        b = spec.data[u]  # bins x channels
-        frame_energy = float(np.sum(np.abs(b) ** 2))
-        if frame_energy == 0.0:
-            continue
-        proj = b @ dictionary.atoms  # bins x atoms
-        values += np.sum(np.abs(proj) ** 2, axis=0) / frame_energy
-    return PowerMap(values)
+    energies = np.array([np.vdot(b, b).real for b in spec.data])
+    floor = _ENERGY_FLOOR * float(np.max(energies))
+    cov = np.zeros((spec.channels, spec.channels))
+    for b, energy in zip(spec.data, energies):
+        if energy > floor:
+            cov += (b.conj().T @ b).real / energy
+    atoms = dictionary.atoms
+    values = np.sum(atoms * (cov @ atoms), axis=0)
+    # C is positive semi-definite: a negative value is rounding around 0
+    return PowerMap(np.maximum(values, 0.0))
 
 
 def srp_doa(pmap: PowerMap, dictionary: Dictionary) -> Direction:

@@ -9,6 +9,8 @@ import argparse
 import math
 import os
 import sys
+import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,18 +29,10 @@ def _load_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig.from_json(args.config)
     else:
         cfg = ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = ExperimentConfig(**{**_cfg_dict(cfg), "seed": args.seed})
+    overrides = {key: getattr(args, key, None) for key in ("seed", "workers")}
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     cfg.validate()
     return cfg
-
-
-def _cfg_dict(cfg: ExperimentConfig) -> dict:
-    from dataclasses import asdict
-    d = asdict(cfg)
-    from .experiment import EstimatorSettings
-    d["estimator"] = EstimatorSettings(**d["estimator"])
-    return d
 
 
 def _estimator_config(cfg: ExperimentConfig, reference) -> EstimatorConfig:
@@ -107,9 +101,13 @@ def cmd_infer(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
+    start = time.monotonic()
     table, records = run_experiment(cfg)
+    elapsed = time.monotonic() - start
     write_results(table, records, cfg, args.out)
     print(table.to_csv(), end="")
+    print(f"# sweep of {len(records)} runs with {cfg.workers} worker(s) "
+          f"took {elapsed:.1f}s")
     print(f"results written to {args.out}")
     return 0
 
@@ -171,6 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="run the full sweep and write tables")
     common(p, "results", "output directory")
+    p.add_argument("--workers", type=int, default=None,
+                   help="sweep processes (default: the config's, 1)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("traces", help="dump paired H-TDVV/GTVV trace CSVs")

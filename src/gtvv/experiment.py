@@ -218,7 +218,15 @@ def _dry_source(cfg: ExperimentConfig, scene_idx: int) -> np.ndarray:
 def run_single(cfg: ExperimentConfig, scene_idx: int, rt60: float,
                order: int, dictionary: Dictionary = None) -> RunRecord:
     """One (scene, rt60, order) cell: simulate, estimate with all methods,
-    match against ground truth."""
+    match against ground truth.
+
+    `rt60` must be one of `cfg.rt60`: its index seeds the noise, so an
+    unknown value raises `ConfigError` instead of sharing another cell's
+    seed.
+    """
+    if rt60 not in cfg.rt60:
+        raise ConfigError(f"rt60 {rt60} is not in the config's {cfg.rt60}")
+    rt_idx = list(cfg.rt60).index(rt60)
     if dictionary is None:
         dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_scheme,
                                       cfg.dict_file)
@@ -227,7 +235,6 @@ def run_single(cfg: ExperimentConfig, scene_idx: int, rt60: float,
                                     cfg.max_reflection_order, cfg.fs)
     source = _dry_source(cfg, scene_idx)
     sig = room.encode_scene(scene, source, order)
-    rt_idx = list(cfg.rt60).index(rt60) if rt60 in cfg.rt60 else 0
     sig = room.add_noise(sig, cfg.snr_db,
                          np.random.SeedSequence(
                              [cfg.seed, scene_idx, rt_idx, order, 13]))

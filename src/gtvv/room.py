@@ -14,8 +14,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.io import wavfile
-from scipy.signal import fftconvolve
 
 from .sh import Direction, num_channels, sh_matrix
 
@@ -190,27 +190,36 @@ def fractional_delay_kernel(delay_samples: float, taps: int = FRAC_DELAY_TAPS):
 
 
 def encode_scene(scene: GroundTruthScene, source, order: int) -> AmbisonicSignal:
-    """Encode a mono source through the scene's wavefronts into SH channels."""
+    """Encode a mono source through the scene's wavefronts into SH channels.
+
+    The gain-weighted fractional-delay kernels of all wavefronts form one
+    wavefronts x taps impulse response, mixed to SH channels by the atoms;
+    each channel is then one FFT convolution with the source, whose
+    transform is computed once. Samples before t = 0 are dropped.
+    """
     source = np.asarray(source, dtype=float)
     if source.ndim != 1 or source.size == 0:
         raise ValueError("source must be a non-empty 1-D signal")
     fs = scene.fs
     max_delay = max(w.toa for w in scene.wavefronts) * fs
     out_len = source.size + int(math.ceil(max_delay)) + FRAC_DELAY_TAPS
-    out = np.zeros((num_channels(order), out_len))
+    kernels = [fractional_delay_kernel(w.toa * fs) for w in scene.wavefronts]
+    # ir column i is output sample i - lead; lead > 0 when some n0 < 0
+    lead = max(0, -min(n0 for n0, _ in kernels))
+    ir = np.zeros((len(kernels),
+                   max(n0 for n0, _ in kernels) + lead + FRAC_DELAY_TAPS))
+    for row, (n0, kernel), wave in zip(ir, kernels, scene.wavefronts):
+        row[n0 + lead:n0 + lead + kernel.size] = wave.gain * kernel
     az = np.array([w.direction.azimuth for w in scene.wavefronts])
     el = np.array([w.direction.elevation for w in scene.wavefronts])
-    atoms = sh_matrix(az, el, order)
-    for j, wave in enumerate(scene.wavefronts):
-        n0, kernel = fractional_delay_kernel(wave.toa * fs)
-        delayed = fftconvolve(source, kernel)
-        start, offset = n0, 0
-        if start < 0:
-            offset = -start
-            start = 0
-        seg = delayed[offset:]
-        out[:, start:start + seg.size] += (
-            wave.gain * np.outer(atoms[:, j], seg))
+    ir = sh_matrix(az, el, order) @ ir  # channels x taps
+    conv_len = source.size + ir.shape[1] - 1
+    nfft = next_fast_len(conv_len, real=True)
+    source_f = rfft(source, nfft)
+    out = np.zeros((num_channels(order), out_len))
+    for out_row, ir_row in zip(out, ir):
+        y = irfft(source_f * rfft(ir_row, nfft), nfft)[lead:conv_len]
+        out_row[:y.size] = y
     return AmbisonicSignal(fs, out)
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gtvv.baselines import PowerMap, h_tdvv, srp_doa, srp_map
-from gtvv.room import (GroundTruthScene, Wavefront, encode_scene,
-                       image_source_scene, make_burst_source)
+from gtvv.room import (AmbisonicSignal, GroundTruthScene, Wavefront,
+                       add_noise, encode_scene, image_source_scene,
+                       make_burst_source)
 from gtvv.sh import (Direction, angular_distance, build_dictionary,
                      make_omni_beam, make_reference_beam, sh_eval)
 from gtvv.spectral import SpectrumTensor, stft
@@ -16,6 +17,19 @@ FS = 16000.0
 ROOM = (5.0, 4.0, 2.8)
 SRC = (1.2, 1.1, 1.4)
 MIC = (3.6, 2.6, 1.5)
+
+
+def srp_map_loop(spec, dictionary):
+    """Reference SRP: project every frame onto every atom, as `srp_map` was
+    first written."""
+    values = np.zeros(len(dictionary))
+    for b in spec.data:
+        frame_energy = float(np.sum(np.abs(b) ** 2))
+        if frame_energy == 0.0:
+            continue
+        proj = b @ dictionary.atoms
+        values += np.sum(np.abs(proj) ** 2, axis=0) / frame_energy
+    return values
 
 
 def free_field_spectrum(direction, order, seed=0, duration=3.2):
@@ -71,6 +85,16 @@ class TestSrp:
         doa = srp_doa(srp_map(spec, dic), dic)
         assert doa == dic.directions[dic.nearest(d)]
 
+    def test_null_direction_power_is_zero_not_negative(self):
+        # an order-1 plane wave has no power toward its antipode; there the
+        # covariance form lands at +-1e-14, and PowerMap rejects negatives
+        dic = build_dictionary(100, 1)
+        atom = dic.directions[0]
+        anti = Direction(math.atan2(-math.sin(atom.azimuth),
+                                    -math.cos(atom.azimuth)), -atom.elevation)
+        pmap = srp_map(free_field_spectrum(anti, 1, duration=1.0), dic)
+        assert 0.0 <= pmap.values[0] < 1e-12 * np.max(pmap.values)
+
     def test_isotropic_noise_map_is_flat(self):
         # channel-wise white noise: the expected steered power is the same
         # in every direction, so 95% of atoms sit within 3 dB of the median
@@ -116,6 +140,37 @@ class TestSrp:
         scaled = SpectrumTensor(spec.data * 7.5, FS, spec.win_len, spec.hop)
         b = srp_map(scaled, dic)
         np.testing.assert_allclose(a.values, b.values, rtol=1e-9)
+
+    @pytest.mark.parametrize("order", [1, 4])
+    def test_matches_per_frame_loop(self, order):
+        scene = image_source_scene(ROOM, SRC, MIC, 0.44, 3)
+        sig = add_noise(encode_scene(scene, make_burst_source(1.0, FS, 2),
+                                     order), 20.0, 3)
+        spec = stft(sig, 1024)
+        dic = build_dictionary(770, order)
+        got = srp_map(spec, dic).values
+        want = srp_map_loop(spec, dic)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.max(want))
+        assert np.argmax(got) == np.argmax(want)
+
+    def test_clean_map_stable_under_rounding_perturbation(self):
+        # a noise-free encode has silent frames whose energy is FFT
+        # rounding; they must not steer the map
+        scene = image_source_scene(ROOM, SRC, MIC, 0.44, 3)
+        sig = encode_scene(scene, make_burst_source(3.2, FS, 1), 4)
+        spec = stft(sig, 1024)
+        energies = np.sum(np.abs(spec.data) ** 2, axis=(1, 2))
+        assert np.min(energies) < 1e-20 * np.max(energies)
+        # noise at 1e-15 of the peak: rounding-level in the bursts, but it
+        # replaces the rounding residue that fills the silent frames
+        rng = np.random.default_rng(5)
+        bumped = AmbisonicSignal(FS, sig.channels + 1e-15 * np.max(
+            np.abs(sig.channels)) * rng.standard_normal(sig.channels.shape))
+        dic = build_dictionary(770, 4)
+        a = srp_map(spec, dic).values
+        b = srp_map(stft(bumped, 1024), dic).values
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-9 * np.max(a))
 
     def test_empty_spectrum_rejected(self):
         spec = SpectrumTensor(np.zeros((0, 513, 4), dtype=complex),

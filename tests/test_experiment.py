@@ -122,6 +122,12 @@ class TestRunExperiment:
         assert len(table.failures) == 1
         assert "synthetic failure" in table.to_csv()
 
+    def test_unknown_rt60_rejected(self):
+        # its index seeds the noise: falling back to index 0 would make
+        # the cell share the noise of rt60[0]
+        with pytest.raises(ConfigError):
+            run_single(small_config(), 0, 0.3, 1)
+
     def test_worker_pool_matches_serial(self):
         cfg_serial = small_config(orders=(1, 2))
         cfg_pool = small_config(orders=(1, 2), workers=2)
@@ -231,6 +237,19 @@ class TestCli:
         assert main(["infer", "--config", cfg,
                      "--out", str(tmp_path / "est.json"),
                      "--wav", str(wav)]) == 3
+
+    def test_workers_override(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, orders=(1, 2))
+        serial, pool = str(tmp_path / "serial"), str(tmp_path / "pool")
+        assert main(["evaluate", "--config", cfg, "--out", serial]) == 0
+        assert main(["evaluate", "--config", cfg, "--out", pool,
+                     "--workers", "2"]) == 0
+        payload = json.loads((tmp_path / "pool" / "results.json").read_text())
+        assert payload["config"]["workers"] == 2
+        assert ((tmp_path / "pool" / "results.csv").read_bytes()
+                == (tmp_path / "serial" / "results.csv").read_bytes())
+        assert main(["evaluate", "--config", cfg, "--out", pool,
+                     "--workers", "0"]) == 2
 
     def test_seed_override(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)

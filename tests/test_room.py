@@ -2,16 +2,35 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
-from gtvv.room import (SPEED_OF_SOUND, AmbisonicSignal, add_noise,
-                       encode_scene, fractional_delay_kernel,
+from gtvv.room import (FRAC_DELAY_TAPS, SPEED_OF_SOUND, AmbisonicSignal,
+                       add_noise, encode_scene, fractional_delay_kernel,
                        image_source_scene, make_burst_source, read_wav,
                        write_wav)
-from gtvv.sh import Direction, angular_distance, sh_eval
+from gtvv.sh import Direction, angular_distance, num_channels, sh_eval
 
 ROOM = (5.0, 4.0, 2.8)
 SRC = (1.0, 1.0, 1.4)
 MIC = (3.5, 2.5, 1.4)
+
+
+def encode_scene_loop(scene, source, order):
+    """Reference encoder: one convolution and one outer product per
+    wavefront, as `encode_scene` was first written."""
+    fs = scene.fs
+    max_delay = max(w.toa for w in scene.wavefronts) * fs
+    out_len = source.size + int(math.ceil(max_delay)) + FRAC_DELAY_TAPS
+    out = np.zeros((num_channels(order), out_len))
+    for wave in scene.wavefronts:
+        n0, kernel = fractional_delay_kernel(wave.toa * fs)
+        seg = fftconvolve(source, kernel)[max(0, -n0):]
+        start = max(0, n0)
+        out[:, start:start + seg.size] += wave.gain * np.outer(
+            sh_eval(wave.direction, order).coeffs, seg)
+    return out
 
 
 class TestImageSourceScene:
@@ -171,6 +190,39 @@ class TestEncodeScene:
         rhs = (a * encode_scene(scene, s1, 1).channels
                + b * encode_scene(scene, s2, 1).channels)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+    @pytest.mark.parametrize("rt60, order", [(0.16, 1), (0.44, 4)])
+    def test_matches_per_wavefront_loop(self, rt60, order):
+        scene = image_source_scene(ROOM, SRC, MIC, rt60, 3)
+        src = make_burst_source(0.5, scene.fs, 11)
+        got = encode_scene(scene, src, order).channels
+        want = encode_scene_loop(scene, src, order)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)))
+
+    def test_negative_start_is_cut_like_the_loop(self):
+        # a wavefront at t = 0 has kernel taps before the first sample
+        from gtvv.room import GroundTruthScene, Wavefront
+        w0 = Wavefront(Direction(0.3, 0.1), 0.0, 1.0)
+        w1 = Wavefront(Direction(-1.2, 0.4), 2.5e-4, 0.5)
+        scene = GroundTruthScene((w0, w1), (False, False), ROOM, SRC, MIC,
+                                 0.3, 16000.0)
+        src = np.random.default_rng(4).standard_normal(200)
+        got = encode_scene(scene, src, 2).channels
+        want = encode_scene_loop(scene, src, 2)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)))
+
+    @settings(max_examples=10, deadline=None)
+    @given(order=st.integers(1, 3), rt60=st.sampled_from((0.16, 0.3, 0.44)),
+           seed=st.integers(0, 2**16))
+    def test_lower_orders_nest_in_order4(self, order, rt60, seed):
+        scene = image_source_scene(ROOM, SRC, MIC, rt60, 2)
+        src = make_burst_source(0.3, scene.fs, seed)
+        full = encode_scene(scene, src, 4).channels
+        np.testing.assert_array_equal(encode_scene(scene, src, order).channels,
+                                      full[:num_channels(order)])
 
     def test_empty_source(self):
         scene = image_source_scene(ROOM, SRC, MIC, 0.3, 0)
