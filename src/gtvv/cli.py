@@ -17,7 +17,7 @@ import numpy as np
 from . import baselines, room
 from .errors import ConfigError, GtvvError
 from .experiment import (ExperimentConfig, dump_traces, run_experiment,
-                         run_single, scene_geometry, write_results)
+                         simulate_cell, write_results)
 from .sh import build_dictionary, make_omni_beam, make_reference_beam
 from .somp import somp
 from .spectral import stft
@@ -46,24 +46,23 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     order = max(cfg.orders) if args.order is None else args.order
     for scene_idx in range(cfg.num_scenes):
-        src, mic = scene_geometry(cfg, scene_idx)
-        source = room.make_burst_source(
-            cfg.duration, cfg.fs,
-            np.random.SeedSequence([cfg.seed, scene_idx, 7]))
         for rt in cfg.rt60:
-            scene = room.image_source_scene(
-                cfg.room, src, mic, rt, cfg.max_reflection_order, cfg.fs)
-            sig = room.encode_scene(scene, source, order)
-            if not math.isinf(cfg.snr_db):
-                sig = room.add_noise(
-                    sig, cfg.snr_db,
-                    np.random.SeedSequence([cfg.seed, scene_idx, 13]))
+            scene, sig = simulate_cell(cfg, scene_idx, rt, order)
             stem = os.path.join(args.out, f"scene{scene_idx}_rt{rt:g}")
             with open(stem + "_truth.json", "w", encoding="utf-8") as fh:
                 fh.write(scene.to_json())
             room.write_wav(stem + ".wav", sig)
             print(f"wrote {stem}.wav ({sig.channels.shape[0]} channels)")
     return 0
+
+
+def _steered_gtvv(spec, cfg: ExperimentConfig, dictionary, v_h, order: int):
+    """GTVV with the beam steered at the H-TDVV DoA: the first S-OMP atom
+    of `v_h`. S-OMP is greedy, so one iteration picks the atom that a full
+    run picks first."""
+    est_h = somp(v_h, dictionary, 1)
+    steered = make_reference_beam(est_h.directions[0], order)
+    return estimate_gtvv(spec, _estimator_config(cfg, steered))
 
 
 def _gtvv_from_wav(args, cfg: ExperimentConfig):
@@ -75,9 +74,7 @@ def _gtvv_from_wav(args, cfg: ExperimentConfig):
     v_h = baselines.h_tdvv(spec, _estimator_config(cfg, make_omni_beam(order)))
     if args.method == "htdvv":
         return v_h, dictionary, cfg.iter_cap(order)
-    est_h = somp(v_h, dictionary, cfg.iter_cap(order))
-    steered = make_reference_beam(est_h.directions[0], order)
-    v_g = estimate_gtvv(spec, _estimator_config(cfg, steered))
+    v_g = _steered_gtvv(spec, cfg, dictionary, v_h, order)
     return v_g, dictionary, cfg.iter_cap(order)
 
 
@@ -115,23 +112,12 @@ def cmd_evaluate(args) -> int:
 def cmd_traces(args) -> int:
     cfg = _load_config(args)
     order = max(cfg.orders) if args.order is None else args.order
-    rt = cfg.rt60[-1]
-    src, mic = scene_geometry(cfg, 0)
-    scene = room.image_source_scene(cfg.room, src, mic, rt,
-                                    cfg.max_reflection_order, cfg.fs)
-    source = room.make_burst_source(
-        cfg.duration, cfg.fs, np.random.SeedSequence([cfg.seed, 0, 7]))
-    sig = room.encode_scene(scene, source, order)
-    if not math.isinf(cfg.snr_db):
-        sig = room.add_noise(sig, cfg.snr_db,
-                             np.random.SeedSequence([cfg.seed, 0, 13]))
+    _, sig = simulate_cell(cfg, 0, cfg.rt60[-1], order)
     spec = stft(sig, cfg.win_len)
     dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_scheme,
                                   cfg.dict_file)
     v_h = baselines.h_tdvv(spec, _estimator_config(cfg, make_omni_beam(order)))
-    est_h = somp(v_h, dictionary, cfg.iter_cap(order))
-    steered = make_reference_beam(est_h.directions[0], order)
-    v_g = estimate_gtvv(spec, _estimator_config(cfg, steered))
+    v_g = _steered_gtvv(spec, cfg, dictionary, v_h, order)
     os.makedirs(args.out, exist_ok=True)
     dump_traces(v_h, os.path.join(args.out, "trace_htdvv.csv"))
     dump_traces(v_g, os.path.join(args.out, "trace_gtvv.csv"))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -28,6 +29,10 @@ from .velocity import EstimatorConfig, estimate_gtvv
 METHODS = ("srp", "htdvv", "gtvv")
 
 _WALL_MARGIN = 1e-6
+
+# Pinned to one thread while the sweep's worker processes start.
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                     "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -215,10 +220,10 @@ def _dry_source(cfg: ExperimentConfig, scene_idx: int) -> np.ndarray:
         cfg.duration, cfg.fs, np.random.SeedSequence([cfg.seed, scene_idx, 7]))
 
 
-def run_single(cfg: ExperimentConfig, scene_idx: int, rt60: float,
-               order: int, dictionary: Dictionary = None) -> RunRecord:
-    """One (scene, rt60, order) cell: simulate, estimate with all methods,
-    match against ground truth.
+def simulate_cell(cfg: ExperimentConfig, scene_idx: int, rt60: float,
+                  order: int) -> tuple:
+    """The ground truth and the noisy order-`order` recording of one
+    (scene, rt60, order) cell: returns (GroundTruthScene, AmbisonicSignal).
 
     `rt60` must be one of `cfg.rt60`: its index seeds the noise, so an
     unknown value raises `ConfigError` instead of sharing another cell's
@@ -227,9 +232,6 @@ def run_single(cfg: ExperimentConfig, scene_idx: int, rt60: float,
     if rt60 not in cfg.rt60:
         raise ConfigError(f"rt60 {rt60} is not in the config's {cfg.rt60}")
     rt_idx = list(cfg.rt60).index(rt60)
-    if dictionary is None:
-        dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_scheme,
-                                      cfg.dict_file)
     src, mic = scene_geometry(cfg, scene_idx)
     scene = room.image_source_scene(cfg.room, src, mic, rt60,
                                     cfg.max_reflection_order, cfg.fs)
@@ -238,6 +240,17 @@ def run_single(cfg: ExperimentConfig, scene_idx: int, rt60: float,
     sig = room.add_noise(sig, cfg.snr_db,
                          np.random.SeedSequence(
                              [cfg.seed, scene_idx, rt_idx, order, 13]))
+    return scene, sig
+
+
+def run_single(cfg: ExperimentConfig, scene_idx: int, rt60: float,
+               order: int, dictionary: Dictionary = None) -> RunRecord:
+    """One (scene, rt60, order) cell: simulate (see `simulate_cell`),
+    estimate with all methods, match against ground truth."""
+    scene, sig = simulate_cell(cfg, scene_idx, rt60, order)
+    if dictionary is None:
+        dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_scheme,
+                                      cfg.dict_file)
     spec = stft(sig, cfg.win_len)
 
     gate = math.radians(cfg.gate_deg)
@@ -291,15 +304,36 @@ def _execute_run(args):
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple:
-    """Run the full sweep; returns (ResultsTable, list of RunRecord)."""
+    """Run the full sweep; returns (ResultsTable, list of RunRecord).
+
+    With `cfg.workers > 1` the cells run on worker processes that do not
+    fork from the caller, so a calling script must guard its top-level
+    code with `if __name__ == "__main__":`.
+    """
     cfg.validate()
     tasks = [(cfg, s, rt, o)
              for s in range(cfg.num_scenes)
              for rt in cfg.rt60
              for o in cfg.orders]
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_execute_run, tasks))
+        # Workers forked from this process would inherit its BLAS, with one
+        # thread per core each. The fork server instead imports numpy (and
+        # this module, so that workers start at once) with the thread
+        # variables pinned, and keeps them for later pools.
+        ctx = multiprocessing.get_context("forkserver")
+        ctx.set_forkserver_preload([__name__])
+        saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        try:
+            with ProcessPoolExecutor(max_workers=cfg.workers,
+                                     mp_context=ctx) as pool:
+                records = list(pool.map(_execute_run, tasks))
+        finally:
+            for var, value in saved.items():
+                if value is None:
+                    os.environ.pop(var, None)
+                else:
+                    os.environ[var] = value
     else:
         records = [_execute_run(t) for t in tasks]
     return aggregate(cfg, records), records

@@ -184,22 +184,46 @@ class Dictionary:
         atoms = np.asarray(self.atoms, dtype=float)
         if atoms.shape != (num_channels(self.order), len(self.directions)):
             raise ValueError("atom matrix shape does not match directions/order")
-        vecs = np.stack([d.unit_vector() for d in self.directions])
-        gram = vecs @ vecs.T
-        np.fill_diagonal(gram, -1.0)
-        if gram.max() > math.cos(_MIN_SEPARATION_RAD):
+        az = np.array([d.azimuth for d in self.directions], dtype=float)
+        el = np.array([d.elevation for d in self.directions], dtype=float)
+        # rows are the Direction.unit_vector of each atom
+        vecs = np.column_stack(
+            [np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)])
+        if _has_close_pair(vecs, _MIN_SEPARATION_RAD):
             raise ValueError("dictionary directions closer than 0.1 degrees")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "directions", tuple(self.directions))
+        object.__setattr__(self, "_unit_vectors", vecs)
 
     def __len__(self):
         return len(self.directions)
 
     def nearest(self, direction: Direction) -> int:
-        """Index of the atom closest to `direction` (great circle)."""
-        v = direction.unit_vector()
-        dots = np.array([d.unit_vector() @ v for d in self.directions])
-        return int(np.argmax(dots))
+        """Index of the atom closest to `direction` (great circle); ties go
+        to the lowest index."""
+        return int(np.argmax(self._unit_vectors @ direction.unit_vector()))
+
+
+def _has_close_pair(vecs: np.ndarray, min_sep: float) -> bool:
+    """Whether two rows of `vecs` (unit vectors) are less than `min_sep`
+    radians apart, in O(n log n) time and O(n) memory for spread-out sets.
+
+    Unit vectors with u.v > cos(min_sep) are less than one chord
+    sqrt(2 - 2 cos(min_sep)) apart, so their z values are too. After a sort
+    by z, such a pair lies fewer than `width` places apart, where `width`
+    is the most points that one z-window of a chord holds; every offset
+    below it is checked with one vectorised dot product.
+    """
+    cos_min = math.cos(min_sep)
+    chord = math.sqrt(2.0 - 2.0 * cos_min) * (1.0 + 1e-6)  # rounding slack
+    v = vecs[np.argsort(vecs[:, 2], kind="stable")]
+    z = v[:, 2]
+    ends = np.searchsorted(z, z + chord, side="right")
+    width = int(np.max(ends - np.arange(len(z)), initial=1))
+    for k in range(1, width):
+        if np.einsum("ij,ij->i", v[:-k], v[k:]).max() > cos_min:
+            return True
+    return False
 
 
 def fibonacci_directions(count: int) -> list:

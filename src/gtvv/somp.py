@@ -88,13 +88,12 @@ def somp(v: GtvvMatrix, dictionary: Dictionary, iters: int,
     terminated = False
     for _ in range(iters):
         corr = dictionary.atoms.T @ residual  # (atoms, lags)
-        scores = np.max(np.abs(corr), axis=1)
-        s = int(np.argmax(scores))
+        np.abs(corr, out=corr)
+        s = int(np.argmax(corr.max(axis=1)))
         if s in selected:
             terminated = True
             break
-        row = np.abs(corr[s])
-        row = np.where(lag_ok, row, -1.0)
+        row = np.where(lag_ok, corr[s], -1.0)
         q = int(np.argmax(row))
         selected.append(s)
         delays.append(float(v.time_axis[q]))

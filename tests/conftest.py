@@ -1,3 +1,4 @@
+import os
 import time
 
 import pytest
@@ -26,8 +27,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def full_sweep():
     """The complete 5-scene x 2-rt60 x 4-order evaluation, shared across
-    the acceptance tests that consume the aggregated tables."""
-    cfg = ExperimentConfig(workers=4)
+    the acceptance tests that consume the aggregated tables. More workers
+    than cores would only slow it down."""
+    cfg = ExperimentConfig(workers=min(4, os.cpu_count() or 1))
     start = time.monotonic()
     table, records = run_experiment(cfg)
     elapsed = time.monotonic() - start

@@ -5,14 +5,19 @@ import os
 import numpy as np
 import pytest
 
+from gtvv import baselines
 from gtvv.cli import main
 from gtvv.errors import ConfigError
 from gtvv.experiment import (EstimatorSettings, ExperimentConfig, aggregate,
                              dump_traces, run_experiment, run_single,
                              scene_geometry, write_results)
-from gtvv.room import write_wav
-from gtvv.sh import Direction
-from gtvv.velocity import RelativeWavefront, gtvv_closed_form
+from gtvv.room import read_wav, write_wav
+from gtvv.sh import (Direction, build_dictionary, make_omni_beam,
+                     make_reference_beam)
+from gtvv.somp import somp
+from gtvv.spectral import stft
+from gtvv.velocity import (EstimatorConfig, RelativeWavefront,
+                           estimate_gtvv, gtvv_closed_form)
 
 FS = 16000.0
 
@@ -134,6 +139,32 @@ class TestRunExperiment:
         t1, _ = run_experiment(cfg_serial)
         t2, _ = run_experiment(cfg_pool)
         assert t1.to_csv() == t2.to_csv()
+
+    def test_worker_pool_leaves_environment_unchanged(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        _, records = run_experiment(small_config(workers=2))
+        assert not any(r.error for r in records)
+        assert dict(os.environ) == before
+
+
+def full_steering_infer_json(wav, cfg: ExperimentConfig) -> str:
+    """`gtvv infer` as it once ran: the beam steered at the first atom of
+    a full `iter_cap` H-TDVV S-OMP."""
+    spec = stft(read_wav(wav), cfg.win_len)
+    order = int(round(math.sqrt(spec.channels))) - 1
+    dic = build_dictionary(cfg.dict_size, order)
+    est = cfg.estimator
+
+    def estimator(beam):
+        return EstimatorConfig(beam, est.seg_count, est.frames_per_seg,
+                               est.diagonal_load)
+    v_h = baselines.h_tdvv(spec, estimator(make_omni_beam(order)))
+    est_h = somp(v_h, dic, cfg.iter_cap(order))
+    v_g = estimate_gtvv(spec, estimator(
+        make_reference_beam(est_h.directions[0], order)))
+    return somp(v_g, dic, cfg.iter_cap(order)).to_json()
 
 
 class TestDumpTraces:
@@ -259,3 +290,30 @@ class TestCli:
         payload = json.loads(
             (tmp_path / "seeded" / "results.json").read_text())
         assert payload["config"]["seed"] == 5
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_simulate_then_infer_reproduces_run_single(self, tmp_path,
+                                                       capsys, order):
+        path = self._write_cfg(tmp_path, rt60=(0.16, 0.44), orders=(order,))
+        cfg = ExperimentConfig.from_json(path)
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", path, "--out", str(sim)]) == 0
+        for rt in cfg.rt60:
+            est = str(tmp_path / f"est_{rt:g}.json")
+            assert main(["infer", "--config", path, "--out", est, "--wav",
+                         str(sim / f"scene0_rt{rt:g}.wav")]) == 0
+            got = json.loads(open(est).read())
+            want = json.loads(run_single(cfg, 0, rt, order).estimates["gtvv"])
+            assert got["directions_deg"] == want["directions_deg"]
+            assert got["delays_ms"] == want["delays_ms"]
+
+    def test_infer_matches_full_steering_somp(self, tmp_path, capsys):
+        path = self._write_cfg(tmp_path, orders=(3,))
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", path, "--out", str(sim)]) == 0
+        wav = str(sim / "scene0_rt0.16.wav")
+        est = tmp_path / "est.json"
+        assert main(["infer", "--config", path, "--out", str(est),
+                     "--wav", wav]) == 0
+        assert est.read_text() == full_steering_infer_json(
+            wav, ExperimentConfig.from_json(path))

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtvv.sh import (Direction, angular_distance, build_dictionary,
-                     fibonacci_directions, make_omni_beam,
+from gtvv.sh import (Dictionary, Direction, angular_distance,
+                     build_dictionary, fibonacci_directions, make_omni_beam,
                      make_reference_beam, sh_eval, sh_matrix)
 
 directions = st.builds(
@@ -242,3 +242,102 @@ class TestDictionary:
         d = build_dictionary(770, 1)
         target = d.directions[123]
         assert d.nearest(target) == 123
+
+
+def gram_too_close(dirs) -> bool:
+    """The dense n x n Gram check of the 0.1 degree spacing, as the
+    dictionary once ran it."""
+    vecs = np.stack([d.unit_vector() for d in dirs])
+    gram = vecs @ vecs.T
+    np.fill_diagonal(gram, -1.0)
+    return gram.max() > math.cos(math.radians(0.1))
+
+
+def accepted(dirs) -> bool:
+    try:
+        Dictionary(0, tuple(dirs), np.ones((1, len(dirs))))
+    except ValueError:
+        return False
+    return True
+
+
+def offset(d: Direction, sep: float, heading: float) -> Direction:
+    """The direction `sep` radians from `d` along `heading` (0 = east,
+    pi/2 = north); an east heading keeps an equator point on the equator."""
+    u = d.unit_vector()
+    east = np.array([-math.sin(d.azimuth), math.cos(d.azimuth), 0.0])
+    north = np.cross(u, east)
+    t = math.cos(heading) * east + math.sin(heading) * north
+    return Direction.from_unit_vector(math.cos(sep) * u + math.sin(sep) * t)
+
+
+# separations of planted pairs, clear of the 0.1 degree limit
+planted_seps = st.one_of(st.floats(0.0, 0.09), st.floats(0.11, 0.5))
+azimuths = st.floats(-math.pi, math.pi, allow_nan=False)
+elevations = {
+    "sphere": st.floats(-math.pi / 2, math.pi / 2, allow_nan=False),
+    "equator": st.just(0.0),
+    "north pole": st.floats(math.radians(89.0), math.pi / 2),
+    "south pole": st.floats(-math.pi / 2, math.radians(-89.0)),
+}
+
+
+@st.composite
+def planted_direction_sets(draw):
+    """Random directions on the sphere, on one z-level (the equator) or in
+    a 1 degree cap at a pole, plus near-duplicates of some of them."""
+    kind = draw(st.sampled_from(sorted(elevations)))
+    dirs = [Direction(draw(azimuths), draw(elevations[kind]))
+            for _ in range(draw(st.integers(2, 30)))]
+    headings = st.just(0.0) if kind == "equator" else st.floats(0.0, 6.3)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(dirs) - 1))
+        dirs.append(offset(dirs[i], math.radians(draw(planted_seps)),
+                           draw(headings)))
+    return draw(st.permutations(dirs))
+
+
+class TestSeparationCheck:
+    def test_rejects_directions_0_05_degrees_apart(self):
+        d = Direction(0.3, 0.2)
+        with pytest.raises(ValueError, match="0.1 degrees"):
+            Dictionary(0, (d, offset(d, math.radians(0.05), 1.0)),
+                       np.ones((1, 2)))
+
+    def test_accepts_directions_0_2_degrees_apart(self):
+        d = Direction(0.3, 0.2)
+        assert accepted([d, offset(d, math.radians(0.2), 1.0)])
+
+    def test_rejects_pole_with_two_azimuths(self):
+        # both are the north pole
+        assert not accepted([Direction(0.0, math.pi / 2),
+                             Direction(2.0, math.pi / 2)])
+
+    def test_equator_ring(self):
+        ring = [Direction(math.radians(0.2 * k), 0.0) for k in range(1800)]
+        assert accepted(ring)
+        assert not accepted(ring + [Direction(math.radians(0.05), 0.0)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(planted_direction_sets())
+    def test_agrees_with_gram_check(self, dirs):
+        assert accepted(dirs) == (not gram_too_close(dirs))
+
+
+class TestNearest:
+    dic = build_dictionary(770, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(directions)
+    def test_matches_loop(self, target):
+        v = target.unit_vector()
+        dots = [d.unit_vector() @ v for d in self.dic.directions]
+        assert self.dic.nearest(target) == int(np.argmax(dots))
+
+    def test_tie_goes_to_lowest_index(self):
+        # both atoms are 10 degrees from the target, with equal dot products
+        pair = (Direction(math.radians(10.0), 0.0),
+                Direction(math.radians(-10.0), 0.0))
+        for dirs in (pair, pair[::-1]):
+            dic = Dictionary(0, dirs, np.ones((1, 2)))
+            assert dic.nearest(Direction(0.0, 0.0)) == 0

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtvv.room import GroundTruthScene, Wavefront
 from gtvv.sh import (Direction, angular_distance, build_dictionary,
                      make_reference_beam, sh_eval)
 from gtvv.somp import EstimateSet, match_to_truth, somp
+from gtvv.spectral import GtvvMatrix, make_time_axis
 from gtvv.velocity import RelativeWavefront, gtvv_closed_form
 
 FS = 16000.0
@@ -101,7 +104,6 @@ class TestSomp:
         v, _ = gtvv_closed_form(waves, 6, 1024, FS, 3)
         # perturb so late iterations keep working against structure
         data = v.data + 0.01 * rng.standard_normal(v.data.shape)
-        from gtvv.spectral import GtvvMatrix
         v = GtvvMatrix(data, v.time_axis, v.fs)
         est = somp(v, dic, 7)
         norms = est.residual_norms
@@ -138,7 +140,6 @@ class TestSomp:
         dic = build_dictionary(100, 1)
         y = dic.atoms[:, 7]
         data = np.outer(y, np.ones(64))
-        from gtvv.spectral import GtvvMatrix, make_time_axis
         v = GtvvMatrix(data, make_time_axis(64, FS), FS)
         est = somp(v, dic, 4)
         assert est.terminated_early
@@ -154,6 +155,31 @@ class TestSomp:
             somp(v, dic3, 0)
         with pytest.raises(ValueError):
             somp(v, dic3, 10)  # more iterations than channels
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), iters=st.integers(1, 7),
+           closed_form=st.booleans())
+    def test_first_atom_independent_of_iterations(self, seed, iters,
+                                                  closed_form):
+        # greedy: the first pick of a k-iteration run is the 1-iteration
+        # run's pick, which is what the steered reference uses
+        rng = np.random.default_rng(seed)
+        dic = build_dictionary(300, 2)
+        if closed_form:
+            def random_dir():
+                return Direction(rng.uniform(-math.pi, math.pi),
+                                 rng.uniform(-1.5, 1.5))
+            waves = [direct_wave(random_dir())] + [
+                RelativeWavefront(random_dir(), rng.uniform(0.1, 0.45),
+                                  rng.integers(1, 40) / FS, 1.0)
+                for _ in range(2)]
+            v, _ = gtvv_closed_form(waves, 6, 128, FS, 2)
+        else:
+            v = GtvvMatrix(rng.standard_normal((9, 128)),
+                           make_time_axis(128, FS), FS)
+        one, full = somp(v, dic, 1), somp(v, dic, iters)
+        assert one.directions[0] == full.directions[0]
+        assert one.delays[0] == full.delays[0]
 
     def test_json_serialization(self):
         d = Direction(math.radians(30), math.radians(-10))
