@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 configuration error, 3 run-time numerical error.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -18,10 +17,12 @@ from . import baselines, room
 from .errors import ConfigError, GtvvError
 from .experiment import (ExperimentConfig, dump_traces, run_experiment,
                          simulate_cell, write_results)
-from .sh import build_dictionary, make_omni_beam, make_reference_beam
+from .sh import (MAX_ORDER, build_dictionary, make_omni_beam,
+                 make_reference_beam, order_from_channels)
 from .somp import somp
 from .spectral import stft
-from .velocity import EstimatorConfig, estimate_gtvv
+from .velocity import (EstimatorConfig, estimate_gtvv,
+                       negative_lag_energy_fraction)
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -65,10 +66,24 @@ def _steered_gtvv(spec, cfg: ExperimentConfig, dictionary, v_h, order: int):
     return estimate_gtvv(spec, _estimator_config(cfg, steered))
 
 
+def _wav_order(path, channels: int) -> int:
+    """Ambisonic order of a `channels`-channel WAV; a count that is not
+    (L+1)² for an order L in [1, MAX_ORDER] is a ConfigError."""
+    try:
+        order = order_from_channels(channels)
+        if 1 <= order <= MAX_ORDER:
+            return order
+    except ValueError:
+        pass
+    raise ConfigError(f"{path} has {channels} channel(s): an Ambisonic "
+                      f"recording of order 1 to {MAX_ORDER} has "
+                      "(order + 1)² channels")
+
+
 def _gtvv_from_wav(args, cfg: ExperimentConfig):
     sig = room.read_wav(args.wav)
+    order = _wav_order(args.wav, sig.channels.shape[0])
     spec = stft(sig, cfg.win_len)
-    order = int(round(math.sqrt(spec.channels))) - 1
     dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_scheme,
                                   cfg.dict_file)
     v_h = baselines.h_tdvv(spec, _estimator_config(cfg, make_omni_beam(order)))
@@ -119,9 +134,11 @@ def cmd_traces(args) -> int:
     v_h = baselines.h_tdvv(spec, _estimator_config(cfg, make_omni_beam(order)))
     v_g = _steered_gtvv(spec, cfg, dictionary, v_h, order)
     os.makedirs(args.out, exist_ok=True)
-    dump_traces(v_h, os.path.join(args.out, "trace_htdvv.csv"))
-    dump_traces(v_g, os.path.join(args.out, "trace_gtvv.csv"))
-    print(f"traces written to {args.out}")
+    for name, v in (("htdvv", v_h), ("gtvv", v_g)):
+        path = os.path.join(args.out, f"trace_{name}.csv")
+        dump_traces(v, path)
+        print(f"{name}: negative-lag energy fraction "
+              f"{negative_lag_energy_fraction(v):.6f} -> {path}")
     return 0
 
 
@@ -159,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep processes (default: the config's, 1)")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("traces", help="dump paired H-TDVV/GTVV trace CSVs")
+    p = sub.add_parser("traces", help="dump paired H-TDVV/GTVV trace CSVs "
+                       "and print their negative-lag energy fractions")
     common(p, "traces", "output directory")
     p.add_argument("--order", type=int, default=None, choices=range(1, 9))
     p.set_defaults(func=cmd_traces)

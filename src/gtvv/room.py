@@ -275,9 +275,13 @@ def write_wav(path, sig: AmbisonicSignal):
 
 
 def read_wav(path) -> AmbisonicSignal:
+    """Read a WAV as float samples; integer PCM is mapped to [-1, 1):
+    unsigned 8-bit as (x - 128) / 128, signed n-bit as x / 2^(n-1)."""
     fs, data = wavfile.read(path)
-    if data.dtype.kind == "i":
-        data = data.astype(np.float64) / float(np.iinfo(data.dtype).max)
+    if data.dtype.kind == "u":
+        data = (data.astype(np.float64) - 128.0) / 128.0
+    elif data.dtype.kind == "i":
+        data = data.astype(np.float64) / float(2 ** (8 * data.itemsize - 1))
     if data.ndim == 1:
         data = data[:, None]
     return AmbisonicSignal(float(fs), np.ascontiguousarray(data.T, dtype=float))

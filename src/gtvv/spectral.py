@@ -8,9 +8,10 @@ off `time_axis`, never off raw column indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InconsistentSpectrumError
 from .room import AmbisonicSignal
@@ -20,12 +21,18 @@ _IMAG_RESIDUE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SpectrumTensor:
-    """STFT of all SH channels: data[frame, bin, channel]."""
+    """STFT of all SH channels: data[frame, bin, channel].
+
+    `data` is a read-only view, so statistics derived from it can be
+    computed once per instance (`cached`).
+    """
 
     data: np.ndarray
     fs: float
     win_len: int
     hop: int
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=complex)
@@ -35,7 +42,15 @@ class SpectrumTensor:
             raise ValueError("spectrum data must be finite")
         if data.shape[1] != self.win_len // 2 + 1:
             raise ValueError("bin count must equal win_len/2 + 1")
+        data = data.view()
+        data.flags.writeable = False
         object.__setattr__(self, "data", data)
+
+    def cached(self, key, compute):
+        """`compute()`, evaluated on the first call with `key` only."""
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
     @property
     def frames(self) -> int:
@@ -99,9 +114,13 @@ def stft(sig: AmbisonicSignal, win_len: int, hop: int = None) -> SpectrumTensor:
         raise ValueError("signal shorter than one analysis window")
     window = np.hamming(win_len)
     num_frames = (n - win_len) // hop + 1
-    starts = np.arange(num_frames) * hop
-    frames = np.stack([sig.channels[:, s:s + win_len] for s in starts])
-    spec = np.fft.rfft(frames * window, axis=-1)  # (frames, channels, bins)
+    # (frames, channels, win_len) strided view; the one multiply writes the
+    # windowed frames frame-major, the layout the FFT reads
+    view = sliding_window_view(sig.channels, win_len, axis=1)[:, ::hop]
+    frames = np.multiply(view.transpose(1, 0, 2), window,
+                         out=np.empty((num_frames, sig.channels.shape[0],
+                                       win_len)))
+    spec = np.fft.rfft(frames, axis=-1)  # (frames, channels, bins)
     return SpectrumTensor(np.transpose(spec, (0, 2, 1)), sig.fs, win_len, hop)
 
 

@@ -65,10 +65,16 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class GfvvEstimate:
-    """Per-bin velocity vector plus a validity flag per bin."""
+    """Per-bin velocity vector plus a validity flag per bin.
+
+    `near_singular` marks the (bin, channel) systems of the least-squares
+    estimator whose normal equations were diagonally loaded; it is None for
+    estimates that solve no system.
+    """
 
     values: np.ndarray   # channels x bins, complex; invalid bins are NaN
     valid: np.ndarray    # bins, bool
+    near_singular: np.ndarray = None  # bins x channels, bool
 
 
 def instantaneous_gfvv(spec: SpectrumTensor, w: BeamWeights,
@@ -108,6 +114,58 @@ def _solve_loaded_2x2(g11, g12, g22, r1, r2, diagonal_load):
     return v, near_singular
 
 
+def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig,
+                   left) -> np.ndarray:
+    """E[left[u] · conj(spec.data[u])] over the frames u of each segment:
+    (segments, bins, channels) complex.
+
+    Frames are added one at a time in order, as `np.mean` over the frame
+    axis adds them, into buffers laid out like `spec.data[0]`, so the means
+    equal the `np.mean` of the full frames x bins x channels product bit
+    for bit without building it.
+    """
+    out = np.empty_like(spec.data[:cfg.seg_count])
+    conj_u = np.empty_like(spec.data[0])
+    term_u = np.empty_like(spec.data[0])
+
+    def term(u, dest):
+        return np.multiply(left[u], np.conjugate(spec.data[u], out=conj_u),
+                           out=dest)
+
+    for seg, acc in enumerate(out):
+        first = seg * cfg.frames_per_seg
+        term(first, acc)
+        for u in range(first + 1, first + cfg.frames_per_seg):
+            acc += term(u, term_u)
+    return np.true_divide(out, cfg.frames_per_seg, out=out)
+
+
+def _auto_spectra(spec: SpectrumTensor, cfg: EstimatorConfig) -> np.ndarray:
+    """phi = E[B B*] per segment, bin and channel (real)."""
+    return _segment_means(spec, cfg, spec.data).real
+
+
+def _cross_spectra(spec: SpectrumTensor, cfg: EstimatorConfig) -> np.ndarray:
+    """a1 = E[(w.b) B*] per segment, bin and channel, w the reference."""
+    need = cfg.seg_count * cfg.frames_per_seg
+    ref = spec.data[:need] @ cfg.reference.weights  # (frames, bins)
+    return _segment_means(spec, cfg, ref[:, :, None])
+
+
+def _reference_free_stats(spec: SpectrumTensor, cfg: EstimatorConfig):
+    """The half of the estimator that does not depend on the reference
+    beam: phi, the bin validity mask and r2 = Σ_segments phi, read-only
+    because later estimates on the spectrum share them."""
+    phi = _auto_spectra(spec, cfg)
+    energy = np.mean(np.abs(phi), axis=0)  # (bins, ch)
+    bin_energy = np.mean(energy, axis=1)   # (bins,)
+    valid = bin_energy > _ENERGY_FLOOR * float(np.max(bin_energy))
+    stats = (phi, valid, np.sum(phi, axis=0))
+    for arr in stats:
+        arr.flags.writeable = False
+    return stats
+
+
 def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig) -> GfvvEstimate:
     """Nonstationarity-based least-squares GFVV estimator.
 
@@ -117,27 +175,23 @@ def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig) -> GfvvEstimate
     stacked 2-unknown system (channel ratio, stationary residual spectrum)
     is solved in the least-squares sense.
 
+    The auto-spectra do not depend on the reference, so they are computed
+    once per spectrum and segmentation and shared by later calls (the
+    omni-referenced and the steered estimate of one recording).
+
     Bins with energy below floor are flagged invalid; a bin whose system is
     rank deficient despite carrying energy (stationary source) raises.
     """
     need = cfg.seg_count * cfg.frames_per_seg
     if spec.frames < need:
         raise ValueError(f"need at least {need} frames, have {spec.frames}")
-    channels = spec.channels
-    if cfg.reference.weights.size != channels:
+    if cfg.reference.weights.size != spec.channels:
         raise ValueError("reference beam order does not match the spectrum")
-    # (segments, frames_per_seg, bins, channels)
-    b = spec.data[:need].reshape(cfg.seg_count, cfg.frames_per_seg,
-                                 spec.bins, channels)
-    ref = b @ cfg.reference.weights  # (segments, frames_per_seg, bins)
-
-    # time-averaged spectra per segment: phi = E[B B*], a1 = E[(w.b) B*]
-    phi = np.mean(b * np.conj(b), axis=1).real        # (seg, bins, ch)
-    a1 = np.mean(ref[..., None] * np.conj(b), axis=1)  # (seg, bins, ch)
-
-    energy = np.mean(np.abs(phi), axis=0)  # (bins, ch)
-    bin_energy = np.mean(energy, axis=1)   # (bins,)
-    valid = bin_energy > _ENERGY_FLOOR * float(np.max(bin_energy))
+    # time-averaged spectra per segment, (seg, bins, ch) each
+    phi, valid, r2 = spec.cached(
+        ("gfvv_ls", cfg.seg_count, cfg.frames_per_seg),
+        lambda: _reference_free_stats(spec, cfg))
+    a1 = _cross_spectra(spec, cfg)
 
     a1_spread = np.std(a1, axis=0) / (np.mean(np.abs(a1), axis=0) + 1e-300)
     degenerate = np.all(a1_spread < _COLLINEAR_TOL, axis=1) & valid
@@ -149,12 +203,12 @@ def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig) -> GfvvEstimate
     g12 = np.sum(np.conj(a1), axis=0)
     g22 = float(cfg.seg_count)
     r1 = np.sum(np.conj(a1) * phi, axis=0)
-    r2 = np.sum(phi, axis=0)
-    v, _ = _solve_loaded_2x2(g11, g12, g22, r1, r2, cfg.diagonal_load)
+    v, near_singular = _solve_loaded_2x2(g11, g12, g22, r1, r2,
+                                         cfg.diagonal_load)
 
     values = v.T.astype(complex)  # channels x bins
     values[:, ~valid] = np.nan
-    return GfvvEstimate(values, valid)
+    return GfvvEstimate(values, valid, near_singular)
 
 
 def interpolate_invalid_bins(est: GfvvEstimate) -> np.ndarray:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtvv.baselines import PowerMap, h_tdvv, srp_doa, srp_map
 from gtvv.room import (AmbisonicSignal, GroundTruthScene, Wavefront,
@@ -171,6 +173,23 @@ class TestSrp:
         a = srp_map(spec, dic).values
         b = srp_map(stft(bumped, 1024), dic).values
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-9 * np.max(a))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.data())
+    def test_invariant_to_frame_order(self, order, seed, data):
+        # the map is a sum over frames; with silent frames among them, so
+        # that the energy floor is exercised too
+        rng = np.random.default_rng(seed)
+        frames, channels = 12, (order + 1) ** 2
+        shape = (frames, 33, channels)
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        b *= np.exp(3.0 * rng.standard_normal((frames, 1, 1)))
+        b[rng.random(frames) < 0.2] *= 1e-12
+        perm = data.draw(st.permutations(range(frames)))
+        dic = build_dictionary(60, order)
+        a = srp_map(SpectrumTensor(b, FS, 64, 16), dic).values
+        p = srp_map(SpectrumTensor(b[perm], FS, 64, 16), dic).values
+        np.testing.assert_allclose(p, a, rtol=0, atol=1e-12 * np.max(a))
 
     def test_empty_spectrum_rejected(self):
         spec = SpectrumTensor(np.zeros((0, 513, 4), dtype=complex),

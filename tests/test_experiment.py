@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from gtvv import baselines
+from gtvv import baselines, velocity
 from gtvv.cli import main
 from gtvv.errors import ConfigError
 from gtvv.experiment import (EstimatorSettings, ExperimentConfig, aggregate,
@@ -252,6 +252,61 @@ class TestCli:
         assert main(["traces", "--config", cfg, "--out", out]) == 0
         assert os.path.isfile(os.path.join(out, "trace_htdvv.csv"))
         assert os.path.isfile(os.path.join(out, "trace_gtvv.csv"))
+
+    def test_traces_print_negative_lag_fractions(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, orders=(3,), rt60=(0.44,))
+        out = tmp_path / "traces"
+        assert main(["traces", "--config", cfg, "--out", str(out)]) == 0
+        printed = {}
+        for line in capsys.readouterr().out.splitlines():
+            name, sep, rest = line.partition(": negative-lag energy fraction ")
+            if sep:
+                printed[name] = float(rest.split()[0])
+        assert sorted(printed) == ["gtvv", "htdvv"]
+        for name, frac in printed.items():
+            # the fraction of the trace the CSV holds: Σ|v|² over t < 0
+            rows = np.loadtxt(out / f"trace_{name}.csv", delimiter=",",
+                              skiprows=1)
+            energy = np.sum(rows[:, 1:-1] ** 2, axis=1)
+            want = np.sum(energy[rows[:, 0] < 0]) / np.sum(energy)
+            assert frac == pytest.approx(want, abs=1e-6)
+        # the steered reference is the more causal one
+        assert printed["gtvv"] < printed["htdvv"]
+
+    @pytest.mark.parametrize("channels", [1, 5, 8])
+    def test_wav_channel_count_not_a_full_order(self, tmp_path, capsys,
+                                                channels):
+        from gtvv.room import AmbisonicSignal
+        wav = tmp_path / "bad.wav"
+        rng = np.random.default_rng(channels)
+        write_wav(wav, AmbisonicSignal(FS, rng.standard_normal(
+            (channels, 60000))))
+        cfg = self._write_cfg(tmp_path)
+        for sub, out in (("infer", "est.json"), ("estimate", "trace.csv")):
+            assert main([sub, "--config", cfg, "--wav", str(wav),
+                         "--out", str(tmp_path / out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:")
+            assert f"has {channels} channel(s)" in err
+
+    def test_infer_computes_reference_free_statistics_once(
+            self, tmp_path, capsys, monkeypatch):
+        path = self._write_cfg(tmp_path, orders=(2,))
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", path, "--out", str(sim)]) == 0
+        calls = []
+        stats = velocity._reference_free_stats
+
+        def counting(spec, cfg):
+            calls.append(spec)
+            return stats(spec, cfg)
+        monkeypatch.setattr(velocity, "_reference_free_stats", counting)
+        assert main(["infer", "--config", path, "--out",
+                     str(tmp_path / "est.json"),
+                     "--wav", str(sim / "scene0_rt0.16.wav")]) == 0
+        assert len(calls) == 1
+        run_single(ExperimentConfig.from_json(path), 0, 0.16, 2)
+        assert len(calls) == 2
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.io import wavfile
 from scipy.signal import fftconvolve
 
 from gtvv.room import (FRAC_DELAY_TAPS, SPEED_OF_SOUND, AmbisonicSignal,
@@ -311,3 +312,25 @@ class TestWavRoundTrip:
         back = read_wav(path)
         assert back.fs == 16000.0
         np.testing.assert_allclose(back.channels, sig.channels, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    def test_signed_pcm_scaled_by_full_scale(self, tmp_path, dtype):
+        info = np.iinfo(dtype)
+        pcm = np.array([[info.min, -(2 ** (info.bits - 2)), 0,
+                         2 ** (info.bits - 2), info.max]], dtype=dtype).T
+        path = tmp_path / "pcm.wav"
+        wavfile.write(path, 16000, pcm)
+        back = read_wav(path)
+        full = float(2 ** (info.bits - 1))
+        np.testing.assert_array_equal(
+            back.channels[0], [-1.0, -0.5, 0.0, 0.5, (full - 1) / full])
+
+    def test_unsigned_8bit_pcm_centred(self, tmp_path):
+        pcm = np.array([[0, 64, 128, 192, 255]], dtype=np.uint8).T
+        path = tmp_path / "pcm8.wav"
+        wavfile.write(path, 8000, np.repeat(pcm, 4, axis=1))
+        back = read_wav(path)
+        assert back.fs == 8000.0
+        assert back.channels.shape == (4, 5)
+        np.testing.assert_array_equal(
+            back.channels, np.tile([-1.0, -0.5, 0.0, 0.5, 127 / 128], (4, 1)))

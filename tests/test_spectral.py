@@ -4,15 +4,28 @@ import numpy as np
 import pytest
 
 from gtvv.errors import InconsistentSpectrumError
+from gtvv.experiment import ExperimentConfig, simulate_cell
 from gtvv.room import AmbisonicSignal
 from gtvv.sh import Direction, sh_eval
-from gtvv.spectral import GtvvMatrix, gfvv_to_gtvv, make_time_axis, stft
+from gtvv.spectral import (GtvvMatrix, SpectrumTensor, gfvv_to_gtvv,
+                           make_time_axis, stft)
 
 FS = 16000.0
 
 
 def make_signal(data):
     return AmbisonicSignal(FS, np.atleast_2d(np.asarray(data, dtype=float)))
+
+
+def stft_stacked(sig, win_len):
+    """Reference STFT: stack copies of the frames, then window them, as
+    `stft` was first written."""
+    hop = win_len // 4
+    window = np.hamming(win_len)
+    starts = np.arange((sig.num_samples - win_len) // hop + 1) * hop
+    frames = np.stack([sig.channels[:, s:s + win_len] for s in starts])
+    spec = np.fft.rfft(frames * window, axis=-1)
+    return np.transpose(spec, (0, 2, 1))
 
 
 class TestStft:
@@ -65,6 +78,43 @@ class TestStft:
                 - np.abs(X[0]) ** 2 - np.abs(X[-1]) ** 2
             assert two_sided / win == pytest.approx(np.sum(frame ** 2),
                                                     rel=1e-6)
+
+
+    @pytest.mark.parametrize("order", [1, 4])
+    def test_matches_stacked_frames(self, order):
+        cfg = ExperimentConfig()
+        _, sig = simulate_cell(cfg, 0, cfg.rt60[1], order)
+        got = stft(sig, cfg.win_len).data
+        want = stft_stacked(sig, cfg.win_len)
+        np.testing.assert_array_equal(got, want)
+        assert got.strides == want.strides
+
+    def test_matches_stacked_frames_on_uneven_length(self):
+        # the last partial hop is dropped, as by the stacked frames
+        sig = make_signal(np.random.default_rng(1).standard_normal((4, 5000)))
+        np.testing.assert_array_equal(stft(sig, 512).data,
+                                      stft_stacked(sig, 512))
+
+
+class TestSpectrumTensor:
+    def test_data_is_read_only(self):
+        data = np.ones((2, 5, 4), dtype=complex)
+        spec = SpectrumTensor(data, FS, 8, 2)
+        with pytest.raises(ValueError):
+            spec.data[0, 0, 0] = 2.0
+        assert data.flags.writeable  # the caller's array is untouched
+
+    def test_cached_computes_once_per_key(self):
+        spec = SpectrumTensor(np.ones((2, 5, 4), dtype=complex), FS, 8, 2)
+        calls = []
+
+        def compute(tag):
+            calls.append(tag)
+            return tag
+        assert spec.cached("a", lambda: compute(1)) == 1
+        assert spec.cached("a", lambda: compute(2)) == 1
+        assert spec.cached("b", lambda: compute(3)) == 3
+        assert calls == [1, 3]
 
 
 class TestGfvvToGtvv:

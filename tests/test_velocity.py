@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from gtvv import velocity
 from gtvv.errors import (EstimatorDegenerateError, ExpansionInvalidError,
                          SilentFrameError)
+from gtvv.experiment import ExperimentConfig, simulate_cell
 from gtvv.room import (GroundTruthScene, Wavefront, add_noise, encode_scene,
                        image_source_scene, make_burst_source)
 from gtvv.sh import (BeamWeights, Direction, make_omni_beam,
@@ -56,6 +58,58 @@ def multiwave_spectrum(waves, order, freqs, win):
         b += np.outer(wv.rel_gain * np.exp(-2j * np.pi * freqs
                                            * wv.rel_delay), y)
     return SpectrumTensor(b[None], FS, win, win // 4)
+
+
+def segment_spectra_vectorised(spec, cfg):
+    """Reference segment statistics (phi, a1), computed over the full
+    (segments, frames, bins, channels) products as the estimator first
+    computed them."""
+    need = cfg.seg_count * cfg.frames_per_seg
+    b = spec.data[:need].reshape(cfg.seg_count, cfg.frames_per_seg,
+                                 spec.bins, spec.channels)
+    ref = b @ cfg.reference.weights
+    phi = np.mean(b * np.conj(b), axis=1).real
+    a1 = np.mean(ref[..., None] * np.conj(b), axis=1)
+    return phi, a1
+
+
+def estimate_gfvv_ls_vectorised(spec, cfg):
+    """Reference estimator on `segment_spectra_vectorised`: (values, valid,
+    near-singular mask)."""
+    phi, a1 = segment_spectra_vectorised(spec, cfg)
+    bin_energy = np.mean(np.mean(np.abs(phi), axis=0), axis=1)
+    valid = bin_energy > 1e-9 * float(np.max(bin_energy))
+    g11 = np.sum(np.abs(a1) ** 2, axis=0)
+    g12 = np.sum(np.conj(a1), axis=0)
+    r1 = np.sum(np.conj(a1) * phi, axis=0)
+    r2 = np.sum(phi, axis=0)
+    v, near_singular = velocity._solve_loaded_2x2(
+        g11, g12, float(cfg.seg_count), r1, r2, cfg.diagonal_load)
+    values = v.T.astype(complex)
+    values[:, ~valid] = np.nan
+    return values, valid, near_singular
+
+
+def sweep_cell_spectrum(order):
+    """Noisy default-sweep cell: scene 0, rt60 0.44 s."""
+    cfg = ExperimentConfig()
+    _, sig = simulate_cell(cfg, 0, cfg.rt60[1], order)
+    return stft(sig, cfg.win_len)
+
+
+def random_strided_spectrum(order, frames=96, win=256, seed=0):
+    """Nonstationary random spectrum whose data is a non-contiguous view."""
+    rng = np.random.default_rng(seed)
+    shape = (frames, win // 2 + 1, 2 * (order + 1) ** 2)
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    raw *= np.exp(rng.standard_normal((frames, 1, 1)))
+    data = raw[:, :, ::2]
+    assert not data.flags.c_contiguous and not data.flags.f_contiguous
+    return SpectrumTensor(data, FS, win, win // 4)
+
+
+def fresh_copy(spec):
+    return SpectrumTensor(spec.data.copy(), spec.fs, spec.win_len, spec.hop)
 
 
 class TestInstantaneousGfvv:
@@ -193,6 +247,98 @@ class TestLsEstimator:
                               frames_per_seg=8)
         with pytest.raises(ValueError):
             estimate_gfvv_ls(spec, cfg)
+
+
+class TestLsAccumulation:
+    """The frame-by-frame accumulation and the per-spectrum reuse of the
+    reference-free statistics change no bit of the estimate."""
+
+    @pytest.mark.parametrize("kind", ["sweep_cell", "random_strided"])
+    @pytest.mark.parametrize("order", [1, 4])
+    def test_matches_vectorised_statistics(self, kind, order):
+        if kind == "sweep_cell":
+            spec, seg = sweep_cell_spectrum(order), {}
+        else:
+            spec = random_strided_spectrum(order)
+            seg = dict(seg_count=6, frames_per_seg=16)
+        beams = (make_omni_beam(order),
+                 make_reference_beam(Direction(1.0, -0.4), order))
+        for beam in beams:
+            cfg = EstimatorConfig(beam, **seg)
+            phi, a1 = segment_spectra_vectorised(spec, cfg)
+            np.testing.assert_array_equal(velocity._auto_spectra(spec, cfg),
+                                          phi)
+            np.testing.assert_array_equal(
+                velocity._cross_spectra(spec, cfg), a1)
+            est = estimate_gfvv_ls(spec, cfg)
+            values, valid, near_singular = estimate_gfvv_ls_vectorised(
+                spec, cfg)
+            np.testing.assert_array_equal(est.values, values)
+            np.testing.assert_array_equal(est.valid, valid)
+            np.testing.assert_array_equal(est.near_singular, near_singular)
+
+    @pytest.mark.parametrize("order", [1, 4])
+    def test_shared_statistics_equal_fresh_spectrum(self, order):
+        spec = sweep_cell_spectrum(order)
+        omni = EstimatorConfig(make_omni_beam(order))
+        steered = EstimatorConfig(
+            make_reference_beam(Direction(0.4, 0.1), order))
+        for first, second in ((omni, steered), (steered, omni)):
+            shared = fresh_copy(spec)
+            got = [estimate_gtvv(shared, first), estimate_gtvv(shared, second)]
+            want = [estimate_gtvv(fresh_copy(spec), first),
+                    estimate_gtvv(fresh_copy(spec), second)]
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g.data, w.data)
+
+    def test_shared_statistics_are_read_only(self):
+        spec = random_strided_spectrum(1)
+        est = estimate_gfvv_ls(spec, EstimatorConfig(
+            make_omni_beam(1), seg_count=6, frames_per_seg=16))
+        with pytest.raises(ValueError):
+            est.valid[0] = False
+
+    def test_segmentation_change_recomputes(self, monkeypatch):
+        spec = sweep_cell_spectrum(1)
+        beam = make_omni_beam(1)
+        calls = []
+        stats = velocity._reference_free_stats
+
+        def counting(spec_, cfg_):
+            if spec_ is spec:
+                calls.append((cfg_.seg_count, cfg_.frames_per_seg))
+            return stats(spec_, cfg_)
+        monkeypatch.setattr(velocity, "_reference_free_stats", counting)
+        for seg, fps in ((8, 24), (4, 24), (8, 12), (8, 24), (4, 24)):
+            cfg = EstimatorConfig(beam, seg_count=seg, frames_per_seg=fps)
+            got = estimate_gfvv_ls(spec, cfg)
+            want = estimate_gfvv_ls(fresh_copy(spec), cfg)
+            np.testing.assert_array_equal(got.values, want.values)
+            np.testing.assert_array_equal(got.valid, want.valid)
+        # computed once per segmentation, reused when it comes back
+        assert calls == [(8, 24), (4, 24), (8, 12)]
+
+    def test_near_singular_bin_reported(self):
+        spec = random_strided_spectrum(1, frames=32, win=64, seed=3)
+        data = spec.data.copy()
+        data[:, 10, 2] = 0.0  # channel 2 silent in bin 10: a1 is 0 there
+        spec = SpectrumTensor(data, FS, spec.win_len, spec.hop)
+        cfg = EstimatorConfig(make_omni_beam(1), seg_count=4,
+                              frames_per_seg=8)
+        est = estimate_gfvv_ls(spec, cfg)
+        assert est.near_singular.shape == (spec.bins, spec.channels)
+        assert est.near_singular.dtype == bool
+        assert np.argwhere(est.near_singular).tolist() == [[10, 2]]
+        # the loaded solve puts the silent channel at 0; nothing else moves
+        assert est.values[2, 10] == 0.0
+        values, valid, _ = estimate_gfvv_ls_vectorised(spec, cfg)
+        np.testing.assert_array_equal(est.values, values)
+        np.testing.assert_array_equal(est.valid, valid)
+
+    def test_instantaneous_estimate_solves_no_system(self):
+        spec = plane_wave_spectrum(Direction(0.5, -0.2), 1)
+        assert instantaneous_gfvv(spec, make_omni_beam(1),
+                                  0).near_singular is None
 
 
 class TestInterpolation:
