@@ -21,7 +21,7 @@ from .velocity import (EstimatorConfig, GfvvEstimate, RelativeWavefront,
                        relative_wavefronts)
 from .somp import EstimateSet, MatchReport, match_to_truth, somp
 from .baselines import PowerMap, h_tdvv, srp_doa, srp_map
-from .experiment import (ExperimentConfig, EstimatorSettings, ResultsTable,
-                         dump_traces, run_experiment, run_single)
+from .experiment import (ExperimentConfig, ResultsTable, analyze, dump_traces,
+                         run_experiment, run_single)
 
 __version__ = "0.1.0"

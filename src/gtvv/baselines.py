@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sh import Dictionary, Direction, make_omni_beam, order_from_channels
+from .sh import Dictionary, Direction
 from .spectral import GtvvMatrix, SpectrumTensor
 from .velocity import _ENERGY_FLOOR, EstimatorConfig, estimate_gtvv
 
@@ -27,12 +27,12 @@ class PowerMap:
 
 
 def h_tdvv(spec: SpectrumTensor, cfg: EstimatorConfig) -> GtvvMatrix:
-    """GTVV with the omnidirectional channel as reference.
+    """GTVV with the omnidirectional channel as reference, whatever
+    `cfg.reference` holds.
 
     Identical code path to the steered variant: only the weights change.
     """
-    order = order_from_channels(spec.channels)
-    return estimate_gtvv(spec, replace(cfg, reference=make_omni_beam(order)))
+    return estimate_gtvv(spec, replace(cfg, reference=None))
 
 
 def srp_map(spec: SpectrumTensor, dictionary: Dictionary) -> PowerMap:

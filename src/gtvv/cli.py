@@ -15,14 +15,12 @@ import numpy as np
 
 from . import baselines, room
 from .errors import ConfigError, GtvvError
-from .experiment import (ExperimentConfig, dump_traces, run_experiment,
-                         simulate_cell, write_results)
-from .sh import (MAX_ORDER, build_dictionary, make_omni_beam,
-                 make_reference_beam, order_from_channels)
+from .experiment import (ExperimentConfig, analyze, dump_traces,
+                         run_experiment, simulate_cell, write_results)
+from .sh import MAX_ORDER, build_dictionary, order_from_channels
 from .somp import somp
 from .spectral import stft
-from .velocity import (EstimatorConfig, estimate_gtvv,
-                       negative_lag_energy_fraction)
+from .velocity import negative_lag_energy_fraction
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -34,12 +32,6 @@ def _load_config(args) -> ExperimentConfig:
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     cfg.validate()
     return cfg
-
-
-def _estimator_config(cfg: ExperimentConfig, reference) -> EstimatorConfig:
-    return EstimatorConfig(reference, cfg.estimator.seg_count,
-                           cfg.estimator.frames_per_seg,
-                           cfg.estimator.diagonal_load)
 
 
 def cmd_simulate(args) -> int:
@@ -55,15 +47,6 @@ def cmd_simulate(args) -> int:
             room.write_wav(stem + ".wav", sig)
             print(f"wrote {stem}.wav ({sig.channels.shape[0]} channels)")
     return 0
-
-
-def _steered_gtvv(spec, cfg: ExperimentConfig, dictionary, v_h, order: int):
-    """GTVV with the beam steered at the H-TDVV DoA: the first S-OMP atom
-    of `v_h`. S-OMP is greedy, so one iteration picks the atom that a full
-    run picks first."""
-    est_h = somp(v_h, dictionary, 1)
-    steered = make_reference_beam(est_h.directions[0], order)
-    return estimate_gtvv(spec, _estimator_config(cfg, steered))
 
 
 def _wav_order(path, channels: int) -> int:
@@ -82,15 +65,18 @@ def _wav_order(path, channels: int) -> int:
 
 def _gtvv_from_wav(args, cfg: ExperimentConfig):
     sig = room.read_wav(args.wav)
+    if sig.fs != cfg.fs:
+        raise ConfigError(f"{args.wav} is sampled at {sig.fs:g} Hz, "
+                          f"the config's fs is {cfg.fs:g} Hz")
     order = _wav_order(args.wav, sig.channels.shape[0])
     spec = stft(sig, cfg.win_len)
     dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_scheme,
                                   cfg.dict_file)
-    v_h = baselines.h_tdvv(spec, _estimator_config(cfg, make_omni_beam(order)))
     if args.method == "htdvv":
-        return v_h, dictionary, cfg.iter_cap(order)
-    v_g = _steered_gtvv(spec, cfg, dictionary, v_h, order)
-    return v_g, dictionary, cfg.iter_cap(order)
+        v = baselines.h_tdvv(spec, cfg.estimator)
+    else:
+        _, _, v = analyze(spec, cfg, dictionary, 1)
+    return v, dictionary, cfg.iter_cap(order)
 
 
 def cmd_estimate(args) -> int:
@@ -131,8 +117,7 @@ def cmd_traces(args) -> int:
     spec = stft(sig, cfg.win_len)
     dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_scheme,
                                   cfg.dict_file)
-    v_h = baselines.h_tdvv(spec, _estimator_config(cfg, make_omni_beam(order)))
-    v_g = _steered_gtvv(spec, cfg, dictionary, v_h, order)
+    v_h, _, v_g = analyze(spec, cfg, dictionary, 1)
     os.makedirs(args.out, exist_ok=True)
     for name, v in (("htdvv", v_h), ("gtvv", v_g)):
         path = os.path.join(args.out, f"trace_{name}.csv")

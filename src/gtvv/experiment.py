@@ -14,32 +14,23 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import baselines, room
 from .errors import ConfigError, GtvvError
-from .sh import (Dictionary, Direction, angular_distance, build_dictionary,
-                 make_omni_beam, make_reference_beam, num_channels)
-from .somp import EstimateSet, MatchReport, match_to_truth, somp
-from .spectral import GtvvMatrix, SpectrumTensor, stft
+from .sh import (Dictionary, angular_distance, build_dictionary,
+                 make_reference_beam, num_channels)
+from .somp import MatchReport, match_to_truth, somp
+from .spectral import GtvvMatrix, stft
 from .velocity import EstimatorConfig, estimate_gtvv
 
 METHODS = ("srp", "htdvv", "gtvv")
 
-_WALL_MARGIN = 1e-6
-
 # Pinned to one thread while the sweep's worker processes start.
 _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                      "MKL_NUM_THREADS")
-
-
-@dataclass(frozen=True)
-class EstimatorSettings:
-    seg_count: int = 8
-    frames_per_seg: int = 24
-    diagonal_load: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -61,7 +52,7 @@ class ExperimentConfig:
     duration: float = 3.2
     max_reflection_order: int = 3
     min_wall_distance: float = 0.5
-    estimator: EstimatorSettings = field(default_factory=EstimatorSettings)
+    estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     source_wav: str = None
     workers: int = 1
 
@@ -86,6 +77,9 @@ class ExperimentConfig:
             raise ConfigError("dict_scheme='file' requires dict_file")
         if self.snr_db <= 0 and not math.isinf(self.snr_db):
             raise ConfigError("snr_db must be positive (or inf for no noise)")
+        if any(not 1 <= self.iter_cap(o) <= num_channels(o)
+               for o in self.orders):
+            raise ConfigError("iteration caps must lie in [1, channel count]")
         if self.gate_deg <= 0:
             raise ConfigError("gate_deg must be positive")
         if self.duration <= 0:
@@ -93,6 +87,9 @@ class ExperimentConfig:
         if min(self.room) <= 2 * self.min_wall_distance:
             raise ConfigError("room too small for the wall-distance margin")
         est = self.estimator
+        if est.reference is not None:
+            raise ConfigError("estimator.reference must be null: the "
+                              "pipeline chooses its reference beams")
         need = est.seg_count * est.frames_per_seg
         hop = self.win_len // 4
         have = (int(self.duration * self.fs) - self.win_len) // hop + 1
@@ -115,12 +112,12 @@ class ExperimentConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
-            est = EstimatorSettings(**raw.pop("estimator", {}))
+            est = EstimatorConfig(**raw.pop("estimator", {}))
             for key in ("room", "rt60", "orders"):
                 if key in raw:
                     raw[key] = tuple(raw[key])
             cfg = ExperimentConfig(estimator=est, **raw)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config field: {exc}") from exc
         cfg.validate()
         return cfg
@@ -243,22 +240,32 @@ def simulate_cell(cfg: ExperimentConfig, scene_idx: int, rt60: float,
     return scene, sig
 
 
+def analyze(spec, cfg: ExperimentConfig, dictionary: Dictionary,
+            h_iters: int) -> tuple:
+    """H-TDVV, its S-OMP and the GTVV steered at that S-OMP's first atom:
+    returns (v_h, est_h, v_g).
+
+    `est_h` runs `h_iters` iterations. S-OMP is greedy, so one iteration
+    picks the atom that a full run picks first, and steers alike.
+    """
+    v_h = baselines.h_tdvv(spec, cfg.estimator)
+    est_h = somp(v_h, dictionary, h_iters)
+    steered = make_reference_beam(est_h.directions[0], dictionary.order)
+    v_g = estimate_gtvv(spec, replace(cfg.estimator, reference=steered))
+    return v_h, est_h, v_g
+
+
 def run_single(cfg: ExperimentConfig, scene_idx: int, rt60: float,
-               order: int, dictionary: Dictionary = None) -> RunRecord:
+               order: int) -> RunRecord:
     """One (scene, rt60, order) cell: simulate (see `simulate_cell`),
     estimate with all methods, match against ground truth."""
     scene, sig = simulate_cell(cfg, scene_idx, rt60, order)
-    if dictionary is None:
-        dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_scheme,
-                                      cfg.dict_file)
+    dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_scheme,
+                                  cfg.dict_file)
     spec = stft(sig, cfg.win_len)
 
     gate = math.radians(cfg.gate_deg)
     iters = cfg.iter_cap(order)
-    base_cfg = EstimatorConfig(make_omni_beam(order),
-                               cfg.estimator.seg_count,
-                               cfg.estimator.frames_per_seg,
-                               cfg.estimator.diagonal_load)
 
     metrics, estimates = {}, {}
 
@@ -269,18 +276,12 @@ def run_single(cfg: ExperimentConfig, scene_idx: int, rt60: float,
         angular_distance(doa_srp, scene.direct.direction),
         math.nan, math.nan, math.nan)
 
-    # H-TDVV: omni reference
-    v_h = baselines.h_tdvv(spec, base_cfg)
-    est_h = somp(v_h, dictionary, iters)
+    # H-TDVV (omni reference), and GTVV steered at its DoA estimate
+    _, est_h, v_g = analyze(spec, cfg, dictionary, iters)
     rep_h = match_to_truth(est_h, scene, gate)
     metrics["htdvv"] = _to_metrics(rep_h)
     estimates["htdvv"] = est_h.to_json()
 
-    # GTVV: beam steered at the H-TDVV DoA estimate
-    steered = make_reference_beam(est_h.directions[0], order)
-    v_g = estimate_gtvv(spec, EstimatorConfig(
-        steered, cfg.estimator.seg_count, cfg.estimator.frames_per_seg,
-        cfg.estimator.diagonal_load))
     est_g = somp(v_g, dictionary, iters)
     rep_g = match_to_truth(est_g, scene, gate)
     metrics["gtvv"] = _to_metrics(rep_g)
@@ -298,7 +299,7 @@ def _execute_run(args):
     cfg, scene_idx, rt60, order = args
     try:
         return run_single(cfg, scene_idx, rt60, order)
-    except (GtvvError, ValueError, np.linalg.LinAlgError) as exc:
+    except (GtvvError, np.linalg.LinAlgError) as exc:
         return RunRecord(scene_idx, rt60, order, {}, {},
                          error=f"{type(exc).__name__}: {exc}")
 

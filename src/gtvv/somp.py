@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .room import GroundTruthScene
-from .sh import Dictionary, Direction, angular_distance
+from .sh import Dictionary, angular_distance
 from .spectral import GtvvMatrix
 
 _PROJECTION_LOAD = 1e-10

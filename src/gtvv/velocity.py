@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (EstimatorDegenerateError, ExpansionInvalidError,
                      SilentFrameError)
-from .room import FRAC_DELAY_TAPS, GroundTruthScene, fractional_delay_kernel
-from .sh import BeamWeights, Direction, order_from_channels, sh_eval
+from .room import GroundTruthScene, fractional_delay_kernel
+from .sh import (BeamWeights, Direction, make_omni_beam, order_from_channels,
+                 sh_eval)
 from .spectral import GtvvMatrix, SpectrumTensor, gfvv_to_gtvv, make_time_axis
 
 _DENOM_FLOOR = 1e-9
@@ -51,7 +52,10 @@ class SeriesExpansion:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    reference: BeamWeights
+    """Least-squares estimator settings; `reference` None is the
+    omnidirectional beam of the spectrum's order."""
+
+    reference: BeamWeights = None
     seg_count: int = 8
     frames_per_seg: int = 24
     diagonal_load: float = 1e-6
@@ -61,6 +65,8 @@ class EstimatorConfig:
             raise ValueError("need at least two sub-segments (overdetermined)")
         if self.frames_per_seg < 1:
             raise ValueError("frames_per_seg must be positive")
+        if self.diagonal_load < 0:
+            raise ValueError("diagonal_load must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -100,14 +106,15 @@ def _solve_loaded_2x2(g11, g12, g22, r1, r2, diagonal_load):
     """Least-squares solve of the stacked 2-column systems (vectorized).
 
     Diagonal loading is applied only where the normal equations are close to
-    singular, so exactly consistent systems are recovered without bias.
+    singular, so exactly consistent systems are recovered without bias. The
+    test and the load are relative to the Gram diagonal, whose two entries
+    scale with different powers of the input level, so scaling the input
+    changes neither which systems are loaded nor their solution.
     """
-    trace = g11 + g22
     det = g11 * g22 - np.abs(g12) ** 2
-    near_singular = det < 1e-12 * (trace / 2.0) ** 2
-    load = np.where(near_singular, diagonal_load * trace, 0.0)
-    g11l = g11 + load
-    g22l = g22 + load
+    near_singular = det <= 1e-12 * g11 * g22
+    g11l = np.where(near_singular, g11 * (1.0 + diagonal_load), g11)
+    g22l = np.where(near_singular, g22 * (1.0 + diagonal_load), g22)
     detl = g11l * g22l - np.abs(g12) ** 2
     detl = np.where(detl == 0.0, 1.0, detl)  # fully silent bins; masked later
     v = (g22l * r1 - g12 * r2) / detl
@@ -147,8 +154,11 @@ def _auto_spectra(spec: SpectrumTensor, cfg: EstimatorConfig) -> np.ndarray:
 
 def _cross_spectra(spec: SpectrumTensor, cfg: EstimatorConfig) -> np.ndarray:
     """a1 = E[(w.b) B*] per segment, bin and channel, w the reference."""
+    w = cfg.reference or make_omni_beam(order_from_channels(spec.channels))
+    if w.weights.size != spec.channels:
+        raise ValueError("reference beam order does not match the spectrum")
     need = cfg.seg_count * cfg.frames_per_seg
-    ref = spec.data[:need] @ cfg.reference.weights  # (frames, bins)
+    ref = spec.data[:need] @ w.weights  # (frames, bins)
     return _segment_means(spec, cfg, ref[:, :, None])
 
 
@@ -185,8 +195,6 @@ def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig) -> GfvvEstimate
     need = cfg.seg_count * cfg.frames_per_seg
     if spec.frames < need:
         raise ValueError(f"need at least {need} frames, have {spec.frames}")
-    if cfg.reference.weights.size != spec.channels:
-        raise ValueError("reference beam order does not match the spectrum")
     # time-averaged spectra per segment, (seg, bins, ch) each
     phi, valid, r2 = spec.cached(
         ("gfvv_ls", cfg.seg_count, cfg.frames_per_seg),

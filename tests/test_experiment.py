@@ -1,17 +1,21 @@
+import importlib
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gtvv import baselines, velocity
+import gtvv
+from gtvv import baselines, experiment, velocity
 from gtvv.cli import main
-from gtvv.errors import ConfigError
-from gtvv.experiment import (EstimatorSettings, ExperimentConfig, aggregate,
+from gtvv.errors import ConfigError, EstimatorDegenerateError
+from gtvv.experiment import (ExperimentConfig, aggregate, analyze,
                              dump_traces, run_experiment, run_single,
-                             scene_geometry, write_results)
-from gtvv.room import read_wav, write_wav
+                             scene_geometry, simulate_cell, write_results)
+from gtvv.room import AmbisonicSignal, read_wav, write_wav
 from gtvv.sh import (Direction, build_dictionary, make_omni_beam,
                      make_reference_beam)
 from gtvv.somp import somp
@@ -48,6 +52,10 @@ class TestConfig:
         {"min_wall_distance": 2.0},
         {"workers": 0},
         {"source_wav": "/does/not/exist.wav"},
+        {"iter_cap_foa": 5},   # more atoms than order-1 channels
+        {"iter_cap_hoa": 0},
+        # the pipeline picks its own reference beams
+        {"estimator": EstimatorConfig(make_omni_beam(1))},
     ])
     def test_invalid_configs_rejected(self, overrides):
         with pytest.raises(ConfigError):
@@ -55,7 +63,8 @@ class TestConfig:
 
     def test_json_round_trip(self, tmp_path):
         cfg = small_config(seed=99, snr_db=25.0,
-                           estimator=EstimatorSettings(4, 12))
+                           estimator=EstimatorConfig(seg_count=4,
+                                                     frames_per_seg=12))
         path = tmp_path / "cfg.json"
         path.write_text(cfg.to_json())
         back = ExperimentConfig.from_json(path)
@@ -140,6 +149,24 @@ class TestRunExperiment:
         t2, _ = run_experiment(cfg_pool)
         assert t1.to_csv() == t2.to_csv()
 
+    def test_value_error_in_a_cell_propagates(self, monkeypatch):
+        # a ValueError is a bug, not a failed measurement: it must not
+        # become a dropped run
+        def broken(*args):
+            raise ValueError("synthetic bug")
+        monkeypatch.setattr(experiment, "analyze", broken)
+        with pytest.raises(ValueError, match="synthetic bug"):
+            run_experiment(small_config())
+
+    def test_numerical_failure_in_a_cell_is_recorded(self, monkeypatch):
+        def degenerate(*args):
+            raise EstimatorDegenerateError(3)
+        monkeypatch.setattr(experiment, "analyze", degenerate)
+        table, records = run_experiment(small_config())
+        assert [r.error for r in records] == [
+            "EstimatorDegenerateError: degenerate estimator system at bin 3"]
+        assert not table.rows and len(table.failures) == 1
+
     def test_worker_pool_leaves_environment_unchanged(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -165,6 +192,115 @@ def full_steering_infer_json(wav, cfg: ExperimentConfig) -> str:
     v_g = estimate_gtvv(spec, estimator(
         make_reference_beam(est_h.directions[0], order)))
     return somp(v_g, dic, cfg.iter_cap(order)).to_json()
+
+
+_SCALE_BASE = {}
+
+
+def scale_cell(order):
+    """Config, signal, dictionary and unscaled `analyze` output of the
+    scene-1, rt60 0.16 s cell of the default sweep."""
+    if order not in _SCALE_BASE:
+        cfg = ExperimentConfig()
+        _, sig = simulate_cell(cfg, 1, 0.16, order)
+        dic = build_dictionary(cfg.dict_size, order)
+        _SCALE_BASE[order] = (cfg, sig, dic,
+                              analysis_bytes(sig, cfg, dic, order))
+    return _SCALE_BASE[order]
+
+
+def analysis_bytes(sig, cfg, dic, order):
+    v_h, est_h, v_g = analyze(stft(sig, cfg.win_len), cfg, dic,
+                              cfg.iter_cap(order))
+    return v_h.data.tobytes(), est_h.to_json(), v_g.data.tobytes()
+
+
+class TestAnalyze:
+    @settings(max_examples=12, deadline=None)
+    @given(order=st.integers(1, 4), k=st.integers(-40, 40))
+    def test_independent_of_input_level(self, order, k):
+        # scaling by 2^k is exact, so nothing may depend on the level: not
+        # which systems are loaded, nor any bit of the traces or estimates
+        cfg, sig, dic, want = scale_cell(order)
+        scaled = AmbisonicSignal(sig.fs, sig.channels * 2.0 ** k)
+        assert analysis_bytes(scaled, cfg, dic, order) == want
+
+
+# `gtvv.somp` is the function the package re-exports, not the module
+GTVV_MODULES = [gtvv] + [importlib.import_module(f"gtvv.{name}") for name in (
+    "sh", "room", "spectral", "velocity", "somp", "baselines", "experiment",
+    "cli")]
+LAYER_CALLS = {
+    name: getattr(importlib.import_module(f"gtvv.{module}"), name)
+    for module, name in (("spectral", "stft"), ("sh", "build_dictionary"),
+                         ("baselines", "h_tdvv"),
+                         ("velocity", "estimate_gtvv"), ("somp", "somp"))}
+
+
+@pytest.fixture
+def layer_calls(monkeypatch):
+    """Counts the calls of the LAYER_CALLS functions wherever a gtvv module
+    holds them; `somp` is logged by its iteration count."""
+    log = []
+    for name, fn in LAYER_CALLS.items():
+        def counting(*args, _name=name, _fn=fn, **kwargs):
+            log.append(args[2] if _name == "somp" else _name)
+            return _fn(*args, **kwargs)
+        for module in GTVV_MODULES:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return log
+
+
+def call_counts(log):
+    return {"somp_iters": [n for n in log if isinstance(n, int)],
+            **{name: log.count(name) for name in LAYER_CALLS
+               if name != "somp"}}
+
+
+def counts(somp_iters, estimate_gtvv):
+    return {"somp_iters": somp_iters, "stft": 1, "build_dictionary": 1,
+            "h_tdvv": 1, "estimate_gtvv": estimate_gtvv}
+
+
+@pytest.fixture(scope="module")
+def order2_wav(tmp_path_factory):
+    """(config path, WAV path) of the order-2 cell of `small_config`."""
+    root = tmp_path_factory.mktemp("order2")
+    cfg = root / "cfg.json"
+    cfg.write_text(small_config(orders=(2,)).to_json())
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(root)]) == 0
+    return str(cfg), str(root / "scene0_rt0.16.wav")
+
+
+class TestPathCallCounts:
+    """Each path runs the layers as often as before `analyze` joined them."""
+
+    def test_run_single(self, layer_calls):
+        run_single(small_config(orders=(2,)), 0, 0.16, 2)
+        assert call_counts(layer_calls) == counts([7, 7], 2)
+
+    @pytest.mark.parametrize("sub, method, want", [
+        ("infer", "gtvv", counts([1, 7], 2)),
+        ("infer", "htdvv", counts([7], 1)),
+        ("estimate", "gtvv", counts([1], 2)),
+        ("estimate", "htdvv", counts([], 1)),
+    ])
+    def test_wav_commands(self, tmp_path, capsys, order2_wav, layer_calls,
+                          sub, method, want):
+        cfg, wav = order2_wav
+        assert main([sub, "--config", cfg, "--wav", wav, "--method", method,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert call_counts(layer_calls) == want
+
+    def test_traces(self, tmp_path, capsys, layer_calls):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(small_config(orders=(2,)).to_json())
+        assert main(["traces", "--config", str(cfg),
+                     "--out", str(tmp_path / "traces")]) == 0
+        assert call_counts(layer_calls) == counts([1], 2)
 
 
 class TestDumpTraces:
@@ -307,6 +443,40 @@ class TestCli:
         assert len(calls) == 1
         run_single(ExperimentConfig.from_json(path), 0, 0.16, 2)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("estimator", [
+        {"seg_count": 1},
+        {"frames_per_seg": 0},
+        {"diagonal_load": -1e-6},
+        {"reference": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]},
+    ])
+    def test_invalid_estimator_settings_exit_2(self, tmp_path, capsys,
+                                               order2_wav, estimator):
+        _, wav = order2_wav
+        raw = json.loads(small_config(orders=(2,)).to_json())
+        raw["estimator"].update(estimator)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        for argv in (["evaluate", "--out", str(tmp_path / "results")],
+                     ["infer", "--wav", wav,
+                      "--out", str(tmp_path / "est.json")]):
+            assert main(argv + ["--config", str(bad)]) == 2
+            assert capsys.readouterr().err.startswith("config error:")
+        assert not os.path.exists(tmp_path / "results")
+        assert not os.path.exists(tmp_path / "est.json")
+
+    def test_wav_at_another_sampling_rate_exit_2(self, tmp_path, capsys,
+                                                 order2_wav):
+        cfg, wav = order2_wav
+        sig = read_wav(wav)
+        fast = tmp_path / "fast.wav"
+        write_wav(fast, AmbisonicSignal(48000.0, sig.channels))
+        for sub in ("infer", "estimate"):
+            out = tmp_path / f"{sub}.out"
+            assert main([sub, "--config", cfg, "--wav", str(fast),
+                         "--out", str(out)]) == 2
+            assert "48000 Hz" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

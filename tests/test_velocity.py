@@ -248,6 +248,21 @@ class TestLsEstimator:
         with pytest.raises(ValueError):
             estimate_gfvv_ls(spec, cfg)
 
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_default_reference_is_the_omni_beam(self, order):
+        spec = random_strided_spectrum(order, frames=32, win=64, seed=order)
+        got = estimate_gfvv_ls(spec, EstimatorConfig(seg_count=4,
+                                                     frames_per_seg=8))
+        want = estimate_gfvv_ls(spec, EstimatorConfig(
+            make_omni_beam(order), seg_count=4, frames_per_seg=8))
+        np.testing.assert_array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("fields", [
+        {"seg_count": 1}, {"frames_per_seg": 0}, {"diagonal_load": -1e-6}])
+    def test_invalid_settings_rejected(self, fields):
+        with pytest.raises(ValueError):
+            EstimatorConfig(**fields)
+
 
 class TestLsAccumulation:
     """The frame-by-frame accumulation and the per-spectrum reuse of the
