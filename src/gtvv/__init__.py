@@ -9,9 +9,9 @@ structure with simultaneous orthogonal matching pursuit.
 from .errors import (ConfigError, EstimatorDegenerateError,
                      ExpansionInvalidError, GtvvError,
                      InconsistentSpectrumError, SilentFrameError)
-from .sh import (BeamWeights, Dictionary, Direction, ShVector,
-                 angular_distance, build_dictionary, make_omni_beam,
-                 make_reference_beam, sh_eval)
+from .sh import (BeamWeights, Dictionary, Direction, angular_distance,
+                 build_dictionary, make_omni_beam, make_reference_beam,
+                 sh_eval)
 from .room import (AmbisonicSignal, GroundTruthScene, Wavefront, add_noise,
                    encode_scene, image_source_scene, make_burst_source)
 from .spectral import GtvvMatrix, SpectrumTensor, gfvv_to_gtvv, stft

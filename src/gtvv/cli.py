@@ -64,19 +64,20 @@ def _wav_order(path, channels: int) -> int:
 
 
 def _gtvv_from_wav(args, cfg: ExperimentConfig):
+    """The `--method` trace of the `--wav` recording: returns (trace, order,
+    dictionary), the dictionary None where the method needs none
+    (htdvv)."""
     sig = room.read_wav(args.wav)
     if sig.fs != cfg.fs:
         raise ConfigError(f"{args.wav} is sampled at {sig.fs:g} Hz, "
                           f"the config's fs is {cfg.fs:g} Hz")
     order = _wav_order(args.wav, sig.channels.shape[0])
     spec = stft(sig, cfg.win_len)
-    dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_scheme,
-                                  cfg.dict_file)
     if args.method == "htdvv":
-        v = baselines.h_tdvv(spec, cfg.estimator)
-    else:
-        _, _, v = analyze(spec, cfg, dictionary, 1)
-    return v, dictionary, cfg.iter_cap(order)
+        return baselines.h_tdvv(spec, cfg.estimator), order, None
+    dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_file)
+    _, _, v = analyze(spec, cfg, dictionary, 1)
+    return v, order, dictionary
 
 
 def cmd_estimate(args) -> int:
@@ -89,8 +90,10 @@ def cmd_estimate(args) -> int:
 
 def cmd_infer(args) -> int:
     cfg = _load_config(args)
-    v, dictionary, iters = _gtvv_from_wav(args, cfg)
-    est = somp(v, dictionary, iters)
+    v, order, dictionary = _gtvv_from_wav(args, cfg)
+    if dictionary is None:
+        dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_file)
+    est = somp(v, dictionary, cfg.iter_cap(order))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(est.to_json())
     print(f"wrote {args.out}")
@@ -115,8 +118,7 @@ def cmd_traces(args) -> int:
     order = max(cfg.orders) if args.order is None else args.order
     _, sig = simulate_cell(cfg, 0, cfg.rt60[-1], order)
     spec = stft(sig, cfg.win_len)
-    dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_scheme,
-                                  cfg.dict_file)
+    dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_file)
     v_h, _, v_g = analyze(spec, cfg, dictionary, 1)
     os.makedirs(args.out, exist_ok=True)
     for name, v in (("htdvv", v_h), ("gtvv", v_g)):

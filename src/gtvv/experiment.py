@@ -21,9 +21,9 @@ import numpy as np
 from . import baselines, room
 from .errors import ConfigError, GtvvError
 from .sh import (Dictionary, angular_distance, build_dictionary,
-                 make_reference_beam, num_channels)
+                 make_reference_beam, num_channels, read_direction_file)
 from .somp import MatchReport, match_to_truth, somp
-from .spectral import GtvvMatrix, stft
+from .spectral import GtvvMatrix, frame_count, stft
 from .velocity import EstimatorConfig, estimate_gtvv
 
 METHODS = ("srp", "htdvv", "gtvv")
@@ -43,8 +43,7 @@ class ExperimentConfig:
     fs: float = 16000.0
     win_len: int = 1024
     dict_size: int = 770
-    dict_scheme: str = "fibonacci"
-    dict_file: str = None
+    dict_file: str = None   # direction file; None is the Fibonacci grid
     iter_cap_foa: int = 4
     iter_cap_hoa: int = 7
     gate_deg: float = 20.0
@@ -71,10 +70,6 @@ class ExperimentConfig:
             raise ConfigError("win_len must be a power of two")
         if self.dict_size < num_channels(max(self.orders)):
             raise ConfigError("dictionary smaller than the largest order")
-        if self.dict_scheme not in ("fibonacci", "file"):
-            raise ConfigError("dict_scheme must be 'fibonacci' or 'file'")
-        if self.dict_scheme == "file" and not self.dict_file:
-            raise ConfigError("dict_scheme='file' requires dict_file")
         if self.snr_db <= 0 and not math.isinf(self.snr_db):
             raise ConfigError("snr_db must be positive (or inf for no noise)")
         if any(not 1 <= self.iter_cap(o) <= num_channels(o)
@@ -91,15 +86,39 @@ class ExperimentConfig:
             raise ConfigError("estimator.reference must be null: the "
                               "pipeline chooses its reference beams")
         need = est.seg_count * est.frames_per_seg
-        hop = self.win_len // 4
-        have = (int(self.duration * self.fs) - self.win_len) // hop + 1
+        have = frame_count(int(self.duration * self.fs), self.win_len)
         if have < need:
             raise ConfigError(
                 f"duration yields {have} frames, estimator needs {need}")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
-        if self.source_wav is not None and not os.path.isfile(self.source_wav):
-            raise ConfigError(f"source_wav not found: {self.source_wav}")
+        if self.dict_file is not None:
+            try:
+                count = len(read_direction_file(self.dict_file))
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"bad dict_file: {exc}") from exc
+            if count != self.dict_size:
+                raise ConfigError(f"dict_file holds {count} directions, "
+                                  f"dict_size is {self.dict_size}")
+        if self.source_wav is not None:
+            self._validate_source(need)
+
+    def _validate_source(self, need: int):
+        """`source_wav` must be readable, at `fs`, not silent in its first
+        channel (the dry source) and long enough for the estimator."""
+        try:
+            sig = room.read_wav(self.source_wav)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"bad source_wav: {exc}") from exc
+        if sig.fs != self.fs:
+            raise ConfigError(f"source_wav is sampled at {sig.fs:g} Hz, "
+                              f"the config's fs is {self.fs:g} Hz")
+        if not np.any(sig.channels[0]):
+            raise ConfigError("source_wav is silent")
+        have = frame_count(sig.num_samples, self.win_len)
+        if have < need:
+            raise ConfigError(
+                f"source_wav yields {have} frames, estimator needs {need}")
 
     def iter_cap(self, order: int) -> int:
         return self.iter_cap_foa if order == 1 else self.iter_cap_hoa
@@ -209,10 +228,7 @@ def scene_geometry(cfg: ExperimentConfig, scene_idx: int):
 
 def _dry_source(cfg: ExperimentConfig, scene_idx: int) -> np.ndarray:
     if cfg.source_wav is not None:
-        sig = room.read_wav(cfg.source_wav)
-        if sig.fs != cfg.fs:
-            raise ConfigError("source_wav sampling rate does not match fs")
-        return sig.channels[0]
+        return room.read_wav(cfg.source_wav).channels[0]
     return room.make_burst_source(
         cfg.duration, cfg.fs, np.random.SeedSequence([cfg.seed, scene_idx, 7]))
 
@@ -260,8 +276,7 @@ def run_single(cfg: ExperimentConfig, scene_idx: int, rt60: float,
     """One (scene, rt60, order) cell: simulate (see `simulate_cell`),
     estimate with all methods, match against ground truth."""
     scene, sig = simulate_cell(cfg, scene_idx, rt60, order)
-    dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_scheme,
-                                  cfg.dict_file)
+    dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_file)
     spec = stft(sig, cfg.win_len)
 
     gate = math.radians(cfg.gate_deg)
@@ -392,8 +407,8 @@ def dump_traces(v: GtvvMatrix, path):
             return
         mags = np.abs(v.data)
         norms = np.linalg.norm(v.data, axis=0)
-        for t in range(v.win_len):
-            writer.writerow([_fmt(float(v.time_axis[t]))]
+        for t, lag in enumerate(v.time_axis):
+            writer.writerow([_fmt(float(lag))]
                             + [_fmt(float(m)) for m in mags[:, t]]
                             + [_fmt(float(norms[t]))])
 

@@ -8,6 +8,7 @@ the SH vectors of those directions.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -144,31 +145,26 @@ def image_source_scene(room, src, mic, rt60: float, max_order: int,
     beta = sabine_reflection_coefficient(room, rt60)
     dims = np.asarray(room)
     m_max = (max_order + 1) // 2 + 1
+    span = range(-m_max, m_max + 1)
     entries = []
-    for qx in (0, 1):
-        for qy in (0, 1):
-            for qz in (0, 1):
-                q = np.array([qx, qy, qz])
-                for mx in range(-m_max, m_max + 1):
-                    for my in range(-m_max, m_max + 1):
-                        for mz in range(-m_max, m_max + 1):
-                            m = np.array([mx, my, mz])
-                            order = int(np.sum(np.abs(m - q) + np.abs(m)))
-                            if order > max_order:
-                                continue
-                            pos = (1 - 2 * q) * src + 2 * m * dims
-                            delta = pos - mic
-                            dist = float(np.linalg.norm(delta))
-                            direction = Direction(
-                                math.atan2(delta[1], delta[0]),
-                                math.asin(np.clip(delta[2] / dist, -1.0, 1.0)),
-                            )
-                            gain = beta ** order / dist
-                            entries.append(
-                                (dist / SPEED_OF_SOUND, Wavefront(
-                                    direction, dist / SPEED_OF_SOUND, gain),
-                                 order == 1)
-                            )
+    # image (q, m) mirrors the source by q and shifts it by 2 m room lengths
+    for q, m in itertools.product(itertools.product((0, 1), repeat=3),
+                                  itertools.product(span, repeat=3)):
+        order = sum(abs(mi - qi) + abs(mi) for qi, mi in zip(q, m))
+        if order > max_order:
+            continue
+        q, m = np.array(q), np.array(m)
+        pos = (1 - 2 * q) * src + 2 * m * dims
+        delta = pos - mic
+        dist = float(np.linalg.norm(delta))
+        direction = Direction(
+            math.atan2(delta[1], delta[0]),
+            math.asin(np.clip(delta[2] / dist, -1.0, 1.0)),
+        )
+        gain = beta ** order / dist
+        entries.append((dist / SPEED_OF_SOUND,
+                        Wavefront(direction, dist / SPEED_OF_SOUND, gain),
+                        order == 1))
     entries.sort(key=lambda e: e[0])
     wavefronts = tuple(e[1] for e in entries)
     flags = tuple(e[2] for e in entries)
@@ -176,15 +172,16 @@ def image_source_scene(room, src, mic, rt60: float, max_order: int,
                             rt60, fs)
 
 
-def fractional_delay_kernel(delay_samples: float, taps: int = FRAC_DELAY_TAPS):
+def fractional_delay_kernel(delay_samples: float):
     """Hann-windowed sinc interpolator realizing a non-integer delay.
 
-    Returns (start_index, taps-array): adding taps[i] at output sample
-    start_index + i applies the delay. Exact for integer delays.
+    Returns (start_index, taps-array of FRAC_DELAY_TAPS): adding taps[i] at
+    output sample start_index + i applies the delay. Exact for integer
+    delays.
     """
-    half = taps // 2
+    half = FRAC_DELAY_TAPS // 2
     n0 = math.floor(delay_samples) - half + 1
-    t = n0 + np.arange(taps) - delay_samples  # in (-half, half]
+    t = n0 + np.arange(FRAC_DELAY_TAPS) - delay_samples  # in (-half, half]
     kernel = np.sinc(t) * (0.5 + 0.5 * np.cos(np.pi * t / half))
     return n0, kernel
 

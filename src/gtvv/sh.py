@@ -85,20 +85,6 @@ class Direction:
 
 
 @dataclass(frozen=True)
-class ShVector:
-    """SH coefficients of a single direction up to `order` (ACN/SN3D)."""
-
-    order: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.shape != (num_channels(self.order),):
-            raise ValueError("coefficient length does not match the order")
-        object.__setattr__(self, "coeffs", coeffs)
-
-
-@dataclass(frozen=True)
 class BeamWeights:
     """Frequency-independent spatial filter applied to the SH channels."""
 
@@ -143,10 +129,9 @@ def sh_matrix(azimuths, elevations, order: int) -> np.ndarray:
     return out
 
 
-def sh_eval(direction: Direction, order: int) -> ShVector:
-    """Real SN3D/ACN spherical-harmonic vector of a single direction."""
-    coeffs = sh_matrix(direction.azimuth, direction.elevation, order)[:, 0]
-    return ShVector(order, coeffs)
+def sh_eval(direction: Direction, order: int) -> np.ndarray:
+    """Real SN3D/ACN spherical-harmonic coefficients of a single direction."""
+    return sh_matrix(direction.azimuth, direction.elevation, order)[:, 0]
 
 
 def make_reference_beam(direction: Direction, order: int) -> BeamWeights:
@@ -155,7 +140,7 @@ def make_reference_beam(direction: Direction, order: int) -> BeamWeights:
     The weights are y(dir) / ||y(dir)||^2 so that w . y(dir) == 1, which makes
     the direct-path coefficient of the velocity vector equal to one.
     """
-    y = sh_eval(direction, order).coeffs
+    y = sh_eval(direction, order)
     return BeamWeights(order, y / float(y @ y))
 
 
@@ -258,28 +243,23 @@ def read_direction_file(path) -> list:
     return dirs
 
 
-def build_dictionary(count: int, order: int, scheme: str = "fibonacci",
-                     path=None) -> Dictionary:
+def build_dictionary(count: int, order: int, path=None) -> Dictionary:
     """Build an SH dictionary over `count` quasi-uniform directions.
 
-    scheme="fibonacci" generates a deterministic spiral grid; scheme="file"
-    loads directions from a text file (e.g. a tabulated Lebedev grid), in
-    which case `count` must match the number of entries read.
+    Without `path` the directions are a deterministic Fibonacci spiral;
+    with it they are read from a direction file (e.g. a tabulated Lebedev
+    grid, see `read_direction_file`), which must hold `count` entries.
     """
     if count < num_channels(order):
         raise ValueError("dictionary smaller than the SH channel count")
-    if scheme == "fibonacci":
+    if path is None:
         dirs = fibonacci_directions(count)
-    elif scheme == "file":
-        if path is None:
-            raise ValueError("scheme='file' requires a path")
+    else:
         dirs = read_direction_file(path)
         if len(dirs) != count:
             raise ValueError(
                 f"direction file holds {len(dirs)} entries, expected {count}"
             )
-    else:
-        raise ValueError(f"unknown dictionary scheme {scheme!r}")
     az = np.array([d.azimuth for d in dirs])
     el = np.array([d.elevation for d in dirs])
     return Dictionary(order, tuple(dirs), sh_matrix(az, el, order))

@@ -61,8 +61,7 @@ def _project(atoms_sel: np.ndarray, v: np.ndarray):
     return np.linalg.solve(gram, atoms_sel.T @ v)
 
 
-def somp(v: GtvvMatrix, dictionary: Dictionary, iters: int,
-         allow_negative_lags: bool = False) -> EstimateSet:
+def somp(v: GtvvMatrix, dictionary: Dictionary, iters: int) -> EstimateSet:
     """Algorithm: per iteration, pick the atom with the largest peak
     correlation against the residual, read its delay at the correlation
     peak over non-negative lags, re-project, and update the residual.
@@ -76,9 +75,8 @@ def somp(v: GtvvMatrix, dictionary: Dictionary, iters: int,
         raise ValueError("dictionary order does not match the GTVV channels")
     if not 1 <= iters <= channels:
         raise ValueError("iteration count must lie in [1, channel count]")
-    lag_ok = np.ones(v.win_len, dtype=bool)
-    if not allow_negative_lags:
-        lag_ok = v.time_axis >= 0
+    time_axis = v.time_axis
+    lag_ok = time_axis >= 0
 
     residual = -v.data.copy()  # R = A Z - V with empty support
     selected = []
@@ -96,7 +94,7 @@ def somp(v: GtvvMatrix, dictionary: Dictionary, iters: int,
         row = np.where(lag_ok, corr[s], -1.0)
         q = int(np.argmax(row))
         selected.append(s)
-        delays.append(float(v.time_axis[q]))
+        delays.append(float(time_axis[q]))
         atoms_sel = dictionary.atoms[:, selected]
         coeffs = _project(atoms_sel, v.data)
         residual = atoms_sel @ coeffs - v.data

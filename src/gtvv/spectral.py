@@ -29,8 +29,6 @@ class SpectrumTensor:
 
     data: np.ndarray
     fs: float
-    win_len: int
-    hop: int
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -40,8 +38,6 @@ class SpectrumTensor:
             raise ValueError("spectrum data must be frames x bins x channels")
         if not np.all(np.isfinite(data)):
             raise ValueError("spectrum data must be finite")
-        if data.shape[1] != self.win_len // 2 + 1:
-            raise ValueError("bin count must equal win_len/2 + 1")
         data = data.view()
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
@@ -64,30 +60,33 @@ class SpectrumTensor:
     def channels(self) -> int:
         return self.data.shape[2]
 
+    @property
+    def win_len(self) -> int:
+        """Analysis window length: a one-sided spectrum has win_len/2 + 1
+        bins."""
+        return 2 * (self.bins - 1)
+
 
 @dataclass(frozen=True)
 class GtvvMatrix:
     """Time-domain velocity vector: data[channel, lag] over `time_axis`."""
 
     data: np.ndarray
-    time_axis: np.ndarray
     fs: float
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
-        axis = np.asarray(self.time_axis, dtype=float)
-        if data.ndim != 2 or data.shape[1] != axis.size:
-            raise ValueError("data columns must match the time axis length")
-        if np.any(np.diff(axis) <= 0):
-            raise ValueError("time axis must be strictly increasing")
-        if not np.any(axis == 0.0):
-            raise ValueError("time axis must contain t = 0 exactly")
+        if data.ndim != 2:
+            raise ValueError("GTVV data must be channels x lags")
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "time_axis", axis)
+
+    @property
+    def time_axis(self) -> np.ndarray:
+        return make_time_axis(self.win_len, self.fs)
 
     @property
     def zero_index(self) -> int:
-        return int(np.nonzero(self.time_axis == 0.0)[0][0])
+        return self.win_len // 2
 
     @property
     def win_len(self) -> int:
@@ -98,30 +97,29 @@ def make_time_axis(win_len: int, fs: float) -> np.ndarray:
     return (np.arange(win_len) - win_len // 2) / fs
 
 
-def stft(sig: AmbisonicSignal, win_len: int, hop: int = None) -> SpectrumTensor:
-    """Hamming-windowed one-sided STFT of every channel.
+def frame_count(num_samples: int, win_len: int) -> int:
+    """Number of STFT frames of a `num_samples` signal: frame u starts at
+    sample u * win_len/4 (75% overlap) and must end inside the signal."""
+    return (num_samples - win_len) // (win_len // 4) + 1
 
-    Frame u starts at sample u*hop; hop defaults to win_len/4 (75% overlap).
-    """
+
+def stft(sig: AmbisonicSignal, win_len: int) -> SpectrumTensor:
+    """Hamming-windowed one-sided STFT of every channel, with frames
+    `win_len`/4 apart (see `frame_count`)."""
     if win_len <= 0 or (win_len & (win_len - 1)) != 0:
         raise ValueError("win_len must be a power of two")
-    if hop is None:
-        hop = win_len // 4
-    if hop <= 0 or win_len % hop != 0:
-        raise ValueError("hop must divide win_len")
-    n = sig.num_samples
-    if n < win_len:
+    if sig.num_samples < win_len:
         raise ValueError("signal shorter than one analysis window")
     window = np.hamming(win_len)
-    num_frames = (n - win_len) // hop + 1
+    num_frames = frame_count(sig.num_samples, win_len)
     # (frames, channels, win_len) strided view; the one multiply writes the
     # windowed frames frame-major, the layout the FFT reads
-    view = sliding_window_view(sig.channels, win_len, axis=1)[:, ::hop]
+    view = sliding_window_view(sig.channels, win_len, axis=1)[:, ::win_len // 4]
     frames = np.multiply(view.transpose(1, 0, 2), window,
                          out=np.empty((num_frames, sig.channels.shape[0],
                                        win_len)))
     spec = np.fft.rfft(frames, axis=-1)  # (frames, channels, bins)
-    return SpectrumTensor(np.transpose(spec, (0, 2, 1)), sig.fs, win_len, hop)
+    return SpectrumTensor(np.transpose(spec, (0, 2, 1)), sig.fs)
 
 
 def gfvv_to_gtvv(v_f: np.ndarray, win_len: int, fs: float) -> GtvvMatrix:
@@ -146,4 +144,4 @@ def gfvv_to_gtvv(v_f: np.ndarray, win_len: int, fs: float) -> GtvvMatrix:
         raise InconsistentSpectrumError(
             "non-negligible imaginary residue after the inverse transform")
     data = np.roll(x.real, win_len // 2, axis=1)
-    return GtvvMatrix(data, make_time_axis(win_len, fs), fs)
+    return GtvvMatrix(data, fs)

@@ -19,7 +19,7 @@ from .errors import (EstimatorDegenerateError, ExpansionInvalidError,
 from .room import GroundTruthScene, fractional_delay_kernel
 from .sh import (BeamWeights, Direction, make_omni_beam, order_from_channels,
                  sh_eval)
-from .spectral import GtvvMatrix, SpectrumTensor, gfvv_to_gtvv, make_time_axis
+from .spectral import GtvvMatrix, SpectrumTensor, gfvv_to_gtvv
 
 _DENOM_FLOOR = 1e-9
 _ENERGY_FLOOR = 1e-9
@@ -248,23 +248,20 @@ def estimate_gtvv(spec: SpectrumTensor, cfg: EstimatorConfig) -> GtvvMatrix:
     return gfvv_to_gtvv(v_f, spec.win_len, spec.fs)
 
 
-def relative_wavefronts(scene: GroundTruthScene, w: BeamWeights,
-                        order: int = None) -> list:
+def relative_wavefronts(scene: GroundTruthScene, w: BeamWeights) -> list:
     """Express a ground-truth scene relative to its direct path under `w`.
 
     The weights are rescaled so the direct-path beta is exactly 1, matching
     the normalization baked into the velocity-vector definition.
     """
-    if order is None:
-        order = w.order
     direct = scene.direct
-    y0 = sh_eval(direct.direction, order).coeffs
+    y0 = sh_eval(direct.direction, w.order)
     beta0 = float(w.weights @ y0)
     if beta0 == 0.0:
         raise ValueError("reference beam has zero response at the direct path")
     waves = [RelativeWavefront(direct.direction, 1.0, 0.0, 1.0)]
     for wf in scene.wavefronts[1:]:
-        y = sh_eval(wf.direction, order).coeffs
+        y = sh_eval(wf.direction, w.order)
         waves.append(RelativeWavefront(
             wf.direction,
             wf.gain / direct.gain,
@@ -304,9 +301,8 @@ def gtvv_closed_form(waves, K: int, win_len: int, fs: float,
         warnings.warn("sum of |g*beta| >= 1: individual terms converge but "
                       "the grouped expansion bound is not guaranteed")
 
-    time_axis = make_time_axis(win_len, fs)
     zero = win_len // 2
-    y0 = sh_eval(direct.direction, order).coeffs
+    y0 = sh_eval(direct.direction, order)
     data = np.zeros((y0.size, win_len))
     data[:, zero] += y0
 
@@ -315,7 +311,7 @@ def gtvv_closed_form(waves, K: int, win_len: int, fs: float,
     for n, wv in enumerate(reflections, start=1):
         if wv.beta == 0.0:
             raise ValueError(f"reflection {n} has beta = 0")
-        yn = sh_eval(wv.direction, order).coeffs
+        yn = sh_eval(wv.direction, order)
         pattern = y0 - yn / wv.beta
         gb = wv.rel_gain * wv.beta
         for k in range(1, K + 1):
@@ -347,8 +343,7 @@ def gtvv_closed_form(waves, K: int, win_len: int, fs: float,
         if m < 1.0:
             budget += m ** (K + 1) / (1.0 - m)
 
-    matrix = GtvvMatrix(data, time_axis, fs)
-    return matrix, SeriesExpansion(tuple(terms), float(budget), K)
+    return GtvvMatrix(data, fs), SeriesExpansion(tuple(terms), float(budget), K)
 
 
 def negative_lag_energy_fraction(v: GtvvMatrix) -> float:

@@ -125,7 +125,7 @@ def test_criterion_3_estimator_fidelity():
         src = make_burst_source(13.0, FS, seed)
         sig = add_noise(encode_scene(scene, src, 1), 20.0, seed + 100)
         spec = stft(sig, 1024)
-        y = sh_eval(d, 1).coeffs
+        y = sh_eval(d, 1)
         ref = make_reference_beam(d, 1)
         for seg, fps, bucket in ((4, 12, errs_small), (8, 24, errs_big)):
             e = estimate_gfvv_ls(spec, EstimatorConfig(ref, seg_count=seg,

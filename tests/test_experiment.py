@@ -16,8 +16,8 @@ from gtvv.experiment import (ExperimentConfig, aggregate, analyze,
                              dump_traces, run_experiment, run_single,
                              scene_geometry, simulate_cell, write_results)
 from gtvv.room import AmbisonicSignal, read_wav, write_wav
-from gtvv.sh import (Direction, build_dictionary, make_omni_beam,
-                     make_reference_beam)
+from gtvv.sh import (Direction, build_dictionary, fibonacci_directions,
+                     make_omni_beam, make_reference_beam)
 from gtvv.somp import somp
 from gtvv.spectral import stft
 from gtvv.velocity import (EstimatorConfig, RelativeWavefront,
@@ -45,7 +45,7 @@ class TestConfig:
         {"orders": (9,)},
         {"win_len": 1000},
         {"dict_size": 3},
-        {"dict_scheme": "lebedev"},
+        {"dict_file": "/does/not/exist.txt"},
         {"snr_db": -3.0},
         {"gate_deg": 0.0},
         {"duration": 0.5},     # too few frames for the estimator
@@ -286,7 +286,8 @@ class TestPathCallCounts:
         ("infer", "gtvv", counts([1, 7], 2)),
         ("infer", "htdvv", counts([7], 1)),
         ("estimate", "gtvv", counts([1], 2)),
-        ("estimate", "htdvv", counts([], 1)),
+        # the H-TDVV trace needs no dictionary
+        ("estimate", "htdvv", {**counts([], 1), "build_dictionary": 0}),
     ])
     def test_wav_commands(self, tmp_path, capsys, order2_wav, layer_calls,
                           sub, method, want):
@@ -334,7 +335,7 @@ class TestDumpTraces:
 
     def test_empty_matrix_header_only(self, tmp_path):
         from gtvv.spectral import GtvvMatrix
-        v = GtvvMatrix(np.zeros((0, 4)), np.array([-1.0, 0.0, 1.0, 2.0]), FS)
+        v = GtvvMatrix(np.zeros((0, 4)), FS)
         path = tmp_path / "trace.csv"
         dump_traces(v, path)
         lines = path.read_text().strip().split("\n")
@@ -477,6 +478,69 @@ class TestCli:
                          "--out", str(out)]) == 2
             assert "48000 Hz" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("content", [
+        None,                                    # missing
+        "0 0\nnot numbers here\n",               # malformed
+        "".join(f"{0.1 * k} 0\n" for k in range(20)),  # 20, not 770
+    ], ids=["missing", "malformed", "mis-sized"])
+    def test_bad_dict_file_exit_2(self, tmp_path, capsys, order2_wav,
+                                  content):
+        _, wav = order2_wav
+        dirs = tmp_path / "dirs.txt"
+        if content is not None:
+            dirs.write_text(content)
+        raw = json.loads(small_config(orders=(2,)).to_json())
+        raw["dict_file"] = str(dirs)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        for argv in (["evaluate", "--out", str(tmp_path / "results")],
+                     ["infer", "--wav", wav,
+                      "--out", str(tmp_path / "est.json")]):
+            assert main(argv + ["--config", str(bad)]) == 2
+            assert capsys.readouterr().err.startswith("config error:")
+        assert not os.path.exists(tmp_path / "results")
+        assert not os.path.exists(tmp_path / "est.json")
+
+    def test_dict_file_grid_is_used(self, tmp_path, capsys, order2_wav):
+        # a dict_file alone selects the file's grid: here the Fibonacci
+        # grid turned by 0.05 rad, which shares no direction with it
+        _, wav = order2_wav
+        cfg = small_config(orders=(2,))
+        turned = [Direction(d.azimuth + 0.05, d.elevation)
+                  for d in fibonacci_directions(cfg.dict_size)]
+        dirs = tmp_path / "dirs.txt"
+        dirs.write_text("".join(f"{d.azimuth!r} {d.elevation!r}\n"
+                                for d in turned))
+        path = self._write_cfg(tmp_path, orders=(2,), dict_file=str(dirs))
+        est = tmp_path / "est.json"
+        assert main(["infer", "--config", path, "--out", str(est),
+                     "--wav", wav]) == 0
+        grid = {(math.degrees(d.azimuth), math.degrees(d.elevation))
+                for d in turned}
+        got = json.loads(est.read_text())["directions_deg"]
+        assert got and all(tuple(d) in grid for d in got)
+
+    @pytest.mark.parametrize("fs, samples, why", [
+        (48000.0, 3.2 * 48000, "48000 Hz"),
+        (FS, 0, "silent"),
+        (FS, 0.5 * FS, "yields 28 frames, estimator needs 192"),
+    ], ids=["wrong-rate", "silent", "too-short"])
+    def test_bad_source_wav_exit_2(self, tmp_path, capsys, fs, samples,
+                                   why):
+        wav = tmp_path / "source.wav"
+        if samples:
+            channel = np.random.default_rng(0).standard_normal(int(samples))
+        else:
+            channel = np.zeros(int(3.2 * FS))
+        write_wav(wav, AmbisonicSignal(fs, channel[None]))
+        path = self._write_cfg(tmp_path, source_wav=str(wav))
+        with pytest.raises(ConfigError, match=why):
+            ExperimentConfig.from_json(path)
+        out = tmp_path / "results"
+        assert main(["evaluate", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,16 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 from scipy.signal import fftconvolve
 
 from gtvv.room import (FRAC_DELAY_TAPS, SPEED_OF_SOUND, AmbisonicSignal,
-                       add_noise, encode_scene, fractional_delay_kernel,
-                       image_source_scene, make_burst_source, read_wav,
-                       write_wav)
+                       GroundTruthScene, Wavefront, add_noise, encode_scene,
+                       fractional_delay_kernel, image_source_scene,
+                       make_burst_source, read_wav,
+                       sabine_reflection_coefficient, write_wav)
 from gtvv.sh import Direction, angular_distance, num_channels, sh_eval
 
 ROOM = (5.0, 4.0, 2.8)
@@ -30,11 +32,71 @@ def encode_scene_loop(scene, source, order):
         seg = fftconvolve(source, kernel)[max(0, -n0):]
         start = max(0, n0)
         out[:, start:start + seg.size] += wave.gain * np.outer(
-            sh_eval(wave.direction, order).coeffs, seg)
+            sh_eval(wave.direction, order), seg)
     return out
 
 
+def image_source_scene_nested(room, src, mic, rt60, max_order, fs):
+    """Reference image-source model: one nested loop per image index, as
+    `image_source_scene` was first written."""
+    src = np.asarray(src, dtype=float)
+    mic = np.asarray(mic, dtype=float)
+    beta = sabine_reflection_coefficient(room, rt60)
+    dims = np.asarray(room)
+    m_max = (max_order + 1) // 2 + 1
+    entries = []
+    for qx in (0, 1):
+        for qy in (0, 1):
+            for qz in (0, 1):
+                q = np.array([qx, qy, qz])
+                for mx in range(-m_max, m_max + 1):
+                    for my in range(-m_max, m_max + 1):
+                        for mz in range(-m_max, m_max + 1):
+                            m = np.array([mx, my, mz])
+                            order = int(np.sum(np.abs(m - q) + np.abs(m)))
+                            if order > max_order:
+                                continue
+                            pos = (1 - 2 * q) * src + 2 * m * dims
+                            delta = pos - mic
+                            dist = float(np.linalg.norm(delta))
+                            direction = Direction(
+                                math.atan2(delta[1], delta[0]),
+                                math.asin(np.clip(delta[2] / dist, -1.0, 1.0)),
+                            )
+                            gain = beta ** order / dist
+                            entries.append(
+                                (dist / SPEED_OF_SOUND, Wavefront(
+                                    direction, dist / SPEED_OF_SOUND, gain),
+                                 order == 1)
+                            )
+    entries.sort(key=lambda e: e[0])
+    return GroundTruthScene(tuple(e[1] for e in entries),
+                            tuple(e[2] for e in entries), tuple(room),
+                            tuple(src), tuple(mic), rt60, fs)
+
+
 class TestImageSourceScene:
+    # no shrinking: a reference call runs up to 5832 loop iterations, and
+    # shrinking a counterexample took Hypothesis's full five minutes
+    @settings(max_examples=60, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(room=st.tuples(*[st.floats(1.5, 12.0)] * 3),
+           src=st.tuples(*[st.floats(0.02, 0.98)] * 3),
+           mic=st.tuples(*[st.floats(0.02, 0.98)] * 3),
+           rt60=st.floats(0.1, 2.0), max_order=st.integers(0, 5))
+    def test_matches_nested_loop(self, room, src, mic, rt60, max_order):
+        # positions are drawn as fractions of the room's dimensions
+        src = np.multiply(src, room)
+        mic = np.multiply(mic, room)
+        if np.allclose(src, mic):
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # RT60 below the Sabine limit
+            got = image_source_scene(room, src, mic, rt60, max_order)
+            want = image_source_scene_nested(room, src, mic, rt60,
+                                             max_order, 16000.0)
+        assert got == want
+
     def test_first_order_counts(self):
         scene = image_source_scene(ROOM, SRC, MIC, 0.3, 1)
         assert len(scene.wavefronts) == 7
@@ -146,7 +208,7 @@ class TestEncodeScene:
         src = np.zeros(128)
         src[0] = 1.0
         sig = encode_scene(scene, src, 2)
-        y = sh_eval(Direction(0.7, -0.3), 2).coeffs
+        y = sh_eval(Direction(0.7, -0.3), 2)
         np.testing.assert_allclose(sig.channels[:, 32], y, atol=1e-12)
         rest = np.delete(sig.channels, 32, axis=1)
         assert np.max(np.abs(rest)) < 1e-3 * np.max(np.abs(y))

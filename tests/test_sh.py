@@ -83,22 +83,22 @@ class TestDirection:
 
 class TestShEval:
     def test_front_direction_order1(self):
-        got = sh_eval(Direction(0.0, 0.0), 1).coeffs
+        got = sh_eval(Direction(0.0, 0.0), 1)
         np.testing.assert_allclose(got, [1, 0, 0, 1], atol=1e-15)
 
     def test_left_direction_order1(self):
-        got = sh_eval(Direction(math.pi / 2, 0.0), 1).coeffs
+        got = sh_eval(Direction(math.pi / 2, 0.0), 1)
         np.testing.assert_allclose(got, [1, 1, 0, 0], atol=1e-15)
 
     def test_matches_legendre_oracle_order4(self):
         d = Direction(0.7, -0.3)
-        np.testing.assert_allclose(sh_eval(d, 4).coeffs, sh_oracle(d, 4),
+        np.testing.assert_allclose(sh_eval(d, 4), sh_oracle(d, 4),
                                    atol=1e-12)
 
     @given(directions, st.integers(0, 8))
     @settings(max_examples=50, deadline=None)
     def test_matches_oracle_everywhere(self, d, order):
-        np.testing.assert_allclose(sh_eval(d, order).coeffs,
+        np.testing.assert_allclose(sh_eval(d, order),
                                    sh_oracle(d, order), atol=1e-10)
 
     def test_order_out_of_range(self):
@@ -109,13 +109,13 @@ class TestShEval:
 
     @given(directions)
     def test_sn3d_bounds(self, d):
-        coeffs = sh_eval(d, 1).coeffs
+        coeffs = sh_eval(d, 1)
         assert coeffs[0] == 1.0
         assert np.all(np.abs(coeffs[1:]) <= 1.0 + 1e-12)
 
     @given(directions)
     def test_order1_is_permuted_unit_vector(self, d):
-        coeffs = sh_eval(d, 1).coeffs
+        coeffs = sh_eval(d, 1)
         ux, uy, uz = d.unit_vector()
         np.testing.assert_allclose(coeffs[1:], [uy, uz, ux], atol=1e-12)
 
@@ -128,12 +128,12 @@ class TestBeams:
     def test_reference_beam_front(self):
         w = make_reference_beam(Direction(0, 0), 1)
         np.testing.assert_allclose(w.weights, np.array([1, 0, 0, 1]) / 2)
-        assert w.weights @ sh_eval(Direction(0, 0), 1).coeffs == pytest.approx(1.0)
+        assert w.weights @ sh_eval(Direction(0, 0), 1) == pytest.approx(1.0)
 
     def test_reference_beam_unit_response(self):
         d = Direction(0.7, -0.3)
         w = make_reference_beam(d, 3)
-        assert w.weights @ sh_eval(d, 3).coeffs == pytest.approx(1.0, abs=1e-12)
+        assert w.weights @ sh_eval(d, 3) == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_response_random_directions(self):
         rng = np.random.default_rng(0)
@@ -141,7 +141,7 @@ class TestBeams:
             d = Direction(rng.uniform(-math.pi, math.pi),
                           rng.uniform(-math.pi / 2, math.pi / 2))
             w = make_reference_beam(d, 4)
-            assert abs(w.weights @ sh_eval(d, 4).coeffs - 1.0) < 1e-10
+            assert abs(w.weights @ sh_eval(d, 4) - 1.0) < 1e-10
 
     def test_omni_beam(self):
         np.testing.assert_array_equal(make_omni_beam(1).weights, [1, 0, 0, 0])
@@ -152,7 +152,7 @@ class TestBeams:
     @given(directions)
     def test_omni_beta_is_one(self, d):
         w = make_omni_beam(4)
-        assert w.weights @ sh_eval(d, 4).coeffs == pytest.approx(1.0)
+        assert w.weights @ sh_eval(d, 4) == pytest.approx(1.0)
 
 
 class TestAngularDistance:
@@ -209,30 +209,30 @@ class TestDictionary:
     def test_file_scheme(self, tmp_path):
         path = tmp_path / "dirs.txt"
         path.write_text("# two directions\n0 0\n1.5708 0\n")
-        d = build_dictionary(2, 0, scheme="file", path=path)
+        d = build_dictionary(2, 0, path=path)
         assert len(d) == 2
         np.testing.assert_allclose(
-            d.atoms, np.column_stack([sh_eval(x, 0).coeffs
+            d.atoms, np.column_stack([sh_eval(x, 0)
                                       for x in d.directions]))
         assert d.directions[1].azimuth == pytest.approx(1.5708)
 
     def test_file_scheme_atoms_match_sh_eval(self, tmp_path):
         path = tmp_path / "dirs.txt"
         path.write_text("0.3 -0.2\n-1.0 0.5\n2.0 0.1\n0.1 1.0\n")
-        d = build_dictionary(4, 1, scheme="file", path=path)
+        d = build_dictionary(4, 1, path=path)
         for j, direction in enumerate(d.directions):
             np.testing.assert_allclose(d.atoms[:, j],
-                                       sh_eval(direction, 1).coeffs)
+                                       sh_eval(direction, 1))
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 0\nnot numbers here\n")
         with pytest.raises(ValueError):
-            build_dictionary(2, 0, scheme="file", path=path)
+            build_dictionary(2, 0, path=path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
-            build_dictionary(2, 0, scheme="file", path=tmp_path / "nope.txt")
+            build_dictionary(2, 0, path=tmp_path / "nope.txt")
 
     def test_count_below_channels(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from gtvv.room import GroundTruthScene, Wavefront
 from gtvv.sh import (Direction, angular_distance, build_dictionary,
                      make_reference_beam, sh_eval)
 from gtvv.somp import EstimateSet, match_to_truth, somp
-from gtvv.spectral import GtvvMatrix, make_time_axis
+from gtvv.spectral import GtvvMatrix
 from gtvv.velocity import RelativeWavefront, gtvv_closed_form
 
 FS = 16000.0
@@ -104,7 +104,7 @@ class TestSomp:
         v, _ = gtvv_closed_form(waves, 6, 1024, FS, 3)
         # perturb so late iterations keep working against structure
         data = v.data + 0.01 * rng.standard_normal(v.data.shape)
-        v = GtvvMatrix(data, v.time_axis, v.fs)
+        v = GtvvMatrix(data, v.fs)
         est = somp(v, dic, 7)
         norms = est.residual_norms
         assert all(norms[i] <= norms[i - 1] + 1e-12
@@ -140,7 +140,7 @@ class TestSomp:
         dic = build_dictionary(100, 1)
         y = dic.atoms[:, 7]
         data = np.outer(y, np.ones(64))
-        v = GtvvMatrix(data, make_time_axis(64, FS), FS)
+        v = GtvvMatrix(data, FS)
         est = somp(v, dic, 4)
         assert est.terminated_early
         assert len(est.directions) < 4
@@ -175,8 +175,7 @@ class TestSomp:
                 for _ in range(2)]
             v, _ = gtvv_closed_form(waves, 6, 128, FS, 2)
         else:
-            v = GtvvMatrix(rng.standard_normal((9, 128)),
-                           make_time_axis(128, FS), FS)
+            v = GtvvMatrix(rng.standard_normal((9, 128)), FS)
         one, full = somp(v, dic, 1), somp(v, dic, iters)
         assert one.directions[0] == full.directions[0]
         assert one.delays[0] == full.delays[0]

@@ -2,9 +2,13 @@
 
 Each module (not `__init__.py`, which only re-exports) must reference every
 name it imports and every module-level `_PRIVATE` constant it defines.
+Each parameter with a default of a module-level function must be passed by
+at least one call in `src/gtvv` or `perfbench/`: an option that no caller
+sets is a constant.
 """
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -12,6 +16,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gtvv"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+CALLERS = sorted(SRC.glob("*.py")) + sorted(
+    (SRC.parents[1] / "perfbench").rglob("*.py"))
 
 
 def unused_names(source: str) -> list:
@@ -35,6 +41,57 @@ def unused_names(source: str) -> list:
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     return sorted(f"{name} (line {line})" for name, line in defined.items()
                   if name not in used)
+
+
+def unset_options(defining: list, calling: list) -> list:
+    """`function.parameter` for each defaulted parameter of a module-level
+    function in the `defining` sources that no call in the `calling`
+    sources passes, by position or keyword. Calls match by the called name
+    (`f(...)` or `module.f(...)`); `*args` or `**kwargs` pass everything."""
+    passed = {}  # name -> [most positional arguments, keyword names]
+    for source in calling:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            count, keywords = passed.setdefault(name, [0, set()])
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                count = math.inf
+            passed[name][0] = max(count, len(node.args))
+            keywords.update(k.arg or "**" for k in node.keywords)
+    unset = []
+    for source in defining:
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            options = [(a.arg, i) for i, a in enumerate(positional)
+                       if i >= first]
+            options += [(a.arg, math.inf) for a, d in
+                        zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            count, keywords = passed.get(node.name, [0, set()])
+            unset += [f"{node.name}.{arg}" for arg, i in options
+                      if count <= i and not keywords & {arg, "**"}]
+    return sorted(unset)
+
+
+def test_every_option_is_set_by_some_caller():
+    sources = [p.read_text(encoding="utf-8") for p in CALLERS]
+    defining = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    assert unset_options(defining, sources) == []
+
+
+def test_checker_flags_unset_options():
+    defining = ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+                "def g(x=0):\n    pass\n"
+                "def h(y=0, z=0):\n    pass\n"
+                "def k(w=0):\n    pass\n"
+                "class C:\n    def m(self, v=1):\n        pass\n")
+    calling = "f(0, 1)\nmod.f(0, e=5)\nh(*ys)\nk(**kw)\nC().m()\n"
+    assert unset_options([defining], [calling]) == ["f.c", "f.d", "g.x"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

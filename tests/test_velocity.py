@@ -27,11 +27,11 @@ def ratio_form_gfvv(waves, freqs, order):
     """Independent oracle: channel ratio of a sum of attenuated, delayed
     plane waves, written as (y0 + sum gamma_n y_n / beta_n) over
     (1 + sum gamma_n) with gamma_n = g_n beta_n exp(-2j pi f tau_n)."""
-    y0 = sh_eval(waves[0].direction, order).coeffs.astype(complex)
+    y0 = sh_eval(waves[0].direction, order).astype(complex)
     num = np.tile(y0[:, None], (1, freqs.size))
     den = np.ones(freqs.size, dtype=complex)
     for wv in waves[1:]:
-        yn = sh_eval(wv.direction, order).coeffs.astype(complex)
+        yn = sh_eval(wv.direction, order).astype(complex)
         gamma = wv.rel_gain * wv.beta * np.exp(-2j * np.pi * freqs
                                                * wv.rel_delay)
         num += np.outer(yn / wv.beta, gamma)
@@ -42,22 +42,22 @@ def ratio_form_gfvv(waves, freqs, order):
 def plane_wave_spectrum(direction, order, frames=4, win=256, seed=0):
     """Spectrum of a single plane wave with a random per-frame source."""
     rng = np.random.default_rng(seed)
-    y = sh_eval(direction, order).coeffs
+    y = sh_eval(direction, order)
     s = rng.standard_normal((frames, win // 2 + 1)) \
         + 1j * rng.standard_normal((frames, win // 2 + 1))
     data = s[:, :, None] * y[None, None, :]
-    return SpectrumTensor(data, FS, win, win // 4)
+    return SpectrumTensor(data, FS)
 
 
-def multiwave_spectrum(waves, order, freqs, win):
+def multiwave_spectrum(waves, order, freqs):
     """One-frame spectrum b(f) = sum_n g_n e^{-2j pi f tau_n} y_n."""
     channels = (order + 1) ** 2
     b = np.zeros((freqs.size, channels), dtype=complex)
     for wv in waves:
-        y = sh_eval(wv.direction, order).coeffs
+        y = sh_eval(wv.direction, order)
         b += np.outer(wv.rel_gain * np.exp(-2j * np.pi * freqs
                                            * wv.rel_delay), y)
-    return SpectrumTensor(b[None], FS, win, win // 4)
+    return SpectrumTensor(b[None], FS)
 
 
 def segment_spectra_vectorised(spec, cfg):
@@ -105,11 +105,11 @@ def random_strided_spectrum(order, frames=96, win=256, seed=0):
     raw *= np.exp(rng.standard_normal((frames, 1, 1)))
     data = raw[:, :, ::2]
     assert not data.flags.c_contiguous and not data.flags.f_contiguous
-    return SpectrumTensor(data, FS, win, win // 4)
+    return SpectrumTensor(data, FS)
 
 
 def fresh_copy(spec):
-    return SpectrumTensor(spec.data.copy(), spec.fs, spec.win_len, spec.hop)
+    return SpectrumTensor(spec.data.copy(), spec.fs)
 
 
 class TestInstantaneousGfvv:
@@ -117,7 +117,7 @@ class TestInstantaneousGfvv:
         d = Direction(0.5, -0.2)
         spec = plane_wave_spectrum(d, 2)
         est = instantaneous_gfvv(spec, make_reference_beam(d, 2), 0)
-        y = sh_eval(d, 2).coeffs
+        y = sh_eval(d, 2)
         got = est.values[:, est.valid]
         np.testing.assert_allclose(got, np.tile(y[:, None],
                                                 (1, got.shape[1])), atol=1e-8)
@@ -126,7 +126,7 @@ class TestInstantaneousGfvv:
         d = Direction(-1.0, 0.4)
         spec = plane_wave_spectrum(d, 1)
         est = instantaneous_gfvv(spec, make_omni_beam(1), 0)
-        y = sh_eval(d, 1).coeffs
+        y = sh_eval(d, 1)
         got = est.values[:, est.valid]
         np.testing.assert_allclose(got, np.tile(y[:, None],
                                                 (1, got.shape[1])), atol=1e-8)
@@ -136,18 +136,17 @@ class TestInstantaneousGfvv:
         freqs = np.arange(win // 2 + 1) * FS / win
         d0, d1 = Direction(0.0, 0.0), Direction(1.2, 0.3)
         w = make_reference_beam(d0, order)
-        beta1 = float(w.weights @ sh_eval(d1, order).coeffs)
+        beta1 = float(w.weights @ sh_eval(d1, order))
         waves = [RelativeWavefront(d0, 1.0, 0.0, 1.0),
                  RelativeWavefront(d1, 0.6, 32.0 / FS, beta1)]
-        spec = multiwave_spectrum(waves, order, freqs, win)
+        spec = multiwave_spectrum(waves, order, freqs)
         est = instantaneous_gfvv(spec, w, 0)
         oracle = ratio_form_gfvv(waves, freqs, order)
         np.testing.assert_allclose(est.values[:, est.valid],
                                    oracle[:, est.valid], atol=1e-10)
 
     def test_silent_frame_raises(self):
-        spec = SpectrumTensor(np.zeros((1, 129, 4), dtype=complex),
-                              FS, 256, 64)
+        spec = SpectrumTensor(np.zeros((1, 129, 4), dtype=complex), FS)
         with pytest.raises(SilentFrameError):
             instantaneous_gfvv(spec, make_omni_beam(1), 0)
 
@@ -156,7 +155,7 @@ class TestInstantaneousGfvv:
         spec = plane_wave_spectrum(d, 1)
         data = spec.data.copy()
         data[:, 10, :] = 0.0  # kill one bin
-        spec = SpectrumTensor(data, FS, spec.win_len, spec.hop)
+        spec = SpectrumTensor(data, FS)
         est = instantaneous_gfvv(spec, make_omni_beam(1), 0)
         assert not est.valid[10]
         assert np.all(np.isnan(est.values[:, 10]))
@@ -182,7 +181,7 @@ def consistent_fixture(v_row, seg_count=4, frames_per_seg=8, win=16,
             frame = np.outer(b0, v_row) + u
             frame[:, 0] = b0  # channel 0 is the reference itself
             data[s * frames_per_seg + t] = frame
-    return SpectrumTensor(data, FS, win, win // 4)
+    return SpectrumTensor(data, FS)
 
 
 class TestLsEstimator:
@@ -223,11 +222,11 @@ class TestLsEstimator:
     def test_pure_tone_degenerate(self):
         # every frame identical: the per-segment statistics are collinear
         win = 64
-        y = sh_eval(Direction(0.3, 0.0), 1).coeffs
+        y = sh_eval(Direction(0.3, 0.0), 1)
         frame = np.zeros((win // 2 + 1, 4), dtype=complex)
         frame[12] = (2.0 + 1.0j) * y
         data = np.tile(frame[None], (16, 1, 1))
-        spec = SpectrumTensor(data, FS, win, win // 4)
+        spec = SpectrumTensor(data, FS)
         cfg = EstimatorConfig(make_omni_beam(1), seg_count=4,
                               frames_per_seg=4)
         with pytest.raises(EstimatorDegenerateError) as exc:
@@ -337,7 +336,7 @@ class TestLsAccumulation:
         spec = random_strided_spectrum(1, frames=32, win=64, seed=3)
         data = spec.data.copy()
         data[:, 10, 2] = 0.0  # channel 2 silent in bin 10: a1 is 0 there
-        spec = SpectrumTensor(data, FS, spec.win_len, spec.hop)
+        spec = SpectrumTensor(data, FS)
         cfg = EstimatorConfig(make_omni_beam(1), seg_count=4,
                               frames_per_seg=8)
         est = estimate_gfvv_ls(spec, cfg)
@@ -379,7 +378,7 @@ class TestClosedForm:
 
     def test_direct_only_is_t0_spike(self):
         v, exp = gtvv_closed_form([self._direct(0.3, -0.1)], 6, 512, FS, 2)
-        y = sh_eval(Direction(0.3, -0.1), 2).coeffs
+        y = sh_eval(Direction(0.3, -0.1), 2)
         np.testing.assert_array_equal(v.data[:, v.zero_index], y)
         off = np.delete(v.data, v.zero_index, axis=1)
         assert np.all(off == 0.0)
@@ -390,8 +389,8 @@ class TestClosedForm:
         d1 = Direction(1.5, 0.2)
         refl = RelativeWavefront(d1, 1.0, 64.0 / FS, 0.5)
         v, exp = gtvv_closed_form([self._direct(), refl], 3, 1024, FS, 1)
-        y0 = sh_eval(Direction(0.0, 0.0), 1).coeffs
-        y1 = sh_eval(d1, 1).coeffs
+        y0 = sh_eval(Direction(0.0, 0.0), 1)
+        y1 = sh_eval(d1, 1)
         pattern = y0 - y1 / 0.5
         zero = v.zero_index
         np.testing.assert_allclose(v.data[:, zero], y0, atol=1e-12)
@@ -408,7 +407,7 @@ class TestClosedForm:
     def test_t0_readout_exact(self):
         refl = RelativeWavefront(Direction(2.0, -0.4), 0.8, 48.0 / FS, 0.7)
         v, _ = gtvv_closed_form([self._direct(0.4, 0.3), refl], 6, 1024, FS, 3)
-        y0 = sh_eval(Direction(0.4, 0.3), 3).coeffs
+        y0 = sh_eval(Direction(0.4, 0.3), 3)
         np.testing.assert_array_equal(v.data[:, v.zero_index], y0)
 
     def test_invalid_expansion_raises(self):
@@ -494,7 +493,7 @@ class TestRelativeWavefronts:
         scene = image_source_scene(ROOM, SRC, MIC, 0.3, 1)
         w = make_reference_beam(scene.direct.direction, 2)
         waves = relative_wavefronts(scene, w)
-        y = sh_eval(waves[3].direction, 2).coeffs
+        y = sh_eval(waves[3].direction, 2)
         assert waves[3].beta == pytest.approx(float(w.weights @ y))
 
 
@@ -517,7 +516,7 @@ class TestEstimateGtvv:
         spec = stft(encode_scene(scene, src, 1), 1024)
         cfg = EstimatorConfig(make_reference_beam(d, 1))
         v = estimate_gtvv(spec, cfg)
-        y = sh_eval(d, 1).coeffs
+        y = sh_eval(d, 1)
         np.testing.assert_allclose(v.data[:, v.zero_index], y, atol=1e-6)
         off = np.delete(v.data, v.zero_index, axis=1)
         assert np.max(np.abs(off)) < 1e-6
@@ -545,7 +544,7 @@ class TestEstimateGtvv:
         src = make_burst_source(13.0, FS, 2)
         sig = add_noise(encode_scene(scene, src, 1), 20.0, 3)
         spec = stft(sig, 1024)
-        y = sh_eval(d, 1).coeffs
+        y = sh_eval(d, 1)
         ref = make_reference_beam(d, 1)
         errs = []
         for seg, fps in ((4, 12), (8, 24), (16, 48)):
