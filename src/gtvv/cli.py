@@ -1,6 +1,7 @@
 """Command-line entry point: gtvv simulate|estimate|infer|evaluate|traces.
 
-Exit codes: 0 success, 2 configuration error, 3 run-time numerical error.
+Exit codes: 0 success, 2 configuration error, 3 run-time numerical error
+(for `evaluate`: any failed run, after the results are written).
 """
 
 from __future__ import annotations
@@ -110,6 +111,10 @@ def cmd_evaluate(args) -> int:
     print(f"# sweep of {len(records)} runs with {cfg.workers} worker(s) "
           f"took {elapsed:.1f}s")
     print(f"results written to {args.out}")
+    if table.failures:
+        print(f"{len(table.failures)} of {len(records)} runs failed",
+              file=sys.stderr)
+        return 3
     return 0
 
 

@@ -107,7 +107,7 @@ class ExperimentConfig:
         """`source_wav` must be readable, at `fs`, not silent in its first
         channel (the dry source) and long enough for the estimator."""
         try:
-            sig = room.read_wav(self.source_wav)
+            sig = self.source_signal()
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad source_wav: {exc}") from exc
         if sig.fs != self.fs:
@@ -119,6 +119,16 @@ class ExperimentConfig:
         if have < need:
             raise ConfigError(
                 f"source_wav yields {have} frames, estimator needs {need}")
+
+    def source_signal(self) -> room.AmbisonicSignal:
+        """The `source_wav` recording, read on the first call and kept on
+        this config object. Sweep workers receive it with the config, so
+        a sweep reads the file a fixed number of times, whatever its
+        cell count."""
+        if "_source" not in self.__dict__:
+            object.__setattr__(self, "_source",
+                               room.read_wav(self.source_wav))
+        return self.__dict__["_source"]
 
     def iter_cap(self, order: int) -> int:
         return self.iter_cap_foa if order == 1 else self.iter_cap_hoa
@@ -228,7 +238,7 @@ def scene_geometry(cfg: ExperimentConfig, scene_idx: int):
 
 def _dry_source(cfg: ExperimentConfig, scene_idx: int) -> np.ndarray:
     if cfg.source_wav is not None:
-        return room.read_wav(cfg.source_wav).channels[0]
+        return cfg.source_signal().channels[0]
     return room.make_burst_source(
         cfg.duration, cfg.fs, np.random.SeedSequence([cfg.seed, scene_idx, 7]))
 

@@ -18,6 +18,12 @@ from .sh import Dictionary, angular_distance
 from .spectral import GtvvMatrix
 
 _PROJECTION_LOAD = 1e-10
+# Lag screening in `somp`: the largest-norm columns whose correlations give
+# the lower bound on the peak, the relative rounding slack of the bound, and
+# the smallest column norm it trusts (squares below `tiny` underflow).
+_SEED_LAGS = 4
+_BOUND_SLACK = 1e-9
+_NORM_FLOOR = math.sqrt(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,23 @@ def _project(atoms_sel: np.ndarray, v: np.ndarray):
     return np.linalg.solve(gram, atoms_sel.T @ v)
 
 
+def candidate_lags(atoms: np.ndarray, amax: float,
+                   residual: np.ndarray) -> np.ndarray:
+    """Indices, in increasing order, of the lags t whose Cauchy–Schwarz
+    bound `amax·‖r_t‖` can reach the correlation peak of `residual`.
+
+    The peak is bounded below by the exact correlations `b` of the
+    `_SEED_LAGS` largest-norm columns; a lag is kept when
+    `amax·‖r_t‖·(1 + _BOUND_SLACK) ≥ b` (see `somp` for why no lag that
+    holds the peak is dropped).
+    """
+    norms = np.maximum(np.linalg.norm(residual, axis=0), _NORM_FLOOR)
+    k = min(_SEED_LAGS, norms.size)
+    seeds = np.argpartition(norms, -k)[-k:]
+    peak_floor = np.abs(atoms.T @ residual[:, seeds]).max()
+    return np.flatnonzero(amax * norms * (1.0 + _BOUND_SLACK) >= peak_floor)
+
+
 def somp(v: GtvvMatrix, dictionary: Dictionary, iters: int) -> EstimateSet:
     """Algorithm: per iteration, pick the atom with the largest peak
     correlation against the residual, read its delay at the correlation
@@ -69,33 +92,50 @@ def somp(v: GtvvMatrix, dictionary: Dictionary, iters: int) -> EstimateSet:
     Ties in either argmax break toward the lowest atom index / earliest lag
     so runs are deterministic. Selecting an already-chosen atom terminates
     early with a partial result.
+
+    Only the lags returned by `candidate_lags` are correlated with every
+    atom. This is exact: for atom a_j and residual column r_t,
+    |a_jᵀ r_t| ≤ ‖a_j‖·‖r_t‖ ≤ amax·‖r_t‖ (amax the largest atom norm,
+    √(L+1) for SN3D atoms), and the peak is at least b, the largest
+    correlation of a few seed columns. A dropped lag has
+    amax·‖r_t‖·(1 + δ) < b, so every correlation there is below the peak
+    and can neither hold it nor tie with it. The slack δ = 1e-9 covers the
+    rounding of the norms and dot products (≤ C·eps ≈ 5e-15 relative to
+    amax·‖r_t‖ for C ≤ 49 channels); norms are floored at √(tiny) so that
+    an underflowed norm cannot drop a lag. The bound assumes finite data,
+    which `GtvvMatrix` enforces. Only a residual whose largest columns are
+    numerically orthogonal to every atom (b below ~1e-5·amax·‖r_t‖) could
+    break the argument, and there every pick is rounding noise for any
+    evaluation order. The delay is read from the selected atom's full row
+    over the non-negative lags.
     """
     channels = v.data.shape[0]
     if dictionary.atoms.shape[0] != channels:
         raise ValueError("dictionary order does not match the GTVV channels")
     if not 1 <= iters <= channels:
         raise ValueError("iteration count must lie in [1, channel count]")
+    atoms = dictionary.atoms
+    amax = float(np.linalg.norm(atoms, axis=0).max())
+    zero = v.zero_index
     time_axis = v.time_axis
-    lag_ok = time_axis >= 0
 
-    residual = -v.data.copy()  # R = A Z - V with empty support
+    residual = -v.data  # R = A Z - V with empty support
     selected = []
     delays = []
     norms = []
     coeffs = np.zeros((0, v.win_len))
     terminated = False
     for _ in range(iters):
-        corr = dictionary.atoms.T @ residual  # (atoms, lags)
-        np.abs(corr, out=corr)
+        lags = candidate_lags(atoms, amax, residual)
+        corr = np.abs(atoms.T @ residual[:, lags])  # (atoms, candidates)
         s = int(np.argmax(corr.max(axis=1)))
         if s in selected:
             terminated = True
             break
-        row = np.where(lag_ok, corr[s], -1.0)
-        q = int(np.argmax(row))
+        q = zero + int(np.argmax(np.abs(atoms[:, s] @ residual[:, zero:])))
         selected.append(s)
         delays.append(float(time_axis[q]))
-        atoms_sel = dictionary.atoms[:, selected]
+        atoms_sel = atoms[:, selected]
         coeffs = _project(atoms_sel, v.data)
         residual = atoms_sel @ coeffs - v.data
         norms.append(float(np.linalg.norm(residual)))

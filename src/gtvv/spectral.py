@@ -78,6 +78,8 @@ class GtvvMatrix:
         data = np.asarray(self.data, dtype=float)
         if data.ndim != 2:
             raise ValueError("GTVV data must be channels x lags")
+        if not np.all(np.isfinite(data)):
+            raise ValueError("GTVV data must be finite")
         object.__setattr__(self, "data", data)
 
     @property

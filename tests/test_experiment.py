@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gtvv
-from gtvv import baselines, experiment, velocity
+from gtvv import baselines, experiment, room, velocity
 from gtvv.cli import main
 from gtvv.errors import ConfigError, EstimatorDegenerateError
 from gtvv.experiment import (ExperimentConfig, aggregate, analyze,
@@ -541,6 +541,40 @@ class TestCli:
         assert main(["evaluate", "--config", path, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
+
+    def test_source_wav_reads_independent_of_cell_count(
+            self, tmp_path, capsys, monkeypatch):
+        wav = tmp_path / "source.wav"
+        noise = np.random.default_rng(0).standard_normal(int(3.2 * FS))
+        write_wav(wav, AmbisonicSignal(FS, 0.1 * noise[None]))
+        reads = []
+        read_wav = room.read_wav
+        monkeypatch.setattr(room, "read_wav",
+                            lambda path: reads.append(path) or read_wav(path))
+        counts = []
+        for orders in ((1,), (1, 2)):  # 2 and 4 cells
+            path = self._write_cfg(tmp_path, source_wav=str(wav),
+                                   rt60=(0.16, 0.44), orders=orders)
+            reads.clear()
+            out = tmp_path / f"results{len(orders)}"
+            assert main(["evaluate", "--config", path, "--out", str(out)]) == 0
+            rows = json.loads((out / "results.json").read_text())["rows"]
+            assert len(rows) == 3 * 2 * len(orders)  # every cell ran
+            counts.append(len(reads))
+        assert counts[0] == counts[1]
+
+    def test_failed_run_exits_3_after_writing_results(
+            self, tmp_path, capsys, monkeypatch):
+        def degenerate(*args):
+            raise EstimatorDegenerateError(3)
+        monkeypatch.setattr(experiment, "analyze", degenerate)
+        out = tmp_path / "results"
+        assert main(["evaluate", "--config", self._write_cfg(tmp_path),
+                     "--out", str(out)]) == 3
+        assert "1 of 1 runs failed" in capsys.readouterr().err
+        assert "# failed run: scene=0 rt60=0.16 order=1" in (
+            out / "results.csv").read_text()
+        assert json.loads((out / "results.json").read_text())["failures"]
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

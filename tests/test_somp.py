@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from gtvv.room import GroundTruthScene, Wavefront
 from gtvv.sh import (Direction, angular_distance, build_dictionary,
-                     make_reference_beam, sh_eval)
-from gtvv.somp import EstimateSet, match_to_truth, somp
+                     make_reference_beam, num_channels, sh_eval)
+from gtvv.somp import EstimateSet, candidate_lags, match_to_truth, somp
 from gtvv.spectral import GtvvMatrix
 from gtvv.velocity import RelativeWavefront, gtvv_closed_form
 
@@ -57,6 +58,92 @@ def exhaustive_somp_oracle(v, dictionary, iters):
         z, *_ = np.linalg.lstsq(a, v.data, rcond=None)
         residual = a @ z - v.data
     return selected, delays
+
+
+def full_correlation_somp(v, dictionary, iters):
+    """The pursuit as it was before lag screening: every iteration scores
+    every atom on the full atoms x lags correlation matrix."""
+    def project(atoms_sel, data):
+        gram = atoms_sel.T @ atoms_sel
+        gram = gram + 1e-10 * np.trace(gram) * np.eye(gram.shape[0])
+        return np.linalg.solve(gram, atoms_sel.T @ data)
+
+    time_axis = v.time_axis
+    lag_ok = time_axis >= 0
+    residual = -v.data.copy()
+    selected, delays, norms = [], [], []
+    coeffs = np.zeros((0, v.win_len))
+    terminated = False
+    for _ in range(iters):
+        corr = dictionary.atoms.T @ residual
+        np.abs(corr, out=corr)
+        s = int(np.argmax(corr.max(axis=1)))
+        if s in selected:
+            terminated = True
+            break
+        q = int(np.argmax(np.where(lag_ok, corr[s], -1.0)))
+        selected.append(s)
+        delays.append(float(time_axis[q]))
+        atoms_sel = dictionary.atoms[:, selected]
+        coeffs = project(atoms_sel, v.data)
+        residual = atoms_sel @ coeffs - v.data
+        norms.append(float(np.linalg.norm(residual)))
+    return EstimateSet(tuple(dictionary.directions[s] for s in selected),
+                       tuple(delays), coeffs, tuple(norms), terminated)
+
+
+def assert_same_estimate(got, want):
+    assert got.directions == want.directions
+    assert got.delays == want.delays
+    assert got.residual_norms == want.residual_norms
+    assert got.terminated_early == want.terminated_early
+    np.testing.assert_array_equal(got.coeffs, want.coeffs)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_dictionary(size, order):
+    return build_dictionary(size, order)
+
+
+def random_direction(rng):
+    return Direction(rng.uniform(-math.pi, math.pi), rng.uniform(-1.5, 1.5))
+
+
+def closed_form_trace(rng, order, win_len, reflections=3):
+    """Closed-form GTVV of a direct path and `reflections` echoes with
+    delays in the first quarter of the positive lags."""
+    waves = [direct_wave(random_direction(rng))] + [
+        RelativeWavefront(random_direction(rng), rng.uniform(0.1, 0.3),
+                          int(rng.integers(1, win_len // 8 + 1)) / FS, 1.0)
+        for _ in range(reflections)]
+    return gtvv_closed_form(waves, 6, win_len, FS, order)[0].data
+
+
+def trace_of_kind(kind, rng, dictionary, win_len):
+    """A channels x `win_len` trace of one of the screening test kinds."""
+    shape = (dictionary.atoms.shape[0], win_len)
+    if kind == "gaussian":
+        return rng.standard_normal(shape)
+    if kind == "spikes":
+        data = 0.01 * rng.standard_normal(shape)
+        for _ in range(int(rng.integers(1, 6))):
+            atom = dictionary.atoms[:, rng.integers(len(dictionary))]
+            data[:, rng.integers(win_len)] += rng.uniform(0.2, 1.0) * atom
+        return data
+    if kind == "closed_form":
+        return closed_form_trace(rng, dictionary.order, win_len)
+    if kind == "zero":
+        return np.zeros(shape)
+    if kind == "equal_norm":
+        data = rng.standard_normal(shape)
+        return data / np.linalg.norm(data, axis=0)
+    assert kind == "rank_one"
+    atom = dictionary.atoms[:, rng.integers(len(dictionary))]
+    return np.outer(atom, rng.standard_normal(win_len))
+
+
+SCREEN_KINDS = ("gaussian", "spikes", "closed_form", "zero", "equal_norm",
+                "rank_one")
 
 
 class TestSomp:
@@ -187,6 +274,45 @@ class TestSomp:
         assert payload["directions_deg"][0] == pytest.approx([30.0, -10.0])
         assert payload["delays_ms"] == [4.0]
         assert payload["terminated_early"] is False
+
+
+class TestLagScreening:
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(SCREEN_KINDS), order=st.integers(1, 6),
+           size=st.integers(60, 3000), win_len=st.sampled_from((32, 128, 512)),
+           scale=st.sampled_from((1.0, 1e-160, 1e100)),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_equals_full_correlation_pursuit(self, kind, order, size,
+                                             win_len, scale, seed, data):
+        iters = data.draw(st.integers(1, num_channels(order)), label="iters")
+        dic = cached_dictionary(size, order)
+        rng = np.random.default_rng(seed)
+        v = GtvvMatrix(scale * trace_of_kind(kind, rng, dic, win_len), FS)
+        assert_same_estimate(somp(v, dic, iters),
+                             full_correlation_somp(v, dic, iters))
+
+    def test_rank_one_trace_terminates_early(self):
+        dic = cached_dictionary(300, 3)
+        v = GtvvMatrix(trace_of_kind("rank_one", np.random.default_rng(5),
+                                     dic, 128), FS)
+        got = somp(v, dic, 5)
+        assert got.terminated_early
+        assert_same_estimate(got, full_correlation_somp(v, dic, 5))
+
+    def test_closed_form_trace_is_pruned(self):
+        dic = cached_dictionary(770, 4)
+        data = closed_form_trace(np.random.default_rng(3), 4, 1024)
+        amax = float(np.linalg.norm(dic.atoms, axis=0).max())
+        lags = candidate_lags(dic.atoms, amax, -data)
+        assert 1 <= lags.size < 0.1 * data.shape[1]
+        assert np.all(np.diff(lags) > 0)
+
+    def test_equal_norm_lags_are_all_kept(self):
+        dic = cached_dictionary(200, 2)
+        data = trace_of_kind("equal_norm", np.random.default_rng(8), dic, 64)
+        amax = float(np.linalg.norm(dic.atoms, axis=0).max())
+        np.testing.assert_array_equal(candidate_lags(dic.atoms, amax, data),
+                                      np.arange(64))
 
 
 def scene_from_waves(direct_dir, refl):

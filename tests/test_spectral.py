@@ -179,3 +179,12 @@ class TestGfvvToGtvv:
         v = GtvvMatrix(np.zeros((1, 1024)), FS)
         np.testing.assert_array_equal(v.time_axis, axis)
         assert v.zero_index == 512
+
+
+class TestGtvvMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_data(self, bad):
+        data = np.zeros((4, 64))
+        data[2, 40] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GtvvMatrix(data, FS)
