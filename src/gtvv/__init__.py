@@ -20,7 +20,7 @@ from .velocity import (EstimatorConfig, GfvvEstimate, RelativeWavefront,
                        gtvv_closed_form, instantaneous_gfvv,
                        relative_wavefronts)
 from .somp import EstimateSet, MatchReport, match_to_truth, somp
-from .baselines import PowerMap, h_tdvv, srp_doa, srp_map
+from .baselines import h_tdvv, srp_doa, srp_map
 from .experiment import (ExperimentConfig, ResultsTable, analyze, dump_traces,
                          run_experiment, run_single)
 

@@ -4,26 +4,13 @@ direction scan over the same dictionary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .sh import Dictionary, Direction
 from .spectral import GtvvMatrix, SpectrumTensor
 from .velocity import _ENERGY_FLOOR, EstimatorConfig, estimate_gtvv
-
-
-@dataclass(frozen=True)
-class PowerMap:
-    """Steered power per dictionary direction."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if np.any(values < 0):
-            raise ValueError("power values must be non-negative")
-        object.__setattr__(self, "values", values)
 
 
 def h_tdvv(spec: SpectrumTensor, cfg: EstimatorConfig) -> GtvvMatrix:
@@ -35,8 +22,9 @@ def h_tdvv(spec: SpectrumTensor, cfg: EstimatorConfig) -> GtvvMatrix:
     return estimate_gtvv(spec, replace(cfg, reference=None))
 
 
-def srp_map(spec: SpectrumTensor, dictionary: Dictionary) -> PowerMap:
-    """Plain steered-response power over the dictionary directions.
+def srp_map(spec: SpectrumTensor, dictionary: Dictionary) -> np.ndarray:
+    """Plain steered-response power over the dictionary directions, one
+    non-negative value per atom.
 
     Each frame's contribution is normalized by the frame energy, so the map
     (and its argmax in particular) is invariant to global signal scaling.
@@ -60,9 +48,9 @@ def srp_map(spec: SpectrumTensor, dictionary: Dictionary) -> PowerMap:
     atoms = dictionary.atoms
     values = np.sum(atoms * (cov @ atoms), axis=0)
     # C is positive semi-definite: a negative value is rounding around 0
-    return PowerMap(np.maximum(values, 0.0))
+    return np.maximum(values, 0.0)
 
 
-def srp_doa(pmap: PowerMap, dictionary: Dictionary) -> Direction:
+def srp_doa(power: np.ndarray, dictionary: Dictionary) -> Direction:
     """Direction of the power-map maximum."""
-    return dictionary.directions[int(np.argmax(pmap.values))]
+    return dictionary.directions[int(np.argmax(power))]

@@ -10,7 +10,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -25,14 +24,13 @@ from .velocity import negative_lag_energy_fraction
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The one config of a command: `--config` (or the defaults) with the
+    `--seed` and `--workers` given on the command line."""
+    overrides = {key: getattr(args, key) for key in ("seed", "workers")
+                 if getattr(args, key, None) is not None}
     if args.config:
-        cfg = ExperimentConfig.from_json(args.config)
-    else:
-        cfg = ExperimentConfig()
-    overrides = {key: getattr(args, key, None) for key in ("seed", "workers")}
-    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    cfg.validate()
-    return cfg
+        return ExperimentConfig.from_json(args.config, **overrides)
+    return ExperimentConfig(**overrides)
 
 
 def cmd_simulate(args) -> int:
@@ -68,15 +66,13 @@ def _gtvv_from_wav(args, cfg: ExperimentConfig):
     """The `--method` trace of the `--wav` recording: returns (trace, order,
     dictionary), the dictionary None where the method needs none
     (htdvv)."""
-    sig = room.read_wav(args.wav)
-    if sig.fs != cfg.fs:
-        raise ConfigError(f"{args.wav} is sampled at {sig.fs:g} Hz, "
-                          f"the config's fs is {cfg.fs:g} Hz")
+    sig = cfg.read_recording(args.wav)
     order = _wav_order(args.wav, sig.channels.shape[0])
+    cfg.check_order(order)
     spec = stft(sig, cfg.win_len)
     if args.method == "htdvv":
         return baselines.h_tdvv(spec, cfg.estimator), order, None
-    dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_file)
+    dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_directions)
     _, _, v = analyze(spec, cfg, dictionary, 1)
     return v, order, dictionary
 
@@ -93,7 +89,8 @@ def cmd_infer(args) -> int:
     cfg = _load_config(args)
     v, order, dictionary = _gtvv_from_wav(args, cfg)
     if dictionary is None:
-        dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_file)
+        dictionary = build_dictionary(cfg.dict_size, order,
+                                      cfg.dict_directions)
     est = somp(v, dictionary, cfg.iter_cap(order))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(est.to_json())
@@ -123,7 +120,7 @@ def cmd_traces(args) -> int:
     order = max(cfg.orders) if args.order is None else args.order
     _, sig = simulate_cell(cfg, 0, cfg.rt60[-1], order)
     spec = stft(sig, cfg.win_len)
-    dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_file)
+    dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_directions)
     v_h, _, v_g = analyze(spec, cfg, dictionary, 1)
     os.makedirs(args.out, exist_ok=True)
     for name, v in (("htdvv", v_h), ("gtvv", v_g)):

@@ -13,8 +13,10 @@ import json
 import math
 import multiprocessing
 import os
+import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -55,86 +57,105 @@ class ExperimentConfig:
     source_wav: str = None
     workers: int = 1
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
-        if len(self.room) != 3 or any(v <= 0 for v in self.room):
+        # `not x > 0` also rejects NaN, which every comparison fails
+        if len(self.room) != 3 or any(not v > 0 for v in self.room):
             raise ConfigError("room must be three positive dimensions")
-        if not self.rt60 or any(v <= 0 for v in self.rt60):
+        if not self.rt60 or any(not v > 0 for v in self.rt60):
             raise ConfigError("rt60 list must hold positive values")
         if self.num_scenes < 1:
             raise ConfigError("need at least one scene")
-        if any(o < 1 or o > 8 for o in self.orders):
+        if not self.orders or any(o < 1 or o > 8 for o in self.orders):
             raise ConfigError("orders must lie in [1, 8]")
-        if self.fs <= 0:
+        if not self.fs > 0:
             raise ConfigError("fs must be positive")
         if self.win_len <= 0 or (self.win_len & (self.win_len - 1)) != 0:
             raise ConfigError("win_len must be a power of two")
-        if self.dict_size < num_channels(max(self.orders)):
-            raise ConfigError("dictionary smaller than the largest order")
-        if self.snr_db <= 0 and not math.isinf(self.snr_db):
+        for order in self.orders:
+            self.check_order(order)
+        if not self.snr_db > 0:
             raise ConfigError("snr_db must be positive (or inf for no noise)")
-        if any(not 1 <= self.iter_cap(o) <= num_channels(o)
-               for o in self.orders):
-            raise ConfigError("iteration caps must lie in [1, channel count]")
-        if self.gate_deg <= 0:
+        if not self.gate_deg > 0:
             raise ConfigError("gate_deg must be positive")
-        if self.duration <= 0:
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
+        if not self.duration > 0:
             raise ConfigError("duration must be positive")
-        if min(self.room) <= 2 * self.min_wall_distance:
+        if not min(self.room) > 2 * self.min_wall_distance:
             raise ConfigError("room too small for the wall-distance margin")
-        est = self.estimator
-        if est.reference is not None:
+        if self.estimator.reference is not None:
             raise ConfigError("estimator.reference must be null: the "
                               "pipeline chooses its reference beams")
-        need = est.seg_count * est.frames_per_seg
-        have = frame_count(int(self.duration * self.fs), self.win_len)
-        if have < need:
-            raise ConfigError(
-                f"duration yields {have} frames, estimator needs {need}")
+        self._check_frames(int(self.duration * self.fs), "duration")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         if self.dict_file is not None:
-            try:
-                count = len(read_direction_file(self.dict_file))
+            try:  # the order-0 dictionary checks the count and spacing
+                build_dictionary(self.dict_size, 0, self.dict_directions)
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"bad dict_file: {exc}") from exc
-            if count != self.dict_size:
-                raise ConfigError(f"dict_file holds {count} directions, "
-                                  f"dict_size is {self.dict_size}")
         if self.source_wav is not None:
-            self._validate_source(need)
+            self.source_recording  # read and checked here, once
 
-    def _validate_source(self, need: int):
-        """`source_wav` must be readable, at `fs`, not silent in its first
-        channel (the dry source) and long enough for the estimator."""
-        try:
-            sig = self.source_signal()
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"bad source_wav: {exc}") from exc
-        if sig.fs != self.fs:
-            raise ConfigError(f"source_wav is sampled at {sig.fs:g} Hz, "
-                              f"the config's fs is {self.fs:g} Hz")
-        if not np.any(sig.channels[0]):
-            raise ConfigError("source_wav is silent")
-        have = frame_count(sig.num_samples, self.win_len)
+    def check_order(self, order: int):
+        """The dictionary and the iteration cap must fit an order-`order`
+        recording."""
+        channels = num_channels(order)
+        if self.dict_size < channels:
+            raise ConfigError(f"dict_size {self.dict_size} is below the "
+                              f"{channels} channels of order {order}")
+        if not 1 <= self.iter_cap(order) <= channels:
+            raise ConfigError(f"iteration cap {self.iter_cap(order)} of "
+                              f"order {order} must lie in [1, {channels}]")
+
+    def _check_frames(self, num_samples: int, what: str):
+        need = self.estimator.seg_count * self.estimator.frames_per_seg
+        have = frame_count(num_samples, self.win_len)
         if have < need:
             raise ConfigError(
-                f"source_wav yields {have} frames, estimator needs {need}")
+                f"{what} yields {have} frames, estimator needs {need}")
 
-    def source_signal(self) -> room.AmbisonicSignal:
-        """The `source_wav` recording, read on the first call and kept on
-        this config object. Sweep workers receive it with the config, so
-        a sweep reads the file a fixed number of times, whatever its
-        cell count."""
-        if "_source" not in self.__dict__:
-            object.__setattr__(self, "_source",
-                               room.read_wav(self.source_wav))
-        return self.__dict__["_source"]
+    def read_recording(self, path) -> room.AmbisonicSignal:
+        """The WAV at `path`, checked at the boundary: readable, finite, at
+        `fs`, not silent in its first channel (the omni channel, or the dry
+        source of `source_wav`) and long enough for the estimator."""
+        try:
+            sig = room.read_wav(path)
+        except (OSError, ValueError, struct.error) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
+        if sig.fs != self.fs:
+            raise ConfigError(f"{path} is sampled at {sig.fs:g} Hz, "
+                              f"the config's fs is {self.fs:g} Hz")
+        if not np.isfinite(sig.channels).all():
+            raise ConfigError(f"{path} holds non-finite samples")
+        if not np.any(sig.channels[0]):
+            raise ConfigError(f"{path} is silent")
+        self._check_frames(sig.num_samples, path)
+        return sig
+
+    @cached_property
+    def source_recording(self) -> room.AmbisonicSignal:
+        """The checked `source_wav`, read once per config object. Sweep
+        workers receive it with the pickled config."""
+        return self.read_recording(self.source_wav)
+
+    @cached_property
+    def dict_directions(self):
+        """The parsed `dict_file` directions, read once per config object;
+        None selects the Fibonacci grid."""
+        if self.dict_file is None:
+            return None
+        return tuple(read_direction_file(self.dict_file))
 
     def iter_cap(self, order: int) -> int:
         return self.iter_cap_foa if order == 1 else self.iter_cap_hoa
 
     @staticmethod
-    def from_json(path) -> "ExperimentConfig":
+    def from_json(path, **overrides) -> "ExperimentConfig":
+        """The JSON config at `path`, `overrides` replacing its fields."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
@@ -145,11 +166,9 @@ class ExperimentConfig:
             for key in ("room", "rt60", "orders"):
                 if key in raw:
                     raw[key] = tuple(raw[key])
-            cfg = ExperimentConfig(estimator=est, **raw)
+            return ExperimentConfig(estimator=est, **{**raw, **overrides})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config field: {exc}") from exc
-        cfg.validate()
-        return cfg
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -238,7 +257,7 @@ def scene_geometry(cfg: ExperimentConfig, scene_idx: int):
 
 def _dry_source(cfg: ExperimentConfig, scene_idx: int) -> np.ndarray:
     if cfg.source_wav is not None:
-        return cfg.source_signal().channels[0]
+        return cfg.source_recording.channels[0]
     return room.make_burst_source(
         cfg.duration, cfg.fs, np.random.SeedSequence([cfg.seed, scene_idx, 7]))
 
@@ -286,7 +305,7 @@ def run_single(cfg: ExperimentConfig, scene_idx: int, rt60: float,
     """One (scene, rt60, order) cell: simulate (see `simulate_cell`),
     estimate with all methods, match against ground truth."""
     scene, sig = simulate_cell(cfg, scene_idx, rt60, order)
-    dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_file)
+    dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_directions)
     spec = stft(sig, cfg.win_len)
 
     gate = math.radians(cfg.gate_deg)
@@ -336,7 +355,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
     fork from the caller, so a calling script must guard its top-level
     code with `if __name__ == "__main__":`.
     """
-    cfg.validate()
     tasks = [(cfg, s, rt, o)
              for s in range(cfg.num_scenes)
              for rt in cfg.rt60

@@ -243,23 +243,18 @@ def read_direction_file(path) -> list:
     return dirs
 
 
-def build_dictionary(count: int, order: int, path=None) -> Dictionary:
+def build_dictionary(count: int, order: int, directions=None) -> Dictionary:
     """Build an SH dictionary over `count` quasi-uniform directions.
 
-    Without `path` the directions are a deterministic Fibonacci spiral;
-    with it they are read from a direction file (e.g. a tabulated Lebedev
-    grid, see `read_direction_file`), which must hold `count` entries.
+    Without `directions` they are a deterministic Fibonacci spiral; given
+    (e.g. a tabulated Lebedev grid parsed by `read_direction_file`), they
+    must number `count`.
     """
     if count < num_channels(order):
         raise ValueError("dictionary smaller than the SH channel count")
-    if path is None:
-        dirs = fibonacci_directions(count)
-    else:
-        dirs = read_direction_file(path)
-        if len(dirs) != count:
-            raise ValueError(
-                f"direction file holds {len(dirs)} entries, expected {count}"
-            )
+    dirs = fibonacci_directions(count) if directions is None else directions
+    if len(dirs) != count:
+        raise ValueError(f"{len(dirs)} directions given, expected {count}")
     az = np.array([d.azimuth for d in dirs])
     el = np.array([d.elevation for d in dirs])
     return Dictionary(order, tuple(dirs), sh_matrix(az, el, order))

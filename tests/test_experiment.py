@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gtvv
-from gtvv import baselines, experiment, room, velocity
+from gtvv import baselines, cli, experiment, room, sh, velocity
 from gtvv.cli import main
 from gtvv.errors import ConfigError, EstimatorDegenerateError
 from gtvv.experiment import (ExperimentConfig, aggregate, analyze,
@@ -56,6 +57,15 @@ class TestConfig:
         {"iter_cap_hoa": 0},
         # the pipeline picks its own reference beams
         {"estimator": EstimatorConfig(make_omni_beam(1))},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"orders": ()},
+        # NaN fails every comparison, so a `<= 0` check lets it through
+        {"snr_db": math.nan},
+        {"snr_db": -math.inf},
+        {"gate_deg": math.nan},
+        {"rt60": (math.nan,)},
+        {"min_wall_distance": math.nan},
     ])
     def test_invalid_configs_rejected(self, overrides):
         with pytest.raises(ConfigError):
@@ -78,6 +88,22 @@ class TestConfig:
         path.write_text('{"unknown_field": 1}')
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(path)
+
+    def test_pickled_config_carries_its_recording(self, tmp_path,
+                                                  monkeypatch):
+        # sweep workers receive the config pickled, and read no file
+        wav = tmp_path / "source.wav"
+        noise = np.random.default_rng(0).standard_normal((1, int(3.2 * FS)))
+        write_wav(wav, AmbisonicSignal(FS, noise))
+        cfg = small_config(source_wav=str(wav))
+
+        def unreadable(path):
+            raise OSError("read again")
+        monkeypatch.setattr(room, "read_wav", unreadable)
+        back = pickle.loads(pickle.dumps(cfg))
+        assert back == cfg
+        np.testing.assert_array_equal(back.source_recording.channels,
+                                      cfg.source_recording.channels)
 
     def test_iteration_caps(self):
         cfg = ExperimentConfig()
@@ -345,9 +371,12 @@ class TestDumpTraces:
 
 class TestCli:
     def _write_cfg(self, tmp_path, **overrides):
-        cfg = small_config(**overrides)
+        """The JSON of `small_config` with `overrides`, written as a raw
+        dict: an invalid config cannot be built, only written."""
+        raw = json.loads(small_config().to_json())
+        raw.update(overrides)
         path = tmp_path / "cfg.json"
-        path.write_text(cfg.to_json())
+        path.write_text(json.dumps(raw))
         return str(path)
 
     def test_evaluate_success(self, tmp_path, capsys):
@@ -483,7 +512,8 @@ class TestCli:
         None,                                    # missing
         "0 0\nnot numbers here\n",               # malformed
         "".join(f"{0.1 * k} 0\n" for k in range(20)),  # 20, not 770
-    ], ids=["missing", "malformed", "mis-sized"])
+        "".join(f"{1e-4 * k} 0\n" for k in range(770)),  # 0.006° apart
+    ], ids=["missing", "malformed", "mis-sized", "too-close"])
     def test_bad_dict_file_exit_2(self, tmp_path, capsys, order2_wav,
                                   content):
         _, wav = order2_wav
@@ -544,24 +574,34 @@ class TestCli:
 
     def test_source_wav_reads_independent_of_cell_count(
             self, tmp_path, capsys, monkeypatch):
+        # one validation, one dict_file parse and one WAV read per command
         wav = tmp_path / "source.wav"
         noise = np.random.default_rng(0).standard_normal(int(3.2 * FS))
         write_wav(wav, AmbisonicSignal(FS, 0.1 * noise[None]))
-        reads = []
-        read_wav = room.read_wav
+        dirs = tmp_path / "dirs.txt"
+        dirs.write_text("".join(f"{d.azimuth!r} {d.elevation!r}\n"
+                                for d in fibonacci_directions(770)))
+        calls = []
+
+        def counting(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
         monkeypatch.setattr(room, "read_wav",
-                            lambda path: reads.append(path) or read_wav(path))
-        counts = []
+                            counting("read_wav", room.read_wav))
+        monkeypatch.setattr(ExperimentConfig, "validate", counting(
+            "validate", ExperimentConfig.validate))
+        parse = counting("parse", sh.read_direction_file)
+        for module in (sh, experiment):
+            monkeypatch.setattr(module, "read_direction_file", parse)
         for orders in ((1,), (1, 2)):  # 2 and 4 cells
             path = self._write_cfg(tmp_path, source_wav=str(wav),
+                                   dict_file=str(dirs),
                                    rt60=(0.16, 0.44), orders=orders)
-            reads.clear()
+            calls.clear()
             out = tmp_path / f"results{len(orders)}"
             assert main(["evaluate", "--config", path, "--out", str(out)]) == 0
             rows = json.loads((out / "results.json").read_text())["rows"]
             assert len(rows) == 3 * 2 * len(orders)  # every cell ran
-            counts.append(len(reads))
-        assert counts[0] == counts[1]
+            assert sorted(calls) == ["parse", "read_wav", "validate"]
 
     def test_failed_run_exits_3_after_writing_results(
             self, tmp_path, capsys, monkeypatch):
@@ -582,15 +622,59 @@ class TestCli:
         assert main(["evaluate", "--config", str(bad),
                      "--out", str(tmp_path / "x")]) == 2
 
-    def test_runtime_error_exit_code(self, tmp_path, capsys):
-        # a silent WAV makes noise calibration impossible downstream
-        from gtvv.room import AmbisonicSignal
-        wav = tmp_path / "silent.wav"
-        write_wav(wav, AmbisonicSignal(FS, np.zeros((4, 60000))))
-        cfg = self._write_cfg(tmp_path)
+    def test_runtime_error_exit_code(self, tmp_path, capsys, monkeypatch,
+                                     order2_wav):
+        # a numerical failure inside `infer` is a run-time error
+        def degenerate(*args):
+            raise EstimatorDegenerateError(3)
+        monkeypatch.setattr(cli, "analyze", degenerate)
+        cfg, wav = order2_wav
         assert main(["infer", "--config", cfg,
                      "--out", str(tmp_path / "est.json"),
-                     "--wav", str(wav)]) == 3
+                     "--wav", wav]) == 3
+        assert capsys.readouterr().err.startswith("runtime error:")
+
+    @pytest.mark.parametrize("fault, config, why", [
+        ("missing", {}, "cannot read"),
+        ("not-a-wav", {}, "cannot read"),
+        ("truncated", {}, "cannot read"),
+        ("silent", {}, "is silent"),
+        ("short", {}, "yields 28 frames, estimator needs 192"),
+        ("nan", {}, "non-finite"),
+        ("order6", {"dict_size": 30}, "dict_size 30 is below the 49"),
+        ("order2", {"iter_cap_hoa": 20}, "iteration cap 20 of order 2"),
+    ])
+    def test_bad_wav_exit_2(self, tmp_path, capsys, fault, config, why):
+        samples = int((0.5 if fault == "short" else 3.2) * FS)
+        channels = {"order6": 49, "order2": 9}.get(fault, 4)
+        data = np.random.default_rng(0).standard_normal((channels, samples))
+        if fault == "silent":
+            data[:] = 0.0
+        if fault == "nan":
+            data[2, 1000] = np.nan
+        wav = tmp_path / "in.wav"
+        if fault != "missing":
+            write_wav(wav, AmbisonicSignal(FS, data))
+        if fault == "not-a-wav":
+            wav.write_bytes(b"RIFX but not a WAV file")
+        if fault == "truncated":  # cut inside the format chunk
+            wav.write_bytes(wav.read_bytes()[:30])
+        cfg = self._write_cfg(tmp_path, **config)
+        for sub in ("infer", "estimate"):
+            out = tmp_path / f"{sub}.out"
+            assert main([sub, "--config", cfg, "--wav", str(wav),
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and why in err
+            assert not out.exists()
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        assert main(["evaluate", "--config", self._write_cfg(tmp_path),
+                     "--out", str(out), "--seed", "-1"]) == 2
+        assert "seed must be a non-negative integer" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
     def test_workers_override(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, orders=(1, 2))

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from gtvv.sh import (Dictionary, Direction, angular_distance,
                      build_dictionary, fibonacci_directions, make_omni_beam,
-                     make_reference_beam, sh_eval, sh_matrix)
+                     make_reference_beam, read_direction_file, sh_eval,
+                     sh_matrix)
 
 directions = st.builds(
     Direction,
@@ -209,7 +210,7 @@ class TestDictionary:
     def test_file_scheme(self, tmp_path):
         path = tmp_path / "dirs.txt"
         path.write_text("# two directions\n0 0\n1.5708 0\n")
-        d = build_dictionary(2, 0, path=path)
+        d = build_dictionary(2, 0, read_direction_file(path))
         assert len(d) == 2
         np.testing.assert_allclose(
             d.atoms, np.column_stack([sh_eval(x, 0)
@@ -219,7 +220,7 @@ class TestDictionary:
     def test_file_scheme_atoms_match_sh_eval(self, tmp_path):
         path = tmp_path / "dirs.txt"
         path.write_text("0.3 -0.2\n-1.0 0.5\n2.0 0.1\n0.1 1.0\n")
-        d = build_dictionary(4, 1, path=path)
+        d = build_dictionary(4, 1, read_direction_file(path))
         for j, direction in enumerate(d.directions):
             np.testing.assert_allclose(d.atoms[:, j],
                                        sh_eval(direction, 1))
@@ -228,11 +229,17 @@ class TestDictionary:
         path = tmp_path / "bad.txt"
         path.write_text("0 0\nnot numbers here\n")
         with pytest.raises(ValueError):
-            build_dictionary(2, 0, path=path)
+            build_dictionary(2, 0, read_direction_file(path))
+
+    def test_direction_count_must_match(self, tmp_path):
+        path = tmp_path / "dirs.txt"
+        path.write_text("0 0\n1.5708 0\n")
+        with pytest.raises(ValueError, match="2 directions given"):
+            build_dictionary(3, 0, read_direction_file(path))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
-            build_dictionary(2, 0, path=tmp_path / "nope.txt")
+            read_direction_file(tmp_path / "nope.txt")
 
     def test_count_below_channels(self):
         with pytest.raises(ValueError):
