@@ -13,7 +13,6 @@ import json
 import math
 import multiprocessing
 import os
-import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
@@ -124,7 +123,7 @@ class ExperimentConfig:
         source of `source_wav`) and long enough for the estimator."""
         try:
             sig = room.read_wav(path)
-        except (OSError, ValueError, struct.error) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read {path}: {exc}") from exc
         if sig.fs != self.fs:
             raise ConfigError(f"{path} is sampled at {sig.fs:g} Hz, "

@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import struct
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.io import wavfile
+from numpy.fft import irfft, rfft
 
 from .sh import Direction, num_channels, sh_matrix
 
@@ -211,13 +211,29 @@ def encode_scene(scene: GroundTruthScene, source, order: int) -> AmbisonicSignal
     el = np.array([w.direction.elevation for w in scene.wavefronts])
     ir = sh_matrix(az, el, order) @ ir  # channels x taps
     conv_len = source.size + ir.shape[1] - 1
-    nfft = next_fast_len(conv_len, real=True)
+    nfft = _next_fast_len(conv_len)
     source_f = rfft(source, nfft)
     out = np.zeros((num_channels(order), out_len))
     for out_row, ir_row in zip(out, ir):
         y = irfft(source_f * rfft(ir_row, nfft), nfft)[lead:conv_len]
         out_row[:y.size] = y
     return AmbisonicSignal(fs, out)
+
+
+def _next_fast_len(n: int) -> int:
+    """The smallest 5-smooth integer 2^a 3^b 5^c that is at least `n`."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def add_noise(sig: AmbisonicSignal, snr_db: float, seed: int) -> AmbisonicSignal:
@@ -265,20 +281,90 @@ def make_burst_source(duration: float, fs: float, seed: int) -> np.ndarray:
     return out
 
 
+_WAVE_PCM, _WAVE_FLOAT, _WAVE_EXTENSIBLE = 1, 3, 0xFFFE
+# the bytes after the 2-byte format tag in a WAVE_FORMAT_EXTENSIBLE
+# subformat GUID
+_SUBFORMAT_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# the file's sample type; 24-bit samples are read as bytes and widened
+_WAV_DTYPES = {(_WAVE_PCM, 8): "u1", (_WAVE_PCM, 16): "<i2",
+               (_WAVE_PCM, 24): "u1", (_WAVE_PCM, 32): "<i4",
+               (_WAVE_FLOAT, 32): "<f4", (_WAVE_FLOAT, 64): "<f8"}
+
+
 def write_wav(path, sig: AmbisonicSignal):
     """Write an Ambisonic signal as a multichannel 32-bit float WAV."""
-    wavfile.write(path, int(round(sig.fs)),
-                  sig.channels.T.astype(np.float32))
+    data = np.ascontiguousarray(sig.channels.T, dtype="<f4")
+    channels, rate = data.shape[1], int(round(sig.fs))
+    fmt = struct.pack("<HHIIHHH", _WAVE_FLOAT, channels, rate,
+                      rate * 4 * channels, 4 * channels, 32, 0)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sI4s4sI", b"RIFF", 50 + data.nbytes, b"WAVE",
+                             b"fmt ", len(fmt)))
+        fh.write(fmt)
+        fh.write(struct.pack("<4sII4sI", b"fact", 4, data.shape[0], b"data",
+                             data.nbytes))
+        data.tofile(fh)
+
+
+def _wav_format(body: bytes):
+    """(format tag, channels, rate, bits per sample) of a fmt chunk, the
+    tag of a WAVE_FORMAT_EXTENSIBLE file being that of its subformat."""
+    if len(body) < 16:
+        raise ValueError("fmt chunk truncated")
+    tag, channels, rate, _, block_align, bits = struct.unpack(
+        "<HHIIHH", body[:16])
+    if tag == _WAVE_EXTENSIBLE:
+        if len(body) < 40 or body[26:40] != _SUBFORMAT_TAIL:
+            raise ValueError("unknown WAVE_FORMAT_EXTENSIBLE subformat")
+        tag = struct.unpack("<H", body[24:26])[0]
+    if (tag, bits) not in _WAV_DTYPES:
+        raise ValueError(f"unsupported WAV format: tag {tag}, {bits} bits")
+    if channels < 1 or block_align != channels * bits // 8:
+        raise ValueError(f"bad WAV block size {block_align} for "
+                         f"{channels} channel(s) of {bits} bits")
+    return tag, channels, rate, bits
 
 
 def read_wav(path) -> AmbisonicSignal:
-    """Read a WAV as float samples; integer PCM is mapped to [-1, 1):
-    unsigned 8-bit as (x - 128) / 128, signed n-bit as x / 2^(n-1)."""
-    fs, data = wavfile.read(path)
+    """Read a RIFF/WAVE file of PCM u8/s16/s24/s32 or IEEE float32/float64
+    samples (plain or WAVE_FORMAT_EXTENSIBLE) as float samples; integer PCM
+    is mapped to [-1, 1): unsigned 8-bit as (x - 128) / 128, signed n-bit
+    as x / 2^(n-1). Any other format, and a data chunk shorter than its
+    header declares, is a ValueError."""
+    with open(path, "rb") as fh:
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != b"RIFF" or head[8:] != b"WAVE":
+            raise ValueError("not a RIFF/WAVE file")
+        fmt = None
+        while True:
+            header = fh.read(8)
+            if len(header) < 8:
+                raise ValueError("no data chunk")
+            chunk, size = struct.unpack("<4sI", header)
+            if chunk == b"data":
+                break
+            if chunk == b"fmt ":
+                fmt = _wav_format(fh.read(size))
+                fh.seek(size % 2, 1)  # the pad byte of an odd-sized chunk
+            else:
+                fh.seek(size + size % 2, 1)
+        if fmt is None:
+            raise ValueError("no fmt chunk before the data chunk")
+        tag, channels, rate, bits = fmt
+        frames = size // (channels * bits // 8)
+        data = np.fromfile(fh, _WAV_DTYPES[tag, bits],
+                           count=frames * channels * (3 if bits == 24 else 1))
+    if bits == 24:  # left-justify each 3-byte sample in an int32
+        wide = np.zeros((data.size // 3, 4), np.uint8)
+        wide[:, 1:] = data[:wide.shape[0] * 3].reshape(-1, 3)
+        data = wide.view("<i4")[:, 0]
+    got = data.size // channels
+    if got < frames:
+        raise ValueError(f"data chunk truncated: {got} of {frames} frames")
+    data = data.reshape(frames, channels)
     if data.dtype.kind == "u":
         data = (data.astype(np.float64) - 128.0) / 128.0
     elif data.dtype.kind == "i":
         data = data.astype(np.float64) / float(2 ** (8 * data.itemsize - 1))
-    if data.ndim == 1:
-        data = data[:, None]
-    return AmbisonicSignal(float(fs), np.ascontiguousarray(data.T, dtype=float))
+    return AmbisonicSignal(float(rate), np.ascontiguousarray(data.T,
+                                                             dtype=float))

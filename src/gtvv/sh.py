@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lpmv
 
 MAX_ORDER = 8
 
@@ -111,21 +110,27 @@ def sh_matrix(azimuths, elevations, order: int) -> np.ndarray:
     if az.shape != el.shape:
         raise ValueError("azimuth/elevation arrays must have equal shapes")
     x = np.sin(el)
+    s = np.sqrt(1.0 - x * x)
     out = np.empty((num_channels(order), az.size))
-    for l in range(order + 1):
-        for m in range(-l, l + 1):
-            am = abs(m)
-            # lpmv carries the Condon-Shortley phase; real SH do not
-            leg = (-1.0) ** am * lpmv(am, l, x)
+    # associated Legendre functions without the Condon-Shortley phase, by
+    # the three-term recurrence in l from P_m^m = (2m - 1)!! s^m
+    p_mm = np.ones_like(x)
+    for m in range(order + 1):
+        if m > 0:
+            p_mm = (2 * m - 1) * s * p_mm
+            cos_m, sin_m = np.cos(m * az), np.sin(m * az)
+        p_prev, p = np.zeros_like(x), p_mm
+        for l in range(m, order + 1):
+            if l > m:
+                p, p_prev = ((2 * l - 1) * x * p
+                             - (l + m - 1) * p_prev) / (l - m), p
             if m == 0:
-                val = leg
+                out[l * l + l] = p
             else:
                 norm = math.sqrt(
-                    2.0 * math.factorial(l - am) / math.factorial(l + am)
-                )
-                trig = np.cos(am * az) if m > 0 else np.sin(am * az)
-                val = norm * leg * trig
-            out[l * l + l + m] = val
+                    2.0 * math.factorial(l - m) / math.factorial(l + m))
+                out[l * l + l + m] = norm * p * cos_m
+                out[l * l + l - m] = norm * p * sin_m
     return out
 
 

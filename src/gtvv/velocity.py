@@ -65,8 +65,8 @@ class EstimatorConfig:
             raise ValueError("need at least two sub-segments (overdetermined)")
         if self.frames_per_seg < 1:
             raise ValueError("frames_per_seg must be positive")
-        if self.diagonal_load < 0:
-            raise ValueError("diagonal_load must be non-negative")
+        if not 0 <= self.diagonal_load < math.inf:  # also rejects NaN
+            raise ValueError("diagonal_load must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -66,10 +68,18 @@ class TestConfig:
         {"gate_deg": math.nan},
         {"rt60": (math.nan,)},
         {"min_wall_distance": math.nan},
+        # an estimator object arrives from JSON, through `from_json`
+        {"estimator": {"diagonal_load": math.nan}},
+        {"estimator": {"diagonal_load": math.inf}},
     ])
-    def test_invalid_configs_rejected(self, overrides):
+    def test_invalid_configs_rejected(self, tmp_path, overrides):
         with pytest.raises(ConfigError):
-            ExperimentConfig(**overrides).validate()
+            if isinstance(overrides.get("estimator"), dict):
+                path = tmp_path / "cfg.json"
+                path.write_text(json.dumps(overrides))
+                ExperimentConfig.from_json(path)
+            else:
+                ExperimentConfig(**overrides).validate()
 
     def test_json_round_trip(self, tmp_path):
         cfg = small_config(seed=99, snr_db=25.0,
@@ -643,6 +653,9 @@ class TestCli:
         ("nan", {}, "non-finite"),
         ("order6", {"dict_size": 30}, "dict_size 30 is below the 49"),
         ("order2", {"iter_cap_hoa": 20}, "iteration cap 20 of order 2"),
+        ("cut-early", {}, "data chunk truncated: 3 of 51200 frames"),
+        ("cut-late", {}, "data chunk truncated: 50000 of 51200 frames"),
+        ("a-law", {}, "unsupported WAV format: tag 6"),
     ])
     def test_bad_wav_exit_2(self, tmp_path, capsys, fault, config, why):
         samples = int((0.5 if fault == "short" else 3.2) * FS)
@@ -659,6 +672,14 @@ class TestCli:
             wav.write_bytes(b"RIFX but not a WAV file")
         if fault == "truncated":  # cut inside the format chunk
             wav.write_bytes(wav.read_bytes()[:30])
+        if fault.startswith("cut-"):  # cut inside the data chunk
+            raw = wav.read_bytes()
+            keep = 60 if fault == "cut-early" else 50000 * 4 * channels
+            wav.write_bytes(raw[:raw.index(b"data") + 8 + keep])
+        if fault == "a-law":  # WAVE_FORMAT_ALAW in the fmt chunk's tag
+            raw = bytearray(wav.read_bytes())
+            raw[20:22] = (6).to_bytes(2, "little")
+            wav.write_bytes(bytes(raw))
         cfg = self._write_cfg(tmp_path, **config)
         for sub in ("infer", "estimate"):
             out = tmp_path / f"{sub}.out"
@@ -667,6 +688,42 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("config error:") and why in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("load", [math.nan, math.inf])
+    def test_non_finite_diagonal_load_exit_2(self, tmp_path, capsys, load):
+        out = tmp_path / "results"
+        cfg = self._write_cfg(tmp_path, estimator={"diagonal_load": load})
+        assert main(["evaluate", "--config", cfg, "--out", str(out)]) == 2
+        assert "diagonal_load must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_runs_without_scipy(self, tmp_path, capsys):
+        """`simulate` then `infer`, each in a process where `import scipy`
+        fails, give the estimate of an unblocked run; importing the CLI
+        loads no scipy module."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.dirname(os.path.dirname(gtvv.__file__)),
+             os.environ.get("PYTHONPATH", "")])}
+        loaded = subprocess.run(
+            [sys.executable, "-c", "import sys, gtvv.cli; print(sorted("
+             "m for m in sys.modules if m.startswith('scipy')))"],
+            env=env, capture_output=True, text=True, check=True)
+        assert loaded.stdout.strip() == "[]"
+        blocked = ("import sys; sys.modules['scipy'] = None; "
+                   "from gtvv.cli import main; sys.exit(main(sys.argv[1:]))")
+        cfg = self._write_cfg(tmp_path)
+        sim = tmp_path / "sim"
+        wav = str(sim / "scene0_rt0.16.wav")
+        for argv in (["simulate", "--config", cfg, "--out", str(sim),
+                      "--order", "1"],
+                     ["infer", "--config", cfg, "--wav", wav,
+                      "--out", str(tmp_path / "blocked.json")]):
+            subprocess.run([sys.executable, "-c", blocked, *argv], env=env,
+                           capture_output=True, check=True)
+        assert main(["infer", "--config", cfg, "--wav", wav,
+                     "--out", str(tmp_path / "open.json")]) == 0
+        assert ((tmp_path / "blocked.json").read_bytes()
+                == (tmp_path / "open.json").read_bytes())
 
     def test_negative_seed_exit_2(self, tmp_path, capsys):
         out = tmp_path / "results"

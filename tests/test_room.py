@@ -1,15 +1,19 @@
+import io
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.io import wavfile
 from scipy.signal import fftconvolve
 
 from gtvv.room import (FRAC_DELAY_TAPS, SPEED_OF_SOUND, AmbisonicSignal,
-                       GroundTruthScene, Wavefront, add_noise, encode_scene,
+                       GroundTruthScene, Wavefront, _next_fast_len,
+                       add_noise, encode_scene,
                        fractional_delay_kernel, image_source_scene,
                        make_burst_source, read_wav,
                        sabine_reflection_coefficient, write_wav)
@@ -396,3 +400,155 @@ class TestWavRoundTrip:
         assert back.channels.shape == (4, 5)
         np.testing.assert_array_equal(
             back.channels, np.tile([-1.0, -0.5, 0.0, 0.5, 127 / 128], (4, 1)))
+
+
+def test_next_fast_len_matches_scipy():
+    assert ([_next_fast_len(n) for n in range(1, 20001)]
+            == [next_fast_len(n, real=True) for n in range(1, 20001)])
+
+
+def scipy_read_scaled(path):
+    """(fs, channels x frames) as scipy reads `path`, with `read_wav`'s
+    scaling of integer PCM."""
+    fs, data = wavfile.read(path)
+    if data.dtype.kind == "u":
+        data = (data.astype(np.float64) - 128.0) / 128.0
+    elif data.dtype.kind == "i":
+        data = data.astype(np.float64) / float(2 ** (8 * data.itemsize - 1))
+    return float(fs), np.atleast_2d(data.T).astype(float)
+
+
+def wav_bytes(tag, channels, bits, payload, fs=16000, extensible=False,
+              chunks=()):
+    """A hand-built RIFF/WAVE file; `chunks` are (id, body) pairs written
+    before the data chunk, with a pad byte after an odd-sized body."""
+    block = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels,
+                      fs, fs * block, block, bits)
+    if extensible:  # cbSize, valid bits, channel mask, subformat GUID
+        fmt += struct.pack("<HHIH", 22, bits, 0, tag) + (
+            b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71")
+    body = b"WAVE"
+    for cid, chunk in ((b"fmt ", fmt), *chunks, (b"data", payload)):
+        body += cid + struct.pack("<I", len(chunk)) + chunk
+        body += b"\0" * (len(chunk) % 2 and cid != b"data")
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def int24_bytes(values):
+    return b"".join(int(v).to_bytes(3, "little", signed=True)
+                    for v in values)
+
+
+class TestWavReader:
+    @pytest.mark.parametrize("dtype", ["u1", "i2", "i4", "f4", "f8"])
+    def test_matches_scipy(self, tmp_path, dtype):
+        rng = np.random.default_rng(3)
+        if dtype[0] == "f":
+            data = rng.standard_normal((101, 3)).astype(dtype)
+        else:
+            info = np.iinfo(dtype)
+            data = rng.integers(info.min, info.max, (101, 3),
+                                endpoint=True, dtype=dtype)
+        path = tmp_path / "x.wav"
+        wavfile.write(path, 22050, data)
+        sig = read_wav(path)
+        fs, want = scipy_read_scaled(path)
+        assert sig.fs == fs == 22050.0
+        np.testing.assert_array_equal(sig.channels, want)
+
+    def test_mono(self, tmp_path):
+        path = tmp_path / "mono.wav"
+        wavfile.write(path, 8000, np.arange(-5, 5, dtype=np.int16))
+        sig = read_wav(path)
+        assert sig.channels.shape == (1, 10)
+        np.testing.assert_array_equal(sig.channels[0],
+                                      np.arange(-5, 5) / 2.0 ** 15)
+
+    def test_s24_matches_scipy(self, tmp_path):
+        values = np.concatenate([[-2 ** 23, -1, 0, 1, 2 ** 23 - 1],
+                                 np.random.default_rng(3).integers(
+                                     -2 ** 23, 2 ** 23, 95)])
+        path = tmp_path / "s24.wav"
+        path.write_bytes(wav_bytes(1, 2, 24, int24_bytes(values)))
+        sig = read_wav(path)
+        fs, want = scipy_read_scaled(path)
+        np.testing.assert_array_equal(sig.channels, want)
+        np.testing.assert_array_equal(sig.channels,
+                                      values.reshape(-1, 2).T / 2.0 ** 23)
+
+    @pytest.mark.parametrize("tag, bits, payload", [
+        (1, 16, np.arange(-600, 600, 3, dtype="<i2").tobytes()),
+        (1, 24, int24_bytes(range(-2 ** 23, 2 ** 23, 2 ** 17))),
+        (3, 32, np.linspace(-1, 1, 400, dtype="<f4").tobytes()),
+        (3, 64, np.linspace(-1, 1, 400, dtype="<f8").tobytes()),
+    ])
+    def test_extensible_matches_plain_and_scipy(self, tmp_path, tag, bits,
+                                                payload):
+        plain, ext = tmp_path / "plain.wav", tmp_path / "ext.wav"
+        plain.write_bytes(wav_bytes(tag, 4, bits, payload))
+        ext.write_bytes(wav_bytes(tag, 4, bits, payload, extensible=True))
+        sig = read_wav(ext)
+        np.testing.assert_array_equal(sig.channels, read_wav(plain).channels)
+        np.testing.assert_array_equal(sig.channels,
+                                      scipy_read_scaled(ext)[1])
+
+    # scipy warns of each chunk it skips
+    @pytest.mark.filterwarnings("ignore:Chunk .non-data. not understood")
+    def test_skips_unknown_and_odd_chunks(self, tmp_path):
+        payload = np.arange(40, dtype="<i2").tobytes()
+        plain, extra = tmp_path / "plain.wav", tmp_path / "extra.wav"
+        plain.write_bytes(wav_bytes(1, 2, 16, payload))
+        extra.write_bytes(wav_bytes(1, 2, 16, payload, chunks=[
+            (b"LIST", b"odd"), (b"junk", b"\xff" * 10)]))
+        np.testing.assert_array_equal(read_wav(extra).channels,
+                                      read_wav(plain).channels)
+        np.testing.assert_array_equal(read_wav(extra).channels,
+                                      scipy_read_scaled(extra)[1])
+
+    def test_write_wav_is_what_scipy_writes(self, tmp_path):
+        sig = AmbisonicSignal(
+            16000.0, np.random.default_rng(3).standard_normal((9, 257)))
+        path = tmp_path / "out.wav"
+        write_wav(path, sig)
+        fs, data = wavfile.read(path)
+        assert fs == 16000
+        np.testing.assert_array_equal(data, sig.channels.T.astype(np.float32))
+        want = io.BytesIO()
+        wavfile.write(want, 16000, sig.channels.T.astype(np.float32))
+        assert path.read_bytes() == want.getvalue()
+
+    @pytest.mark.parametrize("tag, bits, why", [
+        (6, 8, "tag 6"),        # A-law
+        (7, 8, "tag 7"),        # mu-law
+        (1, 12, "12 bits"),
+        (3, 16, "16 bits"),
+    ])
+    def test_other_formats_rejected(self, tmp_path, tag, bits, why):
+        path = tmp_path / "other.wav"
+        path.write_bytes(wav_bytes(tag, 1, bits, b"\0" * 64))
+        with pytest.raises(ValueError, match=why):
+            read_wav(path)
+
+    @pytest.mark.parametrize("data, why", [
+        (b"", "not a RIFF/WAVE file"),
+        (b"RIFX\0\0\0\0WAVE", "not a RIFF/WAVE file"),
+        (wav_bytes(1, 1, 16, b"")[:30], "fmt chunk truncated"),
+        (wav_bytes(1, 1, 16, b"")[:36], "no data chunk"),
+        (b"RIFF\0\0\0\0WAVEdata\0\0\0\0", "no fmt chunk"),
+    ])
+    def test_malformed_rejected(self, tmp_path, data, why):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=why):
+            read_wav(path)
+
+    @pytest.mark.parametrize("bits, cut, frames", [
+        (16, 60, 15), (24, 60, 10), (32, 60, 7), (16, 399, 99)])
+    def test_truncated_data_chunk(self, tmp_path, bits, cut, frames):
+        full = wav_bytes(1, 2, bits, b"\1" * (2 * bits // 8 * 100))
+        path = tmp_path / "cut.wav"
+        path.write_bytes(full[:full.index(b"data") + 8 + cut])
+        with pytest.raises(ValueError, match=(
+                f"data chunk truncated: {frames} of 100 frames")):
+            read_wav(path)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import lpmv
 
 from gtvv.sh import (Dictionary, Direction, angular_distance,
                      build_dictionary, fibonacci_directions, make_omni_beam,
@@ -62,6 +63,34 @@ def sh_oracle(direction, order):
     return out
 
 
+def sh_matrix_lpmv(az, el, order):
+    """`sh_matrix` as computed with scipy's `lpmv`, whose Condon-Shortley
+    phase real SH do not carry."""
+    x = np.sin(el)
+    out = np.empty(((order + 1) ** 2, az.size))
+    for l in range(order + 1):
+        for m in range(-l, l + 1):
+            am = abs(m)
+            leg = (-1.0) ** am * lpmv(am, l, x)
+            if m == 0:
+                val = leg
+            else:
+                norm = math.sqrt(
+                    2.0 * math.factorial(l - am) / math.factorial(l + am))
+                trig = np.cos(am * az) if m > 0 else np.sin(am * az)
+                val = norm * leg * trig
+            out[l * l + l + m] = val
+    return out
+
+
+# raw angles, poles and the azimuth seam included
+angle_pairs = st.lists(st.tuples(
+    st.one_of(st.sampled_from([-math.pi, math.pi]),
+              st.floats(-math.pi, math.pi)),
+    st.one_of(st.sampled_from([-math.pi / 2, math.pi / 2]),
+              st.floats(-math.pi / 2, math.pi / 2))), min_size=1, max_size=30)
+
+
 class TestDirection:
     def test_wraps_azimuth(self):
         d = Direction(3 * math.pi, 0.1)
@@ -101,6 +130,16 @@ class TestShEval:
     def test_matches_oracle_everywhere(self, d, order):
         np.testing.assert_allclose(sh_eval(d, order),
                                    sh_oracle(d, order), atol=1e-10)
+
+    @given(angle_pairs, st.integers(0, 8))
+    @example([(math.pi, math.pi / 2), (-math.pi, -math.pi / 2),
+              (math.pi, 0.4), (-math.pi, -0.4)], 8)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scipy_lpmv(self, pairs, order):
+        az, el = np.array(pairs).T
+        np.testing.assert_allclose(sh_matrix(az, el, order),
+                                   sh_matrix_lpmv(az, el, order),
+                                   rtol=0, atol=1e-14)
 
     def test_order_out_of_range(self):
         with pytest.raises(ValueError):
