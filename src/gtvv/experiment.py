@@ -69,8 +69,9 @@ class ExperimentConfig:
             raise ConfigError("need at least one scene")
         if not self.orders or any(o < 1 or o > 8 for o in self.orders):
             raise ConfigError("orders must lie in [1, 8]")
-        if not self.fs > 0:
-            raise ConfigError("fs must be positive")
+        # a WAV stores its sampling rate as a whole number of Hz
+        if not (self.fs > 0 and float(self.fs).is_integer()):
+            raise ConfigError("fs must be a positive whole number of Hz")
         if self.win_len <= 0 or (self.win_len & (self.win_len - 1)) != 0:
             raise ConfigError("win_len must be a power of two")
         for order in self.orders:

@@ -146,14 +146,15 @@ def image_source_scene(room, src, mic, rt60: float, max_order: int,
     dims = np.asarray(room)
     m_max = (max_order + 1) // 2 + 1
     span = range(-m_max, m_max + 1)
+    # image (q, m) mirrors the source by q and shifts it by 2 m room lengths;
+    # the reflection orders of the whole lattice are computed at once, and
+    # the kept images are visited in the lattice's row-major order
+    qs = np.array(list(itertools.product((0, 1), repeat=3)))
+    ms = np.array(list(itertools.product(span, repeat=3)))
+    orders = (np.abs(ms - qs[:, None]) + np.abs(ms)).sum(axis=2)
     entries = []
-    # image (q, m) mirrors the source by q and shifts it by 2 m room lengths
-    for q, m in itertools.product(itertools.product((0, 1), repeat=3),
-                                  itertools.product(span, repeat=3)):
-        order = sum(abs(mi - qi) + abs(mi) for qi, mi in zip(q, m))
-        if order > max_order:
-            continue
-        q, m = np.array(q), np.array(m)
+    for qi, mi in zip(*np.nonzero(orders <= max_order)):
+        q, m, order = qs[qi], ms[mi], int(orders[qi, mi])
         pos = (1 - 2 * q) * src + 2 * m * dims
         delta = pos - mic
         dist = float(np.linalg.norm(delta))
@@ -191,8 +192,10 @@ def encode_scene(scene: GroundTruthScene, source, order: int) -> AmbisonicSignal
 
     The gain-weighted fractional-delay kernels of all wavefronts form one
     wavefronts x taps impulse response, mixed to SH channels by the atoms;
-    each channel is then one FFT convolution with the source, whose
-    transform is computed once. Samples before t = 0 are dropped.
+    the channels are then convolved with the source by one batched FFT of
+    the channels' responses, an in-place product with the source's
+    transform and one batched inverse FFT. Samples before t = 0 are
+    dropped.
     """
     source = np.asarray(source, dtype=float)
     if source.ndim != 1 or source.size == 0:
@@ -212,11 +215,13 @@ def encode_scene(scene: GroundTruthScene, source, order: int) -> AmbisonicSignal
     ir = sh_matrix(az, el, order) @ ir  # channels x taps
     conv_len = source.size + ir.shape[1] - 1
     nfft = _next_fast_len(conv_len)
-    source_f = rfft(source, nfft)
+    spectra = rfft(ir, nfft, axis=1)
+    # responses first: a complex product can round apart with its operands
+    # swapped, and this order is the one the encodes were validated in
+    spectra *= rfft(source, nfft)
+    y = irfft(spectra, nfft, axis=1)[:, lead:conv_len]
     out = np.zeros((num_channels(order), out_len))
-    for out_row, ir_row in zip(out, ir):
-        y = irfft(source_f * rfft(ir_row, nfft), nfft)[lead:conv_len]
-        out_row[:y.size] = y
+    out[:, :y.shape[1]] = y
     return AmbisonicSignal(fs, out)
 
 
@@ -241,7 +246,8 @@ def add_noise(sig: AmbisonicSignal, snr_db: float, seed: int) -> AmbisonicSignal
 
     The variance is set against the omnidirectional channel power so that
     omni power / per-channel noise power = 10^(snr_db/10). snr_db=inf is a
-    no-noise sentinel.
+    no-noise sentinel. The noise is drawn, scaled and added in one
+    signal-sized buffer, the returned signal's; the input is not changed.
     """
     if math.isinf(snr_db) and snr_db > 0:
         return AmbisonicSignal(sig.fs, sig.channels.copy())
@@ -250,8 +256,10 @@ def add_noise(sig: AmbisonicSignal, snr_db: float, seed: int) -> AmbisonicSignal
         raise ValueError("cannot calibrate noise against an all-zero signal")
     variance = power / 10.0 ** (snr_db / 10.0)
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(sig.channels.shape) * math.sqrt(variance)
-    return AmbisonicSignal(sig.fs, sig.channels + noise)
+    noisy = rng.standard_normal(sig.channels.shape)
+    noisy *= math.sqrt(variance)
+    noisy += sig.channels
+    return AmbisonicSignal(sig.fs, noisy)
 
 
 def make_burst_source(duration: float, fs: float, seed: int) -> np.ndarray:

@@ -17,6 +17,8 @@ from .errors import InconsistentSpectrumError
 from .room import AmbisonicSignal
 
 _IMAG_RESIDUE_TOL = 1e-8
+# frames windowed and transformed per `stft` pass
+_FRAME_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -107,20 +109,31 @@ def frame_count(num_samples: int, win_len: int) -> int:
 
 def stft(sig: AmbisonicSignal, win_len: int) -> SpectrumTensor:
     """Hamming-windowed one-sided STFT of every channel, with frames
-    `win_len`/4 apart (see `frame_count`)."""
+    `win_len`/4 apart (see `frame_count`).
+
+    The frames are windowed and transformed `_FRAME_BLOCK` at a time
+    through one reused buffer, each block's transform written straight
+    into the spectrum, so the signal, the spectrum and one block of frames
+    are all that is held. Every row is the same one-dimensional transform
+    of the same windowed frame as in a single batched call, bit for bit.
+    """
     if win_len <= 0 or (win_len & (win_len - 1)) != 0:
         raise ValueError("win_len must be a power of two")
     if sig.num_samples < win_len:
         raise ValueError("signal shorter than one analysis window")
     window = np.hamming(win_len)
     num_frames = frame_count(sig.num_samples, win_len)
-    # (frames, channels, win_len) strided view; the one multiply writes the
-    # windowed frames frame-major, the layout the FFT reads
-    view = sliding_window_view(sig.channels, win_len, axis=1)[:, ::win_len // 4]
-    frames = np.multiply(view.transpose(1, 0, 2), window,
-                         out=np.empty((num_frames, sig.channels.shape[0],
-                                       win_len)))
-    spec = np.fft.rfft(frames, axis=-1)  # (frames, channels, bins)
+    # (frames, channels, win_len) strided view of the frames, no copies
+    view = sliding_window_view(sig.channels, win_len,
+                               axis=1)[:, ::win_len // 4].transpose(1, 0, 2)
+    spec = np.empty((num_frames, view.shape[1], win_len // 2 + 1),
+                    dtype=complex)
+    block = np.empty((min(_FRAME_BLOCK, num_frames),) + view.shape[1:])
+    for start in range(0, num_frames, _FRAME_BLOCK):
+        stop = min(start + _FRAME_BLOCK, num_frames)
+        frames = np.multiply(view[start:stop], window,
+                             out=block[:stop - start])
+        np.fft.rfft(frames, axis=-1, out=spec[start:stop])
     return SpectrumTensor(np.transpose(spec, (0, 2, 1)), sig.fs)
 
 

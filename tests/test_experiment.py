@@ -71,6 +71,10 @@ class TestConfig:
         # an estimator object arrives from JSON, through `from_json`
         {"estimator": {"diagonal_load": math.nan}},
         {"estimator": {"diagonal_load": math.inf}},
+        # a WAV stores a whole number of Hz
+        {"fs": 16000.5},
+        {"fs": math.nan},
+        {"fs": math.inf},
     ])
     def test_invalid_configs_rejected(self, tmp_path, overrides):
         with pytest.raises(ConfigError):
@@ -80,6 +84,10 @@ class TestConfig:
                 ExperimentConfig.from_json(path)
             else:
                 ExperimentConfig(**overrides).validate()
+
+    @pytest.mark.parametrize("fs", [16000, 16000.0])
+    def test_whole_fs_accepted(self, fs):
+        assert ExperimentConfig(fs=fs).fs == 16000
 
     def test_json_round_trip(self, tmp_path):
         cfg = small_config(seed=99, snr_db=25.0,
@@ -625,6 +633,16 @@ class TestCli:
         assert "# failed run: scene=0 rt60=0.16 order=1" in (
             out / "results.csv").read_text()
         assert json.loads((out / "results.json").read_text())["failures"]
+
+    def test_fractional_fs_simulate_exit_2(self, tmp_path, capsys):
+        # the WAV would store 16000 Hz, which `infer` with the same config
+        # would then reject
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config",
+                     self._write_cfg(tmp_path, fs=16000.5),
+                     "--out", str(sim)]) == 2
+        assert "whole number of Hz" in capsys.readouterr().err
+        assert not sim.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,6 +1,8 @@
 import io
+import itertools
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +19,9 @@ from gtvv.room import (FRAC_DELAY_TAPS, SPEED_OF_SOUND, AmbisonicSignal,
                        fractional_delay_kernel, image_source_scene,
                        make_burst_source, read_wav,
                        sabine_reflection_coefficient, write_wav)
-from gtvv.sh import Direction, angular_distance, num_channels, sh_eval
+from gtvv.experiment import ExperimentConfig, scene_geometry
+from gtvv.sh import (Direction, angular_distance, num_channels, sh_eval,
+                     sh_matrix)
 
 ROOM = (5.0, 4.0, 2.8)
 SRC = (1.0, 1.0, 1.4)
@@ -38,6 +42,75 @@ def encode_scene_loop(scene, source, order):
         out[:, start:start + seg.size] += wave.gain * np.outer(
             sh_eval(wave.direction, order), seg)
     return out
+
+
+def encode_scene_fft_loop(scene, source, order):
+    """Reference encoder: the single-pass impulse response convolved with
+    the source one SH channel at a time, one `rfft`/`irfft` pair per
+    channel, as `encode_scene` was written before its transforms were
+    batched.
+
+    That loop wrote `source_f * rfft(ir_row, nfft)`. numpy evaluates a
+    commutative operation on a temporary of 256 KiB or more in place in
+    the temporary, as `rfft(ir_row, nfft) * source_f`, which is the order
+    written here; the two orders can round apart, and a 16 kHz source of
+    2.1 s or more (the sweep's last 3.2 s) is long enough."""
+    fs = scene.fs
+    max_delay = max(w.toa for w in scene.wavefronts) * fs
+    out_len = source.size + int(math.ceil(max_delay)) + FRAC_DELAY_TAPS
+    kernels = [fractional_delay_kernel(w.toa * fs) for w in scene.wavefronts]
+    lead = max(0, -min(n0 for n0, _ in kernels))
+    ir = np.zeros((len(kernels),
+                   max(n0 for n0, _ in kernels) + lead + FRAC_DELAY_TAPS))
+    for row, (n0, kernel), wave in zip(ir, kernels, scene.wavefronts):
+        row[n0 + lead:n0 + lead + kernel.size] = wave.gain * kernel
+    az = np.array([w.direction.azimuth for w in scene.wavefronts])
+    el = np.array([w.direction.elevation for w in scene.wavefronts])
+    ir = sh_matrix(az, el, order) @ ir
+    conv_len = source.size + ir.shape[1] - 1
+    nfft = _next_fast_len(conv_len)
+    source_f = np.fft.rfft(source, nfft)
+    out = np.zeros((num_channels(order), out_len))
+    for out_row, ir_row in zip(out, ir):
+        y = np.fft.irfft(np.fft.rfft(ir_row, nfft) * source_f,
+                         nfft)[lead:conv_len]
+        out_row[:y.size] = y
+    return out
+
+
+def image_source_scene_product(room, src, mic, rt60, max_order, fs):
+    """Reference image-source model: one `itertools.product` loop over the
+    whole (q, m) lattice, each image's order summed in Python, as
+    `image_source_scene` was written before its integer prefilter."""
+    room = tuple(float(v) for v in room)
+    src = np.asarray(src, dtype=float)
+    mic = np.asarray(mic, dtype=float)
+    beta = sabine_reflection_coefficient(room, rt60)
+    dims = np.asarray(room)
+    m_max = (max_order + 1) // 2 + 1
+    span = range(-m_max, m_max + 1)
+    entries = []
+    for q, m in itertools.product(itertools.product((0, 1), repeat=3),
+                                  itertools.product(span, repeat=3)):
+        order = sum(abs(mi - qi) + abs(mi) for qi, mi in zip(q, m))
+        if order > max_order:
+            continue
+        q, m = np.array(q), np.array(m)
+        pos = (1 - 2 * q) * src + 2 * m * dims
+        delta = pos - mic
+        dist = float(np.linalg.norm(delta))
+        direction = Direction(
+            math.atan2(delta[1], delta[0]),
+            math.asin(np.clip(delta[2] / dist, -1.0, 1.0)),
+        )
+        gain = beta ** order / dist
+        entries.append((dist / SPEED_OF_SOUND,
+                        Wavefront(direction, dist / SPEED_OF_SOUND, gain),
+                        order == 1))
+    entries.sort(key=lambda e: e[0])
+    return GroundTruthScene(tuple(e[1] for e in entries),
+                            tuple(e[2] for e in entries), room, tuple(src),
+                            tuple(mic), rt60, fs)
 
 
 def image_source_scene_nested(room, src, mic, rt60, max_order, fs):
@@ -100,6 +173,19 @@ class TestImageSourceScene:
             want = image_source_scene_nested(room, src, mic, rt60,
                                              max_order, 16000.0)
         assert got == want
+
+    @pytest.mark.parametrize("max_order", [0, 1, 3, 5])
+    def test_matches_product_loop_on_sweep_scenes(self, max_order):
+        # the integer prefilter keeps the loop's images in the loop's order,
+        # so the sort and its ties are unchanged
+        cfg = ExperimentConfig()
+        for scene_idx in range(20):
+            src, mic = scene_geometry(cfg, scene_idx)
+            for rt60 in cfg.rt60:
+                got = image_source_scene(cfg.room, src, mic, rt60, max_order,
+                                         cfg.fs)
+                assert got == image_source_scene_product(
+                    cfg.room, src, mic, rt60, max_order, cfg.fs)
 
     def test_first_order_counts(self):
         scene = image_source_scene(ROOM, SRC, MIC, 0.3, 1)
@@ -268,6 +354,18 @@ class TestEncodeScene:
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-12 * np.max(np.abs(want)))
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rt60, seconds", [(0.16, 3.2), (0.44, 3.2),
+                                               (0.44, 0.5)])
+    def test_batched_transforms_match_channel_loop(self, rt60, seconds,
+                                                   order):
+        scene = image_source_scene(ROOM, SRC, MIC, rt60, 3)
+        src = make_burst_source(seconds, scene.fs, 12)
+        got = encode_scene(scene, src, order).channels
+        want = encode_scene_fft_loop(scene, src, order)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_negative_start_is_cut_like_the_loop(self):
         # a wavefront at t = 0 has kernel taps before the first sample
         from gtvv.room import GroundTruthScene, Wavefront
@@ -327,6 +425,22 @@ class TestAddNoise:
         sig = AmbisonicSignal(16000.0, np.zeros((4, 100)))
         with pytest.raises(ValueError):
             add_noise(sig, 20.0, 0)
+
+    def test_one_signal_sized_buffer(self):
+        sig = self._signal(1.0)
+        before = sig.channels.copy()
+        tracemalloc.start()
+        try:
+            noisy = add_noise(sig, 20.0, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * sig.channels.nbytes
+        assert sig.channels.tobytes() == before.tobytes()
+        # the same bits as drawing, scaling and adding in three arrays
+        scale = math.sqrt(np.mean(before[0] ** 2) / 100.0)
+        noise = np.random.default_rng(3).standard_normal(before.shape) * scale
+        assert noisy.channels.tobytes() == (before + noise).tobytes()
 
     def test_deterministic(self):
         sig = self._signal(0.5)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ class TestStft:
                                                     rel=1e-6)
 
 
-    @pytest.mark.parametrize("order", [1, 4])
+    @pytest.mark.parametrize("order", [1, 4, 6])
     def test_matches_stacked_frames(self, order):
         cfg = ExperimentConfig()
         _, sig = simulate_cell(cfg, 0, cfg.rt60[1], order)
@@ -93,6 +94,33 @@ class TestStft:
         sig = make_signal(np.random.default_rng(1).standard_normal((4, 5000)))
         np.testing.assert_array_equal(stft(sig, 512).data,
                                       stft_stacked(sig, 512))
+
+    # below one frame block, exactly one, and a partial last block
+    @pytest.mark.parametrize("frames", [1, 3, 7, 8, 9, 15, 16, 21])
+    def test_matches_stacked_frames_for_any_frame_count(self, frames):
+        win = 256
+        samples = win + (frames - 1) * win // 4
+        sig = make_signal(
+            np.random.default_rng(frames).standard_normal((9, samples)))
+        got = stft(sig, win).data
+        want = stft_stacked(sig, win)
+        assert got.shape[0] == frames
+        np.testing.assert_array_equal(got, want)
+        assert got.strides == want.strides
+
+    def test_peak_memory_is_the_spectrum_and_one_block(self):
+        # the frames are never all windowed at once: as float64 they take
+        # as many bytes as their one-sided complex spectrum, less 0.2 %
+        cfg = ExperimentConfig()
+        _, sig = simulate_cell(cfg, 0, cfg.rt60[0], 6)
+        tracemalloc.start()
+        try:
+            spec = stft(sig, cfg.win_len)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.channels == 49
+        assert peak <= 1.15 * spec.data.nbytes
 
 
 class TestSpectrumTensor:

@@ -268,7 +268,7 @@ class TestLsAccumulation:
     reference-free statistics change no bit of the estimate."""
 
     @pytest.mark.parametrize("kind", ["sweep_cell", "random_strided"])
-    @pytest.mark.parametrize("order", [1, 4])
+    @pytest.mark.parametrize("order", [1, 4, 6])
     def test_matches_vectorised_statistics(self, kind, order):
         if kind == "sweep_cell":
             spec, seg = sweep_cell_spectrum(order), {}
