@@ -192,10 +192,8 @@ def encode_scene(scene: GroundTruthScene, source, order: int) -> AmbisonicSignal
 
     The gain-weighted fractional-delay kernels of all wavefronts form one
     wavefronts x taps impulse response, mixed to SH channels by the atoms;
-    the channels are then convolved with the source by one batched FFT of
-    the channels' responses, an in-place product with the source's
-    transform and one batched inverse FFT. Samples before t = 0 are
-    dropped.
+    each channel is then one FFT convolution with the source, whose
+    transform is computed once. Samples before t = 0 are dropped.
     """
     source = np.asarray(source, dtype=float)
     if source.ndim != 1 or source.size == 0:
@@ -215,13 +213,11 @@ def encode_scene(scene: GroundTruthScene, source, order: int) -> AmbisonicSignal
     ir = sh_matrix(az, el, order) @ ir  # channels x taps
     conv_len = source.size + ir.shape[1] - 1
     nfft = _next_fast_len(conv_len)
-    spectra = rfft(ir, nfft, axis=1)
-    # responses first: a complex product can round apart with its operands
-    # swapped, and this order is the one the encodes were validated in
-    spectra *= rfft(source, nfft)
-    y = irfft(spectra, nfft, axis=1)[:, lead:conv_len]
+    source_f = rfft(source, nfft)
     out = np.zeros((num_channels(order), out_len))
-    out[:, :y.shape[1]] = y
+    for out_row, ir_row in zip(out, ir):
+        y = irfft(source_f * rfft(ir_row, nfft), nfft)[lead:conv_len]
+        out_row[:y.size] = y
     return AmbisonicSignal(fs, out)
 
 

@@ -112,10 +112,11 @@ def stft(sig: AmbisonicSignal, win_len: int) -> SpectrumTensor:
     `win_len`/4 apart (see `frame_count`).
 
     The frames are windowed and transformed `_FRAME_BLOCK` at a time
-    through one reused buffer, each block's transform written straight
-    into the spectrum, so the signal, the spectrum and one block of frames
-    are all that is held. Every row is the same one-dimensional transform
-    of the same windowed frame as in a single batched call, bit for bit.
+    through one reused buffer, and each block's transform is copied into
+    the spectrum, so the signal, the spectrum and one block of frames and
+    of their transform are all that is held. Every row is the same
+    one-dimensional transform of the same windowed frame as in a single
+    batched call, bit for bit.
     """
     if win_len <= 0 or (win_len & (win_len - 1)) != 0:
         raise ValueError("win_len must be a power of two")
@@ -133,7 +134,7 @@ def stft(sig: AmbisonicSignal, win_len: int) -> SpectrumTensor:
         stop = min(start + _FRAME_BLOCK, num_frames)
         frames = np.multiply(view[start:stop], window,
                              out=block[:stop - start])
-        np.fft.rfft(frames, axis=-1, out=spec[start:stop])
+        spec[start:stop] = np.fft.rfft(frames, axis=-1)
     return SpectrumTensor(np.transpose(spec, (0, 2, 1)), sig.fs)
 
 

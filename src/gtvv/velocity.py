@@ -122,18 +122,23 @@ def _solve_loaded_2x2(g11, g12, g22, r1, r2, diagonal_load):
 
 
 def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig,
-                   term) -> np.ndarray:
-    """The mean of `term(u, dest)` over the frames u of each segment:
+                   left) -> np.ndarray:
+    """E[left[u] · conj(spec.data[u])] over the frames u of each segment:
     (segments, bins, channels) complex.
 
-    `term` writes frame u's product into `dest`, a (bins, channels) buffer
-    laid out like `spec.data[0]`, and returns it. Frames are added one at a
-    time in order, as `np.mean` over the frame axis adds them, so the means
+    Frames are added one at a time in order, as `np.mean` over the frame
+    axis adds them, into buffers laid out like `spec.data[0]`, so the means
     equal the `np.mean` of the full frames x bins x channels product bit
     for bit without building it.
     """
     out = np.empty_like(spec.data[:cfg.seg_count])
+    conj_u = np.empty_like(spec.data[0])
     term_u = np.empty_like(spec.data[0])
+
+    def term(u, dest):
+        return np.multiply(left[u], np.conjugate(spec.data[u], out=conj_u),
+                           out=dest)
+
     for seg, acc in enumerate(out):
         first = seg * cfg.frames_per_seg
         term(first, acc)
@@ -144,32 +149,17 @@ def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig,
 
 def _auto_spectra(spec: SpectrumTensor, cfg: EstimatorConfig) -> np.ndarray:
     """phi = E[B B*] per segment, bin and channel (real)."""
-    conj_u = np.empty_like(spec.data[0])
-
-    def term(u, dest):
-        b = spec.data[u]
-        return np.multiply(b, np.conjugate(b, out=conj_u), out=dest)
-    return _segment_means(spec, cfg, term).real
+    return _segment_means(spec, cfg, spec.data).real
 
 
 def _cross_spectra(spec: SpectrumTensor, cfg: EstimatorConfig) -> np.ndarray:
-    """a1 = E[(w.b) B*] per segment, bin and channel, w the reference.
-
-    The segments accumulate conj(w.b) B, whose means are conjugated once at
-    the end, so the spectrum is read once and never conjugated. Complex
-    conjugation is exact and commutes with the products, sums and the
-    division of the means, so a1 is the same to the bit.
-    """
+    """a1 = E[(w.b) B*] per segment, bin and channel, w the reference."""
     w = cfg.reference or make_omni_beam(order_from_channels(spec.channels))
     if w.weights.size != spec.channels:
         raise ValueError("reference beam order does not match the spectrum")
     need = cfg.seg_count * cfg.frames_per_seg
-    ref_conj = np.conjugate(spec.data[:need] @ w.weights)[:, :, None]
-
-    def term(u, dest):
-        return np.multiply(ref_conj[u], spec.data[u], out=dest)
-    means = _segment_means(spec, cfg, term)
-    return np.conjugate(means, out=means)
+    ref = spec.data[:need] @ w.weights  # (frames, bins)
+    return _segment_means(spec, cfg, ref[:, :, None])
 
 
 def _reference_free_stats(spec: SpectrumTensor, cfg: EstimatorConfig):

@@ -20,8 +20,7 @@ from gtvv.room import (FRAC_DELAY_TAPS, SPEED_OF_SOUND, AmbisonicSignal,
                        make_burst_source, read_wav,
                        sabine_reflection_coefficient, write_wav)
 from gtvv.experiment import ExperimentConfig, scene_geometry
-from gtvv.sh import (Direction, angular_distance, num_channels, sh_eval,
-                     sh_matrix)
+from gtvv.sh import Direction, angular_distance, num_channels, sh_eval
 
 ROOM = (5.0, 4.0, 2.8)
 SRC = (1.0, 1.0, 1.4)
@@ -41,40 +40,6 @@ def encode_scene_loop(scene, source, order):
         start = max(0, n0)
         out[:, start:start + seg.size] += wave.gain * np.outer(
             sh_eval(wave.direction, order), seg)
-    return out
-
-
-def encode_scene_fft_loop(scene, source, order):
-    """Reference encoder: the single-pass impulse response convolved with
-    the source one SH channel at a time, one `rfft`/`irfft` pair per
-    channel, as `encode_scene` was written before its transforms were
-    batched.
-
-    That loop wrote `source_f * rfft(ir_row, nfft)`. numpy evaluates a
-    commutative operation on a temporary of 256 KiB or more in place in
-    the temporary, as `rfft(ir_row, nfft) * source_f`, which is the order
-    written here; the two orders can round apart, and a 16 kHz source of
-    2.1 s or more (the sweep's last 3.2 s) is long enough."""
-    fs = scene.fs
-    max_delay = max(w.toa for w in scene.wavefronts) * fs
-    out_len = source.size + int(math.ceil(max_delay)) + FRAC_DELAY_TAPS
-    kernels = [fractional_delay_kernel(w.toa * fs) for w in scene.wavefronts]
-    lead = max(0, -min(n0 for n0, _ in kernels))
-    ir = np.zeros((len(kernels),
-                   max(n0 for n0, _ in kernels) + lead + FRAC_DELAY_TAPS))
-    for row, (n0, kernel), wave in zip(ir, kernels, scene.wavefronts):
-        row[n0 + lead:n0 + lead + kernel.size] = wave.gain * kernel
-    az = np.array([w.direction.azimuth for w in scene.wavefronts])
-    el = np.array([w.direction.elevation for w in scene.wavefronts])
-    ir = sh_matrix(az, el, order) @ ir
-    conv_len = source.size + ir.shape[1] - 1
-    nfft = _next_fast_len(conv_len)
-    source_f = np.fft.rfft(source, nfft)
-    out = np.zeros((num_channels(order), out_len))
-    for out_row, ir_row in zip(out, ir):
-        y = np.fft.irfft(np.fft.rfft(ir_row, nfft) * source_f,
-                         nfft)[lead:conv_len]
-        out_row[:y.size] = y
     return out
 
 
@@ -353,18 +318,6 @@ class TestEncodeScene:
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-12 * np.max(np.abs(want)))
-
-    @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    @pytest.mark.parametrize("rt60, seconds", [(0.16, 3.2), (0.44, 3.2),
-                                               (0.44, 0.5)])
-    def test_batched_transforms_match_channel_loop(self, rt60, seconds,
-                                                   order):
-        scene = image_source_scene(ROOM, SRC, MIC, rt60, 3)
-        src = make_burst_source(seconds, scene.fs, 12)
-        got = encode_scene(scene, src, order).channels
-        want = encode_scene_fft_loop(scene, src, order)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
 
     def test_negative_start_is_cut_like_the_loop(self):
         # a wavefront at t = 0 has kernel taps before the first sample
