@@ -22,7 +22,7 @@ class EstimatorDegenerateError(GtvvError):
 
 
 class InconsistentSpectrumError(GtvvError):
-    """Hermitian-extended spectrum produced a non-negligible imaginary part."""
+    """One-sided spectrum of no real response: complex DC or Nyquist bin."""
 
 
 class ExpansionInvalidError(GtvvError):

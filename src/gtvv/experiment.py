@@ -60,19 +60,29 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self):
+        # counts and indices, each with its least value
+        for name, least in (("num_scenes", 1), ("win_len", 1),
+                            ("dict_size", 1), ("iter_cap_foa", 1),
+                            ("iter_cap_hoa", 1), ("max_reflection_order", 0),
+                            ("workers", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}")
         # `not x > 0` also rejects NaN, which every comparison fails
-        if len(self.room) != 3 or any(not v > 0 for v in self.room):
-            raise ConfigError("room must be three positive dimensions")
-        if not self.rt60 or any(not v > 0 for v in self.rt60):
-            raise ConfigError("rt60 list must hold positive values")
-        if self.num_scenes < 1:
-            raise ConfigError("need at least one scene")
-        if not self.orders or any(o < 1 or o > 8 for o in self.orders):
-            raise ConfigError("orders must lie in [1, 8]")
+        if len(self.room) != 3 or any(not 0 < v < math.inf
+                                      for v in self.room):
+            raise ConfigError("room must be three finite positive dimensions")
+        if (not self.rt60 or len(set(self.rt60)) < len(self.rt60)
+                or any(not v > 0 for v in self.rt60)):
+            raise ConfigError("rt60 list must hold distinct positive values")
+        if (not self.orders or len(set(self.orders)) < len(self.orders)
+                or any(not isinstance(o, int) or not 1 <= o <= 8
+                       for o in self.orders)):
+            raise ConfigError("orders must be distinct integers in [1, 8]")
         # a WAV stores its sampling rate as a whole number of Hz
         if not (self.fs > 0 and float(self.fs).is_integer()):
             raise ConfigError("fs must be a positive whole number of Hz")
-        if self.win_len <= 0 or (self.win_len & (self.win_len - 1)) != 0:
+        if self.win_len & (self.win_len - 1):
             raise ConfigError("win_len must be a power of two")
         for order in self.orders:
             self.check_order(order)
@@ -82,16 +92,15 @@ class ExperimentConfig:
             raise ConfigError("gate_deg must be positive")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
-        if not self.duration > 0:
-            raise ConfigError("duration must be positive")
-        if not min(self.room) > 2 * self.min_wall_distance:
-            raise ConfigError("room too small for the wall-distance margin")
+        if not 0 < self.duration < math.inf:
+            raise ConfigError("duration must be finite and positive")
+        if not 0 <= self.min_wall_distance < min(self.room) / 2:
+            raise ConfigError("min_wall_distance must be non-negative and "
+                              "leave room between opposite walls")
         if self.estimator.reference is not None:
             raise ConfigError("estimator.reference must be null: the "
                               "pipeline chooses its reference beams")
         self._check_frames(int(self.duration * self.fs), "duration")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
         if self.dict_file is not None:
             try:  # the order-0 dictionary checks the count and spacing
                 build_dictionary(self.dict_size, 0, self.dict_directions)

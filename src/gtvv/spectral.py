@@ -62,12 +62,6 @@ class SpectrumTensor:
     def channels(self) -> int:
         return self.data.shape[2]
 
-    @property
-    def win_len(self) -> int:
-        """Analysis window length: a one-sided spectrum has win_len/2 + 1
-        bins."""
-        return 2 * (self.bins - 1)
-
 
 @dataclass(frozen=True)
 class GtvvMatrix:
@@ -138,26 +132,23 @@ def stft(sig: AmbisonicSignal, win_len: int) -> SpectrumTensor:
     return SpectrumTensor(np.transpose(spec, (0, 2, 1)), sig.fs)
 
 
-def gfvv_to_gtvv(v_f: np.ndarray, win_len: int, fs: float) -> GtvvMatrix:
+def gfvv_to_gtvv(v_f: np.ndarray, fs: float) -> GtvvMatrix:
     """Inverse transform of a one-sided GFVV to the lag domain.
 
-    The one-sided spectrum (channels x (T/2+1)) is Hermitian-extended,
-    inverse-DFT'd and circularly shifted so that columns cover the lags
-    (index - T/2)/fs. An imaginary residue above 1e-8 relative signals an
-    inconsistent spectrum and raises.
+    The channels x (T/2+1) spectrum of a real lag response is Hermitian, so
+    `irfft` inverts it exactly over T = 2 (bins - 1) lags; the columns are
+    rolled to cover the lags (index - T/2)/fs. A real response has real DC
+    and Nyquist bins: an imaginary part there above 1e-8 of the largest
+    magnitude signals an inconsistent spectrum and raises.
     """
     v_f = np.asarray(v_f, dtype=complex)
-    if v_f.ndim != 2 or v_f.shape[1] != win_len // 2 + 1:
-        raise ValueError("expected channels x (win_len/2 + 1) spectrum")
+    if v_f.ndim != 2 or v_f.shape[1] < 2:
+        raise ValueError("expected a channels x (T/2 + 1) spectrum")
     if not np.all(np.isfinite(v_f)):
         raise ValueError("spectrum must be finite")
-    full = np.empty((v_f.shape[0], win_len), dtype=complex)
-    full[:, : v_f.shape[1]] = v_f
-    full[:, v_f.shape[1]:] = np.conj(v_f[:, -2:0:-1])
-    x = np.fft.ifft(full, axis=1)
-    scale = float(np.max(np.abs(x)))
-    if scale > 0 and float(np.max(np.abs(x.imag))) > _IMAG_RESIDUE_TOL * scale:
-        raise InconsistentSpectrumError(
-            "non-negligible imaginary residue after the inverse transform")
-    data = np.roll(x.real, win_len // 2, axis=1)
-    return GtvvMatrix(data, fs)
+    if np.max(np.abs(v_f[:, [0, -1]].imag)) > (_IMAG_RESIDUE_TOL
+                                                * np.max(np.abs(v_f))):
+        raise InconsistentSpectrumError("complex DC or Nyquist bin")
+    win_len = 2 * (v_f.shape[1] - 1)
+    return GtvvMatrix(np.roll(np.fft.irfft(v_f, axis=1), win_len // 2,
+                              axis=1), fs)

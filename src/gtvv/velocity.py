@@ -61,10 +61,11 @@ class EstimatorConfig:
     diagonal_load: float = 1e-6
 
     def __post_init__(self):
-        if self.seg_count < 2:
-            raise ValueError("need at least two sub-segments (overdetermined)")
-        if self.frames_per_seg < 1:
-            raise ValueError("frames_per_seg must be positive")
+        if not isinstance(self.seg_count, int) or self.seg_count < 2:
+            raise ValueError("seg_count must be an integer of at least 2 "
+                             "(overdetermined)")
+        if not isinstance(self.frames_per_seg, int) or self.frames_per_seg < 1:
+            raise ValueError("frames_per_seg must be a positive integer")
         if not 0 <= self.diagonal_load < math.inf:  # also rejects NaN
             raise ValueError("diagonal_load must be finite and non-negative")
 
@@ -220,7 +221,9 @@ def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig) -> GfvvEstimate
 
 
 def interpolate_invalid_bins(est: GfvvEstimate) -> np.ndarray:
-    """Fill invalid bins by linear interpolation in the complex plane."""
+    """Fill invalid bins by linear interpolation in the complex plane; a
+    filled DC or Nyquist bin keeps only its real part, the only value a
+    real lag response allows there."""
     if not np.any(est.valid):
         raise ValueError("no valid bins to interpolate from")
     if np.all(est.valid):
@@ -232,20 +235,16 @@ def interpolate_invalid_bins(est: GfvvEstimate) -> np.ndarray:
         out[c, ~est.valid] = (
             np.interp(bins[~est.valid], good, out[c, est.valid].real)
             + 1j * np.interp(bins[~est.valid], good, out[c, est.valid].imag))
+    for edge in (0, -1):
+        if not est.valid[edge]:
+            out[:, edge] = out[:, edge].real
     return out
 
 
 def estimate_gtvv(spec: SpectrumTensor, cfg: EstimatorConfig) -> GtvvMatrix:
     """Least-squares GFVV followed by the inverse transform to the lag domain."""
-    est = estimate_gfvv_ls(spec, cfg)
-    v_f = interpolate_invalid_bins(est)
-    # DC and Nyquist must be real for a real lag response; the estimator
-    # produces real values there up to roundoff
-    for col in (0, -1):
-        residue = np.max(np.abs(v_f[:, col].imag))
-        if residue <= 1e-8 * max(float(np.max(np.abs(v_f))), 1e-300):
-            v_f[:, col] = v_f[:, col].real
-    return gfvv_to_gtvv(v_f, spec.win_len, spec.fs)
+    v_f = interpolate_invalid_bins(estimate_gfvv_ls(spec, cfg))
+    return gfvv_to_gtvv(v_f, spec.fs)
 
 
 def relative_wavefronts(scene: GroundTruthScene, w: BeamWeights) -> list:

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +76,22 @@ class TestConfig:
         {"fs": 16000.5},
         {"fs": math.nan},
         {"fs": math.inf},
+        # counts and indices must be integers
+        {"num_scenes": 1.5},
+        {"dict_size": 770.5},
+        {"iter_cap_foa": 1.5},
+        {"max_reflection_order": 1.5},
+        {"workers": 1.5},
+        {"orders": (1.5,)},
+        {"estimator": {"seg_count": 2.5}},
+        {"estimator": {"frames_per_seg": 24.5}},
+        {"duration": math.inf},
+        {"room": (math.inf, 4.0, 2.8)},
+        {"max_reflection_order": -1},
+        {"min_wall_distance": -1.0},
+        # a repeated value would run the same cells twice
+        {"rt60": (0.16, 0.16)},
+        {"orders": (1, 1)},
     ])
     def test_invalid_configs_rejected(self, tmp_path, overrides):
         with pytest.raises(ConfigError):
@@ -416,7 +433,7 @@ class TestCli:
         est = str(tmp_path / "est.json")
         assert main(["infer", "--config", cfg, "--out", est,
                      "--wav", os.path.join(sim, wavs[0])]) == 0
-        payload = json.loads(open(est).read())
+        payload = json.loads(Path(est).read_text())
         assert payload["directions_deg"]
 
     def test_estimate_writes_trace(self, tmp_path, capsys):
@@ -428,7 +445,7 @@ class TestCli:
         trace = str(tmp_path / "trace.csv")
         assert main(["estimate", "--config", cfg, "--out", trace,
                      "--wav", wav, "--method", "htdvv"]) == 0
-        assert open(trace).readline().startswith("time_s,")
+        assert Path(trace).read_text().startswith("time_s,")
 
     def test_traces_subcommand(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)
@@ -650,6 +667,24 @@ class TestCli:
         assert main(["evaluate", "--config", str(bad),
                      "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"num_scenes": 1.5}',
+        '{"estimator": {"seg_count": 2.5}}',
+        '{"duration": Infinity}',
+        '{"room": [5.0, Infinity, 2.8]}',
+        '{"max_reflection_order": -1}',
+        '{"min_wall_distance": -1}',
+        '{"rt60": [0.16, 0.16], "num_scenes": 1, "orders": [1]}',
+        '{"rt60": [0.16], "num_scenes": 1, "orders": [1, 1]}',
+    ])
+    def test_config_field_error_exit_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["evaluate", "--config", str(bad),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not os.path.exists(tmp_path / "x")
+
     def test_runtime_error_exit_code(self, tmp_path, capsys, monkeypatch,
                                      order2_wav):
         # a numerical failure inside `infer` is a run-time error
@@ -784,7 +819,7 @@ class TestCli:
             est = str(tmp_path / f"est_{rt:g}.json")
             assert main(["infer", "--config", path, "--out", est, "--wav",
                          str(sim / f"scene0_rt{rt:g}.wav")]) == 0
-            got = json.loads(open(est).read())
+            got = json.loads(Path(est).read_text())
             want = json.loads(run_single(cfg, 0, rt, order).estimates["gtvv"])
             assert got["directions_deg"] == want["directions_deg"]
             assert got["delays_ms"] == want["delays_ms"]

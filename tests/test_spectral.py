@@ -29,11 +29,29 @@ def stft_stacked(sig, win_len):
     return np.transpose(spec, (0, 2, 1))
 
 
+def gtvv_by_hermitian_ifft(v_f):
+    """Reference inverse transform: mirror the one-sided spectrum to a
+    Hermitian full one, complex `ifft` and roll, as `gfvv_to_gtvv` was
+    first written."""
+    win_len = 2 * (v_f.shape[1] - 1)
+    full = np.empty((v_f.shape[0], win_len), dtype=complex)
+    full[:, :v_f.shape[1]] = v_f
+    full[:, v_f.shape[1]:] = np.conj(v_f[:, -2:0:-1])
+    return np.roll(np.fft.ifft(full, axis=1).real, win_len // 2, axis=1)
+
+
+def random_real_edged_spectrum(rng, channels, win_len):
+    """Random one-sided spectrum of a real length-`win_len` response."""
+    shape = (channels, win_len // 2 + 1)
+    v_f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    v_f[:, [0, -1]] = v_f[:, [0, -1]].real
+    return v_f
+
+
 class TestStft:
     def test_paper_framing(self):
         sig = make_signal(np.random.default_rng(0).standard_normal(32000))
         spec = stft(sig, int(0.064 * FS))
-        assert spec.win_len == 1024
         assert spec.bins == 513
         assert spec.frames == frame_count(32000, 1024) == 122
 
@@ -149,7 +167,7 @@ class TestGfvvToGtvv:
         win = 1024
         y = sh_eval(Direction(0.4, 0.1), 2)
         v_f = np.tile(y[:, None], (1, win // 2 + 1)).astype(complex)
-        v = gfvv_to_gtvv(v_f, win, FS)
+        v = gfvv_to_gtvv(v_f, FS)
         zero = v.zero_index
         assert v.time_axis[zero] == 0.0
         np.testing.assert_allclose(v.data[:, zero], y, atol=1e-12)
@@ -161,18 +179,15 @@ class TestGfvvToGtvv:
         tau = 32.0 / FS  # 2 ms
         f = np.arange(win // 2 + 1) * FS / win
         v_f = np.exp(-2j * np.pi * f * tau)[None, :]
-        v = gfvv_to_gtvv(v_f, win, FS)
+        v = gfvv_to_gtvv(v_f, FS)
         peak = int(np.argmax(np.abs(v.data[0])))
         assert v.time_axis[peak] == pytest.approx(0.002)
 
     def test_round_trip(self):
         win = 512
-        rng = np.random.default_rng(2)
-        v_f = rng.standard_normal((4, win // 2 + 1)) \
-            + 1j * rng.standard_normal((4, win // 2 + 1))
-        v_f[:, 0] = v_f[:, 0].real
-        v_f[:, -1] = v_f[:, -1].real
-        v = gfvv_to_gtvv(v_f, win, FS)
+        v_f = random_real_edged_spectrum(np.random.default_rng(2), 4, win)
+        v = gfvv_to_gtvv(v_f, FS)
+        assert v.win_len == win
         back = np.fft.rfft(np.roll(v.data, -win // 2, axis=1), axis=1)
         np.testing.assert_allclose(back, v_f, atol=1e-10)
 
@@ -180,25 +195,40 @@ class TestGfvvToGtvv:
         win = 256
         rng = np.random.default_rng(3)
 
-        def rand_vf():
-            v = rng.standard_normal((2, win // 2 + 1)) \
-                + 1j * rng.standard_normal((2, win // 2 + 1))
-            v[:, 0] = v[:, 0].real
-            v[:, -1] = v[:, -1].real
-            return v
-
-        a_f, b_f = rand_vf(), rand_vf()
-        lhs = gfvv_to_gtvv(2.0 * a_f - 0.5 * b_f, win, FS).data
-        rhs = (2.0 * gfvv_to_gtvv(a_f, win, FS).data
-               - 0.5 * gfvv_to_gtvv(b_f, win, FS).data)
+        a_f, b_f = (random_real_edged_spectrum(rng, 2, win) for _ in range(2))
+        lhs = gfvv_to_gtvv(2.0 * a_f - 0.5 * b_f, FS).data
+        rhs = (2.0 * gfvv_to_gtvv(a_f, FS).data
+               - 0.5 * gfvv_to_gtvv(b_f, FS).data)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+    @pytest.mark.parametrize("win", [16, 256, 1024])
+    def test_matches_hermitian_ifft(self, win):
+        v_f = random_real_edged_spectrum(np.random.default_rng(win), 3, win)
+        want = gtvv_by_hermitian_ifft(v_f)
+        got = gfvv_to_gtvv(v_f, FS).data
+        assert got.shape == want.shape
+        # float64 rounding of two transforms of this length
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)))
 
     def test_inconsistent_spectrum_raises(self):
         win = 256
         v_f = np.ones((1, win // 2 + 1), dtype=complex)
         v_f[0, 0] = 1j  # complex DC cannot come from a real response
         with pytest.raises(InconsistentSpectrumError):
-            gfvv_to_gtvv(v_f, win, FS)
+            gfvv_to_gtvv(v_f, FS)
+
+    def test_complex_nyquist_raises(self):
+        v_f = np.ones((1, 129), dtype=complex)
+        v_f[0, -1] = 1j  # nor can a complex Nyquist bin
+        with pytest.raises(InconsistentSpectrumError):
+            gfvv_to_gtvv(v_f, FS)
+
+    def test_edge_imaginary_roundoff_accepted(self):
+        v_f = random_real_edged_spectrum(np.random.default_rng(4), 2, 64)
+        v_f[:, [0, -1]] += 1e-10j * np.max(np.abs(v_f))
+        np.testing.assert_allclose(gfvv_to_gtvv(v_f, FS).data,
+                                   gtvv_by_hermitian_ifft(v_f), atol=1e-12)
 
     def test_time_axis_zero_column(self):
         axis = make_time_axis(1024, FS)

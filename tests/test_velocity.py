@@ -90,10 +90,11 @@ def estimate_gfvv_ls_vectorised(spec, cfg):
     return values, valid, near_singular
 
 
-def sweep_cell_spectrum(order):
-    """Noisy default-sweep cell: scene 0, rt60 0.44 s."""
+def sweep_cell_spectrum(order, rt_idx=1):
+    """Noisy default-sweep cell: scene 0 at `cfg.rt60[rt_idx]`, 0.44 s by
+    default."""
     cfg = ExperimentConfig()
-    _, sig = simulate_cell(cfg, 0, cfg.rt60[1], order)
+    _, sig = simulate_cell(cfg, 0, cfg.rt60[rt_idx], order)
     return stft(sig, cfg.win_len)
 
 
@@ -364,6 +365,15 @@ class TestInterpolation:
         out = interpolate_invalid_bins(GfvvEstimate(values, valid))
         assert out[0, 2] == pytest.approx(2.0 + 2.0j)
 
+    def test_filled_edge_bins_are_real(self):
+        from gtvv.velocity import GfvvEstimate
+        values = (np.arange(6) * (1.0 + 1.0j))[None]
+        valid = np.array([False, True, True, True, True, False])
+        values[:, ~valid] = np.nan
+        out = interpolate_invalid_bins(GfvvEstimate(values, valid))
+        assert out[0, 0] == 1.0 and out[0, -1] == 4.0
+        np.testing.assert_array_equal(out[:, valid], values[:, valid])
+
     def test_all_invalid_raises(self):
         from gtvv.velocity import GfvvEstimate
         values = np.full((2, 4), np.nan, dtype=complex)
@@ -508,6 +518,19 @@ def reverberant_spectrum(order, rt60=0.44, snr=math.inf, src_seed=0,
 
 
 class TestEstimateGtvv:
+    @pytest.mark.parametrize("silent_bin", [0, -1, 5])
+    def test_silent_bin_is_filled(self, silent_bin):
+        # a bin that is zero in every frame is invalid and interpolated; at
+        # DC or Nyquist the fill must still be the spectrum of a real response
+        data = sweep_cell_spectrum(2, rt_idx=0).data.copy()
+        data[:, silent_bin] = 0.0
+        spec = SpectrumTensor(data, FS)
+        cfg = EstimatorConfig()
+        assert not estimate_gfvv_ls(spec, cfg).valid[silent_bin]
+        v = estimate_gtvv(spec, cfg)
+        assert v.data.shape == (9, 1024)
+        assert np.all(np.isfinite(v.data))
+
     def test_noiseless_single_wave_is_t0_spike(self):
         d = Direction(-0.6, 0.25)
         scene = GroundTruthScene((Wavefront(d, 0.003, 0.5),), (False,),
