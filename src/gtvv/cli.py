@@ -144,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate scenes, truth JSON and WAVs")
     common(p, "sim_out", "output directory")
-    p.add_argument("--order", type=int, default=None, choices=range(1, 9))
+    p.add_argument("--order", type=int, default=None,
+                   choices=range(1, MAX_ORDER + 1))
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="estimate a GTVV trace from a WAV")
@@ -168,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("traces", help="dump paired H-TDVV/GTVV trace CSVs "
                        "and print their negative-lag energy fractions")
     common(p, "traces", "output directory")
-    p.add_argument("--order", type=int, default=None, choices=range(1, 9))
+    p.add_argument("--order", type=int, default=None,
+                   choices=range(1, MAX_ORDER + 1))
     p.set_defaults(func=cmd_traces)
     return parser
 

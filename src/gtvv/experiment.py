@@ -8,7 +8,6 @@ exact image-source ground truth.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import multiprocessing
@@ -21,13 +20,19 @@ import numpy as np
 
 from . import baselines, room
 from .errors import ConfigError, GtvvError
-from .sh import (Dictionary, angular_distance, build_dictionary,
+from .sh import (MAX_ORDER, Dictionary, angular_distance, build_dictionary,
                  make_reference_beam, num_channels, read_direction_file)
 from .somp import MatchReport, match_to_truth, somp
 from .spectral import GtvvMatrix, frame_count, stft
 from .velocity import EstimatorConfig, estimate_gtvv
 
 METHODS = ("srp", "htdvv", "gtvv")
+
+# S-OMP iterations per run: the paper's 7 atoms for HOA recordings; an
+# order-1 recording has only 4 channels, so at most 4 atoms.
+_MAX_ITERS = 7
+# Least distance in metres from every wall to the source and microphone.
+_WALL_MARGIN = 0.5
 
 # Pinned to one thread while the sweep's worker processes start.
 _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
@@ -45,13 +50,10 @@ class ExperimentConfig:
     win_len: int = 1024
     dict_size: int = 770
     dict_file: str = None   # direction file; None is the Fibonacci grid
-    iter_cap_foa: int = 4
-    iter_cap_hoa: int = 7
     gate_deg: float = 20.0
     seed: int = 1
     duration: float = 3.2
     max_reflection_order: int = 3
-    min_wall_distance: float = 0.5
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     source_wav: str = None
     workers: int = 1
@@ -62,23 +64,24 @@ class ExperimentConfig:
     def validate(self):
         # counts and indices, each with its least value
         for name, least in (("num_scenes", 1), ("win_len", 1),
-                            ("dict_size", 1), ("iter_cap_foa", 1),
-                            ("iter_cap_hoa", 1), ("max_reflection_order", 0),
+                            ("dict_size", 1), ("max_reflection_order", 0),
                             ("workers", 1)):
             value = getattr(self, name)
             if not isinstance(value, int) or value < least:
                 raise ConfigError(f"{name} must be an integer >= {least}")
         # `not x > 0` also rejects NaN, which every comparison fails
-        if len(self.room) != 3 or any(not 0 < v < math.inf
+        if len(self.room) != 3 or any(not 2 * _WALL_MARGIN < v < math.inf
                                       for v in self.room):
-            raise ConfigError("room must be three finite positive dimensions")
+            raise ConfigError("room must be three finite dimensions, each "
+                              f"above twice the {_WALL_MARGIN} m wall margin")
         if (not self.rt60 or len(set(self.rt60)) < len(self.rt60)
                 or any(not v > 0 for v in self.rt60)):
             raise ConfigError("rt60 list must hold distinct positive values")
         if (not self.orders or len(set(self.orders)) < len(self.orders)
-                or any(not isinstance(o, int) or not 1 <= o <= 8
+                or any(not isinstance(o, int) or not 1 <= o <= MAX_ORDER
                        for o in self.orders)):
-            raise ConfigError("orders must be distinct integers in [1, 8]")
+            raise ConfigError("orders must be distinct integers in "
+                              f"[1, {MAX_ORDER}]")
         # a WAV stores its sampling rate as a whole number of Hz
         if not (self.fs > 0 and float(self.fs).is_integer()):
             raise ConfigError("fs must be a positive whole number of Hz")
@@ -94,9 +97,6 @@ class ExperimentConfig:
             raise ConfigError("seed must be a non-negative integer")
         if not 0 < self.duration < math.inf:
             raise ConfigError("duration must be finite and positive")
-        if not 0 <= self.min_wall_distance < min(self.room) / 2:
-            raise ConfigError("min_wall_distance must be non-negative and "
-                              "leave room between opposite walls")
         if self.estimator.reference is not None:
             raise ConfigError("estimator.reference must be null: the "
                               "pipeline chooses its reference beams")
@@ -110,15 +110,11 @@ class ExperimentConfig:
             self.source_recording  # read and checked here, once
 
     def check_order(self, order: int):
-        """The dictionary and the iteration cap must fit an order-`order`
-        recording."""
+        """The dictionary must fit an order-`order` recording."""
         channels = num_channels(order)
         if self.dict_size < channels:
             raise ConfigError(f"dict_size {self.dict_size} is below the "
                               f"{channels} channels of order {order}")
-        if not 1 <= self.iter_cap(order) <= channels:
-            raise ConfigError(f"iteration cap {self.iter_cap(order)} of "
-                              f"order {order} must lie in [1, {channels}]")
 
     def _check_frames(self, num_samples: int, what: str):
         need = self.estimator.seg_count * self.estimator.frames_per_seg
@@ -159,8 +155,11 @@ class ExperimentConfig:
             return None
         return tuple(read_direction_file(self.dict_file))
 
-    def iter_cap(self, order: int) -> int:
-        return self.iter_cap_foa if order == 1 else self.iter_cap_hoa
+    @staticmethod
+    def iter_cap(order: int) -> int:
+        """S-OMP iterations for an order-`order` run: 4 at order 1, 7
+        above."""
+        return min(_MAX_ITERS, num_channels(order))
 
     @staticmethod
     def from_json(path, **overrides) -> "ExperimentConfig":
@@ -219,11 +218,6 @@ class ResultsTable:
             lines.append(f"# failed run: {f}")
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        return json.dumps({"rows": list(self.rows),
-                           "failures": list(self.failures)},
-                          indent=2, sort_keys=True)
-
     def cell(self, method, order, rt60) -> dict:
         for r in self.rows:
             if (r["method"] == method and r["order"] == order
@@ -241,7 +235,7 @@ def _fmt(value) -> str:
 
 
 def scene_geometry(cfg: ExperimentConfig, scene_idx: int):
-    """Seeded source/microphone placement, at least `min_wall_distance` from
+    """Seeded source/microphone placement, at least `_WALL_MARGIN` from
     every wall.
 
     The source is drawn inside a band near one lateral wall so every scene
@@ -251,12 +245,12 @@ def scene_geometry(cfg: ExperimentConfig, scene_idx: int):
     """
     rng = np.random.default_rng([cfg.seed, scene_idx])
     room = np.asarray(cfg.room, dtype=float)
-    lo = np.full(3, cfg.min_wall_distance)
-    hi = room - cfg.min_wall_distance
+    lo = np.full(3, _WALL_MARGIN)
+    hi = room - _WALL_MARGIN
     src = rng.uniform(lo, hi)
     axis = int(rng.integers(0, 2))
     side = int(rng.integers(0, 2))
-    band = rng.uniform(cfg.min_wall_distance, cfg.min_wall_distance + 0.4)
+    band = rng.uniform(_WALL_MARGIN, _WALL_MARGIN + 0.4)
     src[axis] = band if side == 0 else room[axis] - band
     mic = rng.uniform(lo, hi)
     while np.linalg.norm(src - mic) < 1.5:
@@ -413,7 +407,7 @@ def aggregate(cfg: ExperimentConfig, records) -> ResultsTable:
                     "order": order,
                     "rt60": rt,
                     "doa_error_deg": math.degrees(float(np.mean(doa))),
-                    "refl_angular_error_deg": _nanmean_deg(ang),
+                    "refl_angular_error_deg": math.degrees(_nanmean(ang)),
                     "detections": _nanmean(det),
                     "delay_error_s": _nanmean(dly),
                     "runs": len(sel),
@@ -428,26 +422,17 @@ def _nanmean(values) -> float:
     return float(np.nanmean(arr))
 
 
-def _nanmean_deg(values) -> float:
-    m = _nanmean(values)
-    return math.degrees(m) if not math.isnan(m) else math.nan
-
-
 def dump_traces(v: GtvvMatrix, path):
     """Write |v(t)| per channel plus the per-lag 2-norm as plot-ready CSV."""
     channels = v.data.shape[0]
-    header = ["time_s"] + [f"ch{c:03d}" for c in range(channels)] + ["norm"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        if v.data.size == 0:
-            return
-        mags = np.abs(v.data)
-        norms = np.linalg.norm(v.data, axis=0)
-        for t, lag in enumerate(v.time_axis):
-            writer.writerow([_fmt(float(lag))]
-                            + [_fmt(float(m)) for m in mags[:, t]]
-                            + [_fmt(float(norms[t]))])
+    header = ",".join(["time_s"] + [f"ch{c:03d}" for c in range(channels)]
+                      + ["norm"])
+    rows = np.column_stack([v.time_axis, np.abs(v.data).T,
+                            np.linalg.norm(v.data, axis=0)])
+    if v.data.size == 0:  # no channels: the header alone
+        rows = rows[:0]
+    np.savetxt(path, rows, fmt="%.10g", delimiter=",", newline="\r\n",
+               header=header, comments="")
 
 
 def write_results(table: ResultsTable, records, cfg: ExperimentConfig,
@@ -457,9 +442,9 @@ def write_results(table: ResultsTable, records, cfg: ExperimentConfig,
     with open(os.path.join(out_dir, "results.csv"), "w",
               encoding="utf-8") as fh:
         fh.write(table.to_csv())
-    payload = json.loads(table.to_json())
-    payload["config"] = json.loads(cfg.to_json())
-    payload["sh_convention"] = "real SN3D, ACN ordering"
+    payload = {"rows": table.rows, "failures": table.failures,
+               "config": asdict(cfg),
+               "sh_convention": "real SN3D, ACN ordering"}
     with open(os.path.join(out_dir, "results.json"), "w",
               encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -138,7 +138,9 @@ def somp(v: GtvvMatrix, dictionary: Dictionary, iters: int) -> EstimateSet:
         atoms_sel = atoms[:, selected]
         coeffs = _project(atoms_sel, v.data)
         residual = atoms_sel @ coeffs - v.data
-        norms.append(float(np.linalg.norm(residual)))
+        # `np.linalg.norm` sums by BLAS, in an order that depends on
+        # its thread count
+        norms.append(math.sqrt(np.sum(residual * residual)))
     return EstimateSet(
         tuple(dictionary.directions[s] for s in selected),
         tuple(delays),

@@ -24,6 +24,8 @@ from .spectral import GtvvMatrix, SpectrumTensor, gfvv_to_gtvv
 _DENOM_FLOOR = 1e-9
 _ENERGY_FLOOR = 1e-9
 _COLLINEAR_TOL = 1e-9
+# Relative diagonal load of near-singular normal equations.
+_DIAGONAL_LOAD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,6 @@ class EstimatorConfig:
     reference: BeamWeights = None
     seg_count: int = 8
     frames_per_seg: int = 24
-    diagonal_load: float = 1e-6
 
     def __post_init__(self):
         if not isinstance(self.seg_count, int) or self.seg_count < 2:
@@ -66,8 +67,6 @@ class EstimatorConfig:
                              "(overdetermined)")
         if not isinstance(self.frames_per_seg, int) or self.frames_per_seg < 1:
             raise ValueError("frames_per_seg must be a positive integer")
-        if not 0 <= self.diagonal_load < math.inf:  # also rejects NaN
-            raise ValueError("diagonal_load must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ def instantaneous_gfvv(spec: SpectrumTensor, w: BeamWeights,
     return GfvvEstimate(values, valid)
 
 
-def _solve_loaded_2x2(g11, g12, g22, r1, r2, diagonal_load):
+def _solve_loaded_2x2(g11, g12, g22, r1, r2):
     """Least-squares solve of the stacked 2-column systems (vectorized).
 
     Diagonal loading is applied only where the normal equations are close to
@@ -114,8 +113,8 @@ def _solve_loaded_2x2(g11, g12, g22, r1, r2, diagonal_load):
     """
     det = g11 * g22 - np.abs(g12) ** 2
     near_singular = det <= 1e-12 * g11 * g22
-    g11l = np.where(near_singular, g11 * (1.0 + diagonal_load), g11)
-    g22l = np.where(near_singular, g22 * (1.0 + diagonal_load), g22)
+    g11l = np.where(near_singular, g11 * (1.0 + _DIAGONAL_LOAD), g11)
+    g22l = np.where(near_singular, g22 * (1.0 + _DIAGONAL_LOAD), g22)
     detl = g11l * g22l - np.abs(g12) ** 2
     detl = np.where(detl == 0.0, 1.0, detl)  # fully silent bins; masked later
     v = (g22l * r1 - g12 * r2) / detl
@@ -159,7 +158,11 @@ def _cross_spectra(spec: SpectrumTensor, cfg: EstimatorConfig) -> np.ndarray:
     if w.weights.size != spec.channels:
         raise ValueError("reference beam order does not match the spectrum")
     need = cfg.seg_count * cfg.frames_per_seg
-    ref = spec.data[:need] @ w.weights  # (frames, bins)
+    # The real weights times the interleaved real and imaginary parts of
+    # the (frames, channels, bins) memory that `stft` writes: a product
+    # whose summation order does not depend on the BLAS thread count.
+    frames = np.ascontiguousarray(spec.data[:need].transpose(0, 2, 1))
+    ref = np.matmul(w.weights, frames.view(np.float64)).view(complex)
     return _segment_means(spec, cfg, ref[:, :, None])
 
 
@@ -212,8 +215,7 @@ def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig) -> GfvvEstimate
     g12 = np.sum(np.conj(a1), axis=0)
     g22 = float(cfg.seg_count)
     r1 = np.sum(np.conj(a1) * phi, axis=0)
-    v, near_singular = _solve_loaded_2x2(g11, g12, g22, r1, r2,
-                                         cfg.diagonal_load)
+    v, near_singular = _solve_loaded_2x2(g11, g12, g22, r1, r2)
 
     values = v.T.astype(complex)  # channels x bins
     values[:, ~valid] = np.nan

@@ -49,7 +49,7 @@ class TestHTdvv:
         via_baseline = h_tdvv(spec, cfg)
         direct = estimate_gtvv(
             spec, EstimatorConfig(make_omni_beam(1), cfg.seg_count,
-                                  cfg.frames_per_seg, cfg.diagonal_load))
+                                  cfg.frames_per_seg))
         np.testing.assert_array_equal(via_baseline.data, direct.data)
 
     def test_single_wave_is_t0_spike(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -28,6 +29,14 @@ from gtvv.velocity import (EstimatorConfig, RelativeWavefront,
                            estimate_gtvv, gtvv_closed_form)
 
 FS = 16000.0
+CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def package_env():
+    """The environment of a subprocess that imports this `gtvv`."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(gtvv.__file__)),
+         os.environ.get("PYTHONPATH", "")])}
 
 
 def small_config(**overrides):
@@ -53,11 +62,9 @@ class TestConfig:
         {"snr_db": -3.0},
         {"gate_deg": 0.0},
         {"duration": 0.5},     # too few frames for the estimator
-        {"min_wall_distance": 2.0},
+        {"room": (5.0, 4.0, 0.9)},  # the wall margins must fit the room
         {"workers": 0},
         {"source_wav": "/does/not/exist.wav"},
-        {"iter_cap_foa": 5},   # more atoms than order-1 channels
-        {"iter_cap_hoa": 0},
         # the pipeline picks its own reference beams
         {"estimator": EstimatorConfig(make_omni_beam(1))},
         {"seed": -1},
@@ -68,7 +75,6 @@ class TestConfig:
         {"snr_db": -math.inf},
         {"gate_deg": math.nan},
         {"rt60": (math.nan,)},
-        {"min_wall_distance": math.nan},
         # an estimator object arrives from JSON, through `from_json`
         {"estimator": {"diagonal_load": math.nan}},
         {"estimator": {"diagonal_load": math.inf}},
@@ -79,7 +85,6 @@ class TestConfig:
         # counts and indices must be integers
         {"num_scenes": 1.5},
         {"dict_size": 770.5},
-        {"iter_cap_foa": 1.5},
         {"max_reflection_order": 1.5},
         {"workers": 1.5},
         {"orders": (1.5,)},
@@ -88,14 +93,22 @@ class TestConfig:
         {"duration": math.inf},
         {"room": (math.inf, 4.0, 2.8)},
         {"max_reflection_order": -1},
-        {"min_wall_distance": -1.0},
         # a repeated value would run the same cells twice
         {"rt60": (0.16, 0.16)},
         {"orders": (1, 1)},
+        # each room side must exceed twice the wall margin, which NaN fails
+        {"room": (1.0, 4.0, 2.8)},
+        {"room": (5.0, math.nan, 2.8)},
+        # fixed values that are no longer settings, even at their values
+        {"iter_cap_foa": 4},
+        {"iter_cap_hoa": 7},
+        {"min_wall_distance": 0.5},
     ])
     def test_invalid_configs_rejected(self, tmp_path, overrides):
         with pytest.raises(ConfigError):
-            if isinstance(overrides.get("estimator"), dict):
+            # what the constructor cannot take arrives from JSON
+            if (isinstance(overrides.get("estimator"), dict)
+                    or not overrides.keys() <= CONFIG_FIELDS):
                 path = tmp_path / "cfg.json"
                 path.write_text(json.dumps(overrides))
                 ExperimentConfig.from_json(path)
@@ -142,18 +155,17 @@ class TestConfig:
 
     def test_iteration_caps(self):
         cfg = ExperimentConfig()
-        assert cfg.iter_cap(1) == 4
-        for order in (2, 3, 4):
-            assert cfg.iter_cap(order) == 7
+        for order in range(1, sh.MAX_ORDER + 1):
+            assert cfg.iter_cap(order) == min(7, (order + 1) ** 2)
 
     def test_scene_geometry_respects_margins(self):
         cfg = ExperimentConfig()
         for idx in range(10):
             src, mic = scene_geometry(cfg, idx)
             for p in (src, mic):
-                assert np.all(p >= cfg.min_wall_distance - 1e-9)
+                assert np.all(p >= experiment._WALL_MARGIN - 1e-9)
                 assert np.all(p <= np.asarray(cfg.room)
-                              - cfg.min_wall_distance + 1e-9)
+                              - experiment._WALL_MARGIN + 1e-9)
             assert np.linalg.norm(src - mic) >= 1.5
 
 
@@ -204,11 +216,27 @@ class TestRunExperiment:
             run_single(small_config(), 0, 0.3, 1)
 
     def test_worker_pool_matches_serial(self):
-        cfg_serial = small_config(orders=(1, 2))
-        cfg_pool = small_config(orders=(1, 2), workers=2)
-        t1, _ = run_experiment(cfg_serial)
-        t2, _ = run_experiment(cfg_pool)
+        # pool workers run one BLAS thread, this process one per core
+        cfg_serial = small_config(orders=(1, 4))
+        cfg_pool = small_config(orders=(1, 4), workers=2)
+        t1, r1 = run_experiment(cfg_serial)
+        t2, r2 = run_experiment(cfg_pool)
         assert t1.to_csv() == t2.to_csv()
+        assert [r.estimates for r in r1] == [r.estimates for r in r2]
+
+    def test_estimates_independent_of_blas_threads(self):
+        code = ("from gtvv.experiment import ExperimentConfig, run_single; "
+                "cfg = ExperimentConfig(num_scenes=1, rt60=(0.16,), "
+                "orders=(4,)); "
+                "print(run_single(cfg, 0, 0.16, 4).estimates)")
+        env = package_env()
+        outs = []
+        for threads in ("1", "2"):
+            env.update(dict.fromkeys(experiment._BLAS_THREAD_VARS, threads))
+            outs.append(subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True,
+                text=True, check=True).stdout)
+        assert outs[0] == outs[1]
 
     def test_value_error_in_a_cell_propagates(self, monkeypatch):
         # a ValueError is a bug, not a failed measurement: it must not
@@ -246,8 +274,7 @@ def full_steering_infer_json(wav, cfg: ExperimentConfig) -> str:
     est = cfg.estimator
 
     def estimator(beam):
-        return EstimatorConfig(beam, est.seg_count, est.frames_per_seg,
-                               est.diagonal_load)
+        return EstimatorConfig(beam, est.seg_count, est.frames_per_seg)
     v_h = baselines.h_tdvv(spec, estimator(make_omni_beam(order)))
     est_h = somp(v_h, dic, cfg.iter_cap(order))
     v_g = estimate_gtvv(spec, estimator(
@@ -673,7 +700,11 @@ class TestCli:
         '{"duration": Infinity}',
         '{"room": [5.0, Infinity, 2.8]}',
         '{"max_reflection_order": -1}',
+        # keys of settings that became constants
+        '{"iter_cap_foa": 4}',
+        '{"iter_cap_hoa": 7}',
         '{"min_wall_distance": -1}',
+        '{"estimator": {"diagonal_load": 1e-06}}',
         '{"rt60": [0.16, 0.16], "num_scenes": 1, "orders": [1]}',
         '{"rt60": [0.16], "num_scenes": 1, "orders": [1, 1]}',
     ])
@@ -705,7 +736,7 @@ class TestCli:
         ("short", {}, "yields 28 frames, estimator needs 192"),
         ("nan", {}, "non-finite"),
         ("order6", {"dict_size": 30}, "dict_size 30 is below the 49"),
-        ("order2", {"iter_cap_hoa": 20}, "iteration cap 20 of order 2"),
+        ("order2", {"dict_size": 8}, "dict_size 8 is below the 9"),
         ("cut-early", {}, "data chunk truncated: 3 of 51200 frames"),
         ("cut-late", {}, "data chunk truncated: 50000 of 51200 frames"),
         ("a-law", {}, "unsupported WAV format: tag 6"),
@@ -742,21 +773,11 @@ class TestCli:
             assert err.startswith("config error:") and why in err
             assert not out.exists()
 
-    @pytest.mark.parametrize("load", [math.nan, math.inf])
-    def test_non_finite_diagonal_load_exit_2(self, tmp_path, capsys, load):
-        out = tmp_path / "results"
-        cfg = self._write_cfg(tmp_path, estimator={"diagonal_load": load})
-        assert main(["evaluate", "--config", cfg, "--out", str(out)]) == 2
-        assert "diagonal_load must be finite" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_runs_without_scipy(self, tmp_path, capsys):
         """`simulate` then `infer`, each in a process where `import scipy`
         fails, give the estimate of an unblocked run; importing the CLI
         loads no scipy module."""
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [os.path.dirname(os.path.dirname(gtvv.__file__)),
-             os.environ.get("PYTHONPATH", "")])}
+        env = package_env()
         loaded = subprocess.run(
             [sys.executable, "-c", "import sys, gtvv.cli; print(sorted("
              "m for m in sys.modules if m.startswith('scipy')))"],

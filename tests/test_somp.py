@@ -87,7 +87,7 @@ def full_correlation_somp(v, dictionary, iters):
         atoms_sel = dictionary.atoms[:, selected]
         coeffs = project(atoms_sel, v.data)
         residual = atoms_sel @ coeffs - v.data
-        norms.append(float(np.linalg.norm(residual)))
+        norms.append(math.sqrt(np.sum(residual * residual)))
     return EstimateSet(tuple(dictionary.directions[s] for s in selected),
                        tuple(delays), coeffs, tuple(norms), terminated)
 

@@ -67,7 +67,10 @@ def segment_spectra_vectorised(spec, cfg):
     need = cfg.seg_count * cfg.frames_per_seg
     b = spec.data[:need].reshape(cfg.seg_count, cfg.frames_per_seg,
                                  spec.bins, spec.channels)
-    ref = b @ cfg.reference.weights
+    # the product as `_cross_spectra` forms it; see there
+    frames = np.ascontiguousarray(b.transpose(0, 1, 3, 2))
+    ref = np.matmul(cfg.reference.weights,
+                    frames.view(np.float64)).view(complex)
     phi = np.mean(b * np.conj(b), axis=1).real
     a1 = np.mean(ref[..., None] * np.conj(b), axis=1)
     return phi, a1
@@ -84,7 +87,7 @@ def estimate_gfvv_ls_vectorised(spec, cfg):
     r1 = np.sum(np.conj(a1) * phi, axis=0)
     r2 = np.sum(phi, axis=0)
     v, near_singular = velocity._solve_loaded_2x2(
-        g11, g12, float(cfg.seg_count), r1, r2, cfg.diagonal_load)
+        g11, g12, float(cfg.seg_count), r1, r2)
     values = v.T.astype(complex)
     values[:, ~valid] = np.nan
     return values, valid, near_singular
@@ -258,7 +261,7 @@ class TestLsEstimator:
         np.testing.assert_array_equal(got.values, want.values)
 
     @pytest.mark.parametrize("fields", [
-        {"seg_count": 1}, {"frames_per_seg": 0}, {"diagonal_load": -1e-6}])
+        {"seg_count": 1}, {"frames_per_seg": 0}])
     def test_invalid_settings_rejected(self, fields):
         with pytest.raises(ValueError):
             EstimatorConfig(**fields)
