@@ -20,7 +20,7 @@ from .experiment import (ExperimentConfig, analyze, dump_traces,
 from .sh import MAX_ORDER, build_dictionary, order_from_channels
 from .somp import somp
 from .spectral import stft
-from .velocity import negative_lag_energy_fraction
+from .velocity import EstimatorConfig, negative_lag_energy_fraction
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -71,7 +71,7 @@ def _gtvv_from_wav(args, cfg: ExperimentConfig):
     cfg.check_order(order)
     spec = stft(sig, cfg.win_len)
     if args.method == "htdvv":
-        return baselines.h_tdvv(spec, cfg.estimator), order, None
+        return baselines.h_tdvv(spec, EstimatorConfig()), order, None
     dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_directions)
     _, _, v = analyze(spec, cfg, dictionary, 1)
     return v, order, dictionary

@@ -98,8 +98,8 @@ class AmbisonicSignal:
         ch = np.asarray(self.channels, dtype=float)
         if ch.ndim != 2:
             raise ValueError("channels must be a 2-D array")
-        if self.fs <= 0:
-            raise ValueError("sampling rate must be positive")
+        if not 0 < self.fs < math.inf:  # also rejects NaN
+            raise ValueError("sampling rate must be positive and finite")
         object.__setattr__(self, "channels", ch)
 
     @property
@@ -241,12 +241,10 @@ def add_noise(sig: AmbisonicSignal, snr_db: float, seed: int) -> AmbisonicSignal
     """Add white Gaussian noise, equal variance on every channel.
 
     The variance is set against the omnidirectional channel power so that
-    omni power / per-channel noise power = 10^(snr_db/10). snr_db=inf is a
-    no-noise sentinel. The noise is drawn, scaled and added in one
-    signal-sized buffer, the returned signal's; the input is not changed.
+    omni power / per-channel noise power = 10^(snr_db/10). The noise is
+    drawn, scaled and added in one signal-sized buffer, the returned
+    signal's; the input is not changed.
     """
-    if math.isinf(snr_db) and snr_db > 0:
-        return AmbisonicSignal(sig.fs, sig.channels.copy())
     power = float(np.mean(sig.channels[0] ** 2))
     if power == 0.0:
         raise ValueError("cannot calibrate noise against an all-zero signal")
@@ -296,9 +294,14 @@ _WAV_DTYPES = {(_WAVE_PCM, 8): "u1", (_WAVE_PCM, 16): "<i2",
 
 
 def write_wav(path, sig: AmbisonicSignal):
-    """Write an Ambisonic signal as a multichannel 32-bit float WAV."""
+    """Write an Ambisonic signal as a multichannel 32-bit float WAV. A WAV
+    stores its sampling rate as a whole number of Hz, so any other rate is
+    a ValueError."""
+    if not float(sig.fs).is_integer():
+        raise ValueError("a WAV sampling rate is a whole number of Hz, "
+                         f"not {sig.fs!r}")
     data = np.ascontiguousarray(sig.channels.T, dtype="<f4")
-    channels, rate = data.shape[1], int(round(sig.fs))
+    channels, rate = data.shape[1], int(sig.fs)
     fmt = struct.pack("<HHIIHHH", _WAVE_FLOAT, channels, rate,
                       rate * 4 * channels, 4 * channels, 32, 0)
     with open(path, "wb") as fh:

@@ -21,10 +21,11 @@ from gtvv.experiment import (ExperimentConfig, aggregate, analyze,
                              dump_traces, run_experiment, run_single,
                              scene_geometry, simulate_cell, write_results)
 from gtvv.room import AmbisonicSignal, read_wav, write_wav
-from gtvv.sh import (Direction, build_dictionary, fibonacci_directions,
-                     make_omni_beam, make_reference_beam)
+from gtvv.sh import (Direction, angular_distance, build_dictionary,
+                     fibonacci_directions, make_omni_beam,
+                     make_reference_beam)
 from gtvv.somp import somp
-from gtvv.spectral import stft
+from gtvv.spectral import frame_count, stft
 from gtvv.velocity import (EstimatorConfig, RelativeWavefront,
                            estimate_gtvv, gtvv_closed_form)
 
@@ -40,7 +41,7 @@ def package_env():
 
 
 def small_config(**overrides):
-    base = dict(num_scenes=1, orders=(1,), rt60=(0.16,), duration=3.2)
+    base = dict(num_scenes=1, orders=(1,), rt60=(0.16,))
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -49,6 +50,9 @@ class TestConfig:
     def test_defaults_validate(self):
         ExperimentConfig().validate()
 
+    # The keys of the protocol's fixed values (`room`, `win_len`, `snr_db`,
+    # `gate_deg`, `duration`, `max_reflection_order`, `fs`, `estimator`)
+    # are not fields: a config naming one is rejected, whatever the value.
     @pytest.mark.parametrize("overrides", [
         {"room": (5.0, 4.0)},
         {"room": (5.0, -1.0, 2.8)},
@@ -61,24 +65,21 @@ class TestConfig:
         {"dict_file": "/does/not/exist.txt"},
         {"snr_db": -3.0},
         {"gate_deg": 0.0},
-        {"duration": 0.5},     # too few frames for the estimator
-        {"room": (5.0, 4.0, 0.9)},  # the wall margins must fit the room
+        {"duration": 0.5},
+        {"room": (5.0, 4.0, 0.9)},
         {"workers": 0},
         {"source_wav": "/does/not/exist.wav"},
-        # the pipeline picks its own reference beams
-        {"estimator": EstimatorConfig(make_omni_beam(1))},
+        {"fs": 16000.0},       # even at the protocol's own value
         {"seed": -1},
         {"seed": 1.5},
         {"orders": ()},
-        # NaN fails every comparison, so a `<= 0` check lets it through
         {"snr_db": math.nan},
         {"snr_db": -math.inf},
         {"gate_deg": math.nan},
+        # NaN fails every comparison, so a `<= 0` check lets it through
         {"rt60": (math.nan,)},
-        # an estimator object arrives from JSON, through `from_json`
         {"estimator": {"diagonal_load": math.nan}},
         {"estimator": {"diagonal_load": math.inf}},
-        # a WAV stores a whole number of Hz
         {"fs": 16000.5},
         {"fs": math.nan},
         {"fs": math.inf},
@@ -96,7 +97,6 @@ class TestConfig:
         # a repeated value would run the same cells twice
         {"rt60": (0.16, 0.16)},
         {"orders": (1, 1)},
-        # each room side must exceed twice the wall margin, which NaN fails
         {"room": (1.0, 4.0, 2.8)},
         {"room": (5.0, math.nan, 2.8)},
         # fixed values that are no longer settings, even at their values
@@ -107,22 +107,25 @@ class TestConfig:
     def test_invalid_configs_rejected(self, tmp_path, overrides):
         with pytest.raises(ConfigError):
             # what the constructor cannot take arrives from JSON
-            if (isinstance(overrides.get("estimator"), dict)
-                    or not overrides.keys() <= CONFIG_FIELDS):
+            if not overrides.keys() <= CONFIG_FIELDS:
                 path = tmp_path / "cfg.json"
                 path.write_text(json.dumps(overrides))
                 ExperimentConfig.from_json(path)
             else:
                 ExperimentConfig(**overrides).validate()
 
-    @pytest.mark.parametrize("fs", [16000, 16000.0])
-    def test_whole_fs_accepted(self, fs):
-        assert ExperimentConfig(fs=fs).fs == 16000
+    def test_fixed_protocol_fits_estimator_and_margins(self):
+        # what the protocol's constants must give, now that no config can
+        # set them: enough frames for the estimator's segments, and a room
+        # that holds the wall margins
+        cfg = ExperimentConfig()
+        est = EstimatorConfig()
+        frames = frame_count(int(cfg.duration * cfg.fs), cfg.win_len)
+        assert frames == 197 >= est.seg_count * est.frames_per_seg == 8 * 24
+        assert all(side > 2 * experiment._WALL_MARGIN for side in cfg.room)
 
     def test_json_round_trip(self, tmp_path):
-        cfg = small_config(seed=99, snr_db=25.0,
-                           estimator=EstimatorConfig(seg_count=4,
-                                                     frames_per_seg=12))
+        cfg = small_config(seed=99, dict_size=500, workers=2)
         path = tmp_path / "cfg.json"
         path.write_text(cfg.to_json())
         back = ExperimentConfig.from_json(path)
@@ -172,16 +175,25 @@ class TestConfig:
 class TestRunExperiment:
     def test_noiseless_single_wave_doa_within_grid(self):
         # every method must land within the dictionary's angular resolution
-        # (about 4 degrees at 770 atoms) on an easy noiseless scene
-        cfg = small_config(snr_db=math.inf, max_reflection_order=0)
-        table, records = run_experiment(cfg)
-        assert not table.failures
-        for method in ("srp", "htdvv", "gtvv"):
-            cell = table.cell(method, 1, 0.16)
-            assert cell["doa_error_deg"] <= 4.5
+        # (about 4 degrees at 770 atoms) on an easy noiseless scene: the
+        # direct path alone, with no reflections and no noise
+        cfg = small_config()
+        src, mic = scene_geometry(cfg, 0)
+        scene = room.image_source_scene(cfg.room, src, mic, 0.16, 0, cfg.fs)
+        source = room.make_burst_source(
+            cfg.duration, cfg.fs, np.random.SeedSequence([cfg.seed, 0, 7]))
+        spec = stft(room.encode_scene(scene, source, 1), cfg.win_len)
+        dic = build_dictionary(cfg.dict_size, 1)
+        _, est_h, v_g = analyze(spec, cfg, dic, cfg.iter_cap(1))
+        doas = {"srp": baselines.srp_doa(baselines.srp_map(spec, dic), dic),
+                "htdvv": est_h.directions[0],
+                "gtvv": somp(v_g, dic, cfg.iter_cap(1)).directions[0]}
+        for method, doa in doas.items():
+            error = angular_distance(doa, scene.direct.direction)
+            assert math.degrees(error) <= 4.5, method
 
     def test_cell_cardinality(self):
-        cfg = ExperimentConfig(num_scenes=1, duration=3.2)
+        cfg = ExperimentConfig(num_scenes=1)
         table, records = run_experiment(cfg)
         assert len(records) == 1 * 2 * 4
         assert len(table.rows) == 3 * 4 * 2  # methods x orders x rt60
@@ -271,13 +283,9 @@ def full_steering_infer_json(wav, cfg: ExperimentConfig) -> str:
     spec = stft(read_wav(wav), cfg.win_len)
     order = int(round(math.sqrt(spec.channels))) - 1
     dic = build_dictionary(cfg.dict_size, order)
-    est = cfg.estimator
-
-    def estimator(beam):
-        return EstimatorConfig(beam, est.seg_count, est.frames_per_seg)
-    v_h = baselines.h_tdvv(spec, estimator(make_omni_beam(order)))
+    v_h = baselines.h_tdvv(spec, EstimatorConfig(make_omni_beam(order)))
     est_h = somp(v_h, dic, cfg.iter_cap(order))
-    v_g = estimate_gtvv(spec, estimator(
+    v_g = estimate_gtvv(spec, EstimatorConfig(
         make_reference_beam(est_h.directions[0], order)))
     return somp(v_g, dic, cfg.iter_cap(order)).to_json()
 
@@ -421,15 +429,6 @@ class TestDumpTraces:
         assert norms[0.0] > 0
         assert norms[64.0 / FS] > 0
 
-    def test_empty_matrix_header_only(self, tmp_path):
-        from gtvv.spectral import GtvvMatrix
-        v = GtvvMatrix(np.zeros((0, 4)), FS)
-        path = tmp_path / "trace.csv"
-        dump_traces(v, path)
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 1
-        assert lines[0] == "time_s,norm"
-
 
 class TestCli:
     def _write_cfg(self, tmp_path, **overrides):
@@ -536,24 +535,24 @@ class TestCli:
         run_single(ExperimentConfig.from_json(path), 0, 0.16, 2)
         assert len(calls) == 2
 
+    # the estimator is no longer a config setting: each of these blocks,
+    # once accepted, names a removed key
     @pytest.mark.parametrize("estimator", [
-        {"seg_count": 1},
-        {"frames_per_seg": 0},
-        {"diagonal_load": -1e-6},
-        {"reference": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]},
+        {},
+        {"reference": None},
+        {"seg_count": 8, "frames_per_seg": 24},
+        {"seg_count": 4, "frames_per_seg": 12},
     ])
     def test_invalid_estimator_settings_exit_2(self, tmp_path, capsys,
                                                order2_wav, estimator):
         _, wav = order2_wav
-        raw = json.loads(small_config(orders=(2,)).to_json())
-        raw["estimator"].update(estimator)
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(raw))
+        bad = self._write_cfg(tmp_path, orders=(2,), estimator=estimator)
         for argv in (["evaluate", "--out", str(tmp_path / "results")],
                      ["infer", "--wav", wav,
                       "--out", str(tmp_path / "est.json")]):
-            assert main(argv + ["--config", str(bad)]) == 2
-            assert capsys.readouterr().err.startswith("config error:")
+            assert main(argv + ["--config", bad]) == 2
+            assert capsys.readouterr().err.startswith(
+                "config error: bad config field")
         assert not os.path.exists(tmp_path / "results")
         assert not os.path.exists(tmp_path / "est.json")
 
@@ -678,15 +677,19 @@ class TestCli:
             out / "results.csv").read_text()
         assert json.loads((out / "results.json").read_text())["failures"]
 
-    def test_fractional_fs_simulate_exit_2(self, tmp_path, capsys):
-        # the WAV would store 16000 Hz, which `infer` with the same config
-        # would then reject
-        sim = tmp_path / "sim"
-        assert main(["simulate", "--config",
-                     self._write_cfg(tmp_path, fs=16000.5),
-                     "--out", str(sim)]) == 2
-        assert "whole number of Hz" in capsys.readouterr().err
-        assert not sim.exists()
+    def test_fractional_fs_simulate_exit_2(self, tmp_path, capsys,
+                                           order2_wav):
+        # the sampling rate is fixed: `fs` is a removed key
+        _, wav = order2_wav
+        cfg = self._write_cfg(tmp_path, fs=16000.5)
+        outs = [tmp_path / name for name in ("sim", "results", "est.json")]
+        for argv in (["simulate", "--out", str(outs[0])],
+                     ["evaluate", "--out", str(outs[1])],
+                     ["infer", "--wav", wav, "--out", str(outs[2])]):
+            assert main(argv + ["--config", cfg]) == 2
+            assert capsys.readouterr().err.startswith(
+                "config error: bad config field")
+        assert not any(out.exists() for out in outs)
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -696,11 +699,11 @@ class TestCli:
 
     @pytest.mark.parametrize("text", [
         '{"num_scenes": 1.5}',
+        # keys of settings that became constants
         '{"estimator": {"seg_count": 2.5}}',
         '{"duration": Infinity}',
         '{"room": [5.0, Infinity, 2.8]}',
         '{"max_reflection_order": -1}',
-        # keys of settings that became constants
         '{"iter_cap_foa": 4}',
         '{"iter_cap_hoa": 7}',
         '{"min_wall_distance": -1}',

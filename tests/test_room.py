@@ -360,11 +360,6 @@ class TestAddNoise:
         noise = noisy.channels - sig.channels
         assert np.var(noise) == pytest.approx(power / 100.0, rel=0.05)
 
-    def test_infinite_snr_is_identity(self):
-        sig = self._signal(0.1)
-        out = add_noise(sig, math.inf, 0)
-        np.testing.assert_array_equal(out.channels, sig.channels)
-
     def test_empirical_snr_within_half_db(self):
         sig = self._signal(10.0)
         noisy = add_noise(sig, 20.0, 1)
@@ -445,6 +440,18 @@ class TestWavRoundTrip:
         back = read_wav(path)
         assert back.fs == 16000.0
         np.testing.assert_allclose(back.channels, sig.channels, atol=1e-6)
+
+    def test_fractional_rate_not_written(self, tmp_path):
+        # the header would store 16000 Hz
+        path = tmp_path / "sig.wav"
+        with pytest.raises(ValueError, match="whole number of Hz"):
+            write_wav(path, AmbisonicSignal(16000.5, np.ones((4, 10))))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fs", [math.nan, math.inf, 0.0, -16000.0])
+    def test_rate_must_be_positive_and_finite(self, fs):
+        with pytest.raises(ValueError, match="positive and finite"):
+            AmbisonicSignal(fs, np.ones((4, 10)))
 
     @pytest.mark.parametrize("dtype", [np.int16, np.int32])
     def test_signed_pcm_scaled_by_full_scale(self, tmp_path, dtype):
