@@ -8,17 +8,15 @@ structure with simultaneous orthogonal matching pursuit.
 
 from .errors import (ConfigError, EstimatorDegenerateError,
                      ExpansionInvalidError, GtvvError,
-                     InconsistentSpectrumError, SilentFrameError)
-from .sh import (BeamWeights, Dictionary, Direction, angular_distance,
-                 build_dictionary, make_omni_beam, make_reference_beam,
-                 sh_eval)
+                     InconsistentSpectrumError)
+from .sh import (Dictionary, Direction, angular_distance, build_dictionary,
+                 make_omni_beam, make_reference_beam, sh_eval)
 from .room import (AmbisonicSignal, GroundTruthScene, Wavefront, add_noise,
                    encode_scene, image_source_scene, make_burst_source)
 from .spectral import GtvvMatrix, SpectrumTensor, gfvv_to_gtvv, stft
 from .velocity import (EstimatorConfig, GfvvEstimate, RelativeWavefront,
                        SeriesExpansion, estimate_gfvv_ls, estimate_gtvv,
-                       gtvv_closed_form, instantaneous_gfvv,
-                       relative_wavefronts)
+                       gtvv_closed_form, relative_wavefronts)
 from .somp import EstimateSet, MatchReport, match_to_truth, somp
 from .baselines import h_tdvv, srp_doa, srp_map
 from .experiment import (ExperimentConfig, ResultsTable, analyze, dump_traces,

@@ -9,16 +9,12 @@ class ConfigError(GtvvError):
     """Invalid experiment configuration (CLI exit code 2)."""
 
 
-class SilentFrameError(GtvvError):
-    """Every frequency bin of a frame fell below the reference-output floor."""
-
-
 class EstimatorDegenerateError(GtvvError):
     """The least-squares system for a bin is rank deficient (stationary source)."""
 
-    def __init__(self, bin_index, message=None):
+    def __init__(self, bin_index):
         self.bin_index = bin_index
-        super().__init__(message or f"degenerate estimator system at bin {bin_index}")
+        super().__init__(f"degenerate estimator system at bin {bin_index}")
 
 
 class InconsistentSpectrumError(GtvvError):

@@ -40,6 +40,13 @@ _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                      "MKL_NUM_THREADS")
 
 
+def _is_count(value, least: int) -> bool:
+    """Whether `value` is an integer of at least `least`; a bool, which
+    Python counts as an integer, is not."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= least)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """The settings a sweep varies. The protocol's fixed values are class
@@ -69,21 +76,21 @@ class ExperimentConfig:
         # counts, each with its least value
         for name, least in (("num_scenes", 1), ("dict_size", 1),
                             ("workers", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < least:
+            if not _is_count(getattr(self, name), least):
                 raise ConfigError(f"{name} must be an integer >= {least}")
-        # `not x > 0` also rejects NaN, which every comparison fails
+        # `not x > 0` also rejects NaN, which every comparison fails; JSON
+        # `true` is a bool, which Python also counts as a number
         if (not self.rt60 or len(set(self.rt60)) < len(self.rt60)
-                or any(not v > 0 for v in self.rt60)):
+                or any(isinstance(v, bool) or not v > 0 for v in self.rt60)):
             raise ConfigError("rt60 list must hold distinct positive values")
         if (not self.orders or len(set(self.orders)) < len(self.orders)
-                or any(not isinstance(o, int) or not 1 <= o <= MAX_ORDER
+                or any(not _is_count(o, 1) or o > MAX_ORDER
                        for o in self.orders)):
             raise ConfigError("orders must be distinct integers in "
                               f"[1, {MAX_ORDER}]")
         for order in self.orders:
             self.check_order(order)
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_count(self.seed, 0):
             raise ConfigError("seed must be a non-negative integer")
         if self.dict_file is not None:
             try:  # the order-0 dictionary checks the count and spacing
@@ -158,9 +165,6 @@ class ExperimentConfig:
             return ExperimentConfig(**{**raw, **overrides})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config field: {exc}") from exc
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -291,17 +291,23 @@ _SUBFORMAT_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 _WAV_DTYPES = {(_WAVE_PCM, 8): "u1", (_WAVE_PCM, 16): "<i2",
                (_WAVE_PCM, 24): "u1", (_WAVE_PCM, 32): "<i4",
                (_WAVE_FLOAT, 32): "<f4", (_WAVE_FLOAT, 64): "<f8"}
+# the largest value of a header's 32-bit fields
+_UINT32_MAX = 2**32 - 1
 
 
 def write_wav(path, sig: AmbisonicSignal):
     """Write an Ambisonic signal as a multichannel 32-bit float WAV. A WAV
-    stores its sampling rate as a whole number of Hz, so any other rate is
-    a ValueError."""
+    stores its sampling rate and byte rate as whole numbers of Hz below
+    2^32, so any other rate is a ValueError, raised before the file is
+    opened."""
     if not float(sig.fs).is_integer():
         raise ValueError("a WAV sampling rate is a whole number of Hz, "
                          f"not {sig.fs!r}")
     data = np.ascontiguousarray(sig.channels.T, dtype="<f4")
     channels, rate = data.shape[1], int(sig.fs)
+    if rate * 4 * channels > _UINT32_MAX:
+        raise ValueError(f"a {channels}-channel float32 WAV at {rate} Hz "
+                         "has a byte rate above the header's 2^32 - 1")
     fmt = struct.pack("<HHIIHHH", _WAVE_FLOAT, channels, rate,
                       rate * 4 * channels, 4 * channels, 32, 0)
     with open(path, "wb") as fh:

@@ -13,7 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,29 +73,6 @@ class Direction:
             ]
         )
 
-    @staticmethod
-    def from_unit_vector(v) -> "Direction":
-        v = np.asarray(v, dtype=float)
-        n = np.linalg.norm(v)
-        if n == 0.0:
-            raise ValueError("zero vector has no direction")
-        v = v / n
-        return Direction(math.atan2(v[1], v[0]), math.asin(np.clip(v[2], -1.0, 1.0)))
-
-
-@dataclass(frozen=True)
-class BeamWeights:
-    """Frequency-independent spatial filter applied to the SH channels."""
-
-    order: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (num_channels(self.order),):
-            raise ValueError("weight length does not match the order")
-        object.__setattr__(self, "weights", w)
-
 
 def sh_matrix(azimuths, elevations, order: int) -> np.ndarray:
     """Evaluate real SN3D spherical harmonics for arrays of angles.
@@ -139,21 +116,21 @@ def sh_eval(direction: Direction, order: int) -> np.ndarray:
     return sh_matrix(direction.azimuth, direction.elevation, order)[:, 0]
 
 
-def make_reference_beam(direction: Direction, order: int) -> BeamWeights:
+def make_reference_beam(direction: Direction, order: int) -> np.ndarray:
     """Maximum-directivity beam at `direction`, normalized to unit gain there.
 
     The weights are y(dir) / ||y(dir)||^2 so that w . y(dir) == 1, which makes
     the direct-path coefficient of the velocity vector equal to one.
     """
     y = sh_eval(direction, order)
-    return BeamWeights(order, y / float(y @ y))
+    return y / float(y @ y)
 
 
-def make_omni_beam(order: int) -> BeamWeights:
+def make_omni_beam(order: int) -> np.ndarray:
     """Weights selecting the omnidirectional channel only."""
     w = np.zeros(num_channels(order))
     w[0] = 1.0
-    return BeamWeights(order, w)
+    return w
 
 
 def angular_distance(a: Direction, b: Direction) -> float:
@@ -164,16 +141,14 @@ def angular_distance(a: Direction, b: Direction) -> float:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Direction grid and the matrix of its SH atoms (one per column)."""
+    """Direction grid and the matrix of its SH atoms (one per column),
+    computed from the directions."""
 
     order: int
     directions: tuple
-    atoms: np.ndarray
+    atoms: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float)
-        if atoms.shape != (num_channels(self.order), len(self.directions)):
-            raise ValueError("atom matrix shape does not match directions/order")
         az = np.array([d.azimuth for d in self.directions], dtype=float)
         el = np.array([d.elevation for d in self.directions], dtype=float)
         # rows are the Direction.unit_vector of each atom
@@ -181,17 +156,11 @@ class Dictionary:
             [np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)])
         if _has_close_pair(vecs, _MIN_SEPARATION_RAD):
             raise ValueError("dictionary directions closer than 0.1 degrees")
-        object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "directions", tuple(self.directions))
-        object.__setattr__(self, "_unit_vectors", vecs)
+        object.__setattr__(self, "atoms", sh_matrix(az, el, self.order))
 
     def __len__(self):
         return len(self.directions)
-
-    def nearest(self, direction: Direction) -> int:
-        """Index of the atom closest to `direction` (great circle); ties go
-        to the lowest index."""
-        return int(np.argmax(self._unit_vectors @ direction.unit_vector()))
 
 
 def _has_close_pair(vecs: np.ndarray, min_sep: float) -> bool:
@@ -260,6 +229,4 @@ def build_dictionary(count: int, order: int, directions=None) -> Dictionary:
     dirs = fibonacci_directions(count) if directions is None else directions
     if len(dirs) != count:
         raise ValueError(f"{len(dirs)} directions given, expected {count}")
-    az = np.array([d.azimuth for d in dirs])
-    el = np.array([d.elevation for d in dirs])
-    return Dictionary(order, tuple(dirs), sh_matrix(az, el, order))
+    return Dictionary(order, dirs)

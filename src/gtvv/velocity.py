@@ -1,9 +1,10 @@
-"""Frequency/time-domain velocity vectors: instantaneous ratio, robust
-least-squares estimator, and the closed-form model used as an oracle.
+"""Frequency/time-domain velocity vectors: the robust least-squares
+estimator, and the closed-form model used as an oracle.
 
-All three routes produce the same object (a per-bin channel ratio or its
-lag-domain counterpart); the estimator is the only one that touches noisy
-data.
+Both produce the same object (a per-bin channel ratio or its lag-domain
+counterpart); the estimator is the one that touches noisy data.
+
+A reference beam is a float array of (L+1)^2 weights on the SH channels.
 """
 
 from __future__ import annotations
@@ -14,14 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EstimatorDegenerateError, ExpansionInvalidError,
-                     SilentFrameError)
+from .errors import EstimatorDegenerateError, ExpansionInvalidError
 from .room import GroundTruthScene, fractional_delay_kernel
-from .sh import (BeamWeights, Direction, make_omni_beam, order_from_channels,
-                 sh_eval)
+from .sh import Direction, make_omni_beam, order_from_channels, sh_eval
 from .spectral import GtvvMatrix, SpectrumTensor, gfvv_to_gtvv
 
-_DENOM_FLOOR = 1e-9
 _ENERGY_FLOOR = 1e-9
 _COLLINEAR_TOL = 1e-9
 # Relative diagonal load of near-singular normal equations.
@@ -54,10 +52,10 @@ class SeriesExpansion:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Least-squares estimator settings; `reference` None is the
-    omnidirectional beam of the spectrum's order."""
+    """Least-squares estimator settings; `reference` holds the beam weights,
+    None being the omnidirectional beam of the spectrum's order."""
 
-    reference: BeamWeights = None
+    reference: np.ndarray = None
     seg_count: int = 8
     frames_per_seg: int = 24
 
@@ -74,32 +72,12 @@ class GfvvEstimate:
     """Per-bin velocity vector plus a validity flag per bin.
 
     `near_singular` marks the (bin, channel) systems of the least-squares
-    estimator whose normal equations were diagonally loaded; it is None for
-    estimates that solve no system.
+    estimator whose normal equations were diagonally loaded.
     """
 
     values: np.ndarray   # channels x bins, complex; invalid bins are NaN
     valid: np.ndarray    # bins, bool
-    near_singular: np.ndarray = None  # bins x channels, bool
-
-
-def instantaneous_gfvv(spec: SpectrumTensor, w: BeamWeights,
-                       frame: int) -> GfvvEstimate:
-    """Noiseless-style per-bin ratio b(f) / (w . b(f)) for one frame.
-
-    Bins whose reference output falls below 1e-9 times the frame RMS are
-    flagged invalid (NaN), not filled.
-    """
-    b = spec.data[frame].T  # channels x bins
-    denom = w.weights @ b
-    rms = math.sqrt(float(np.mean(np.abs(b) ** 2)))
-    valid = np.abs(denom) > _DENOM_FLOOR * rms
-    if not np.any(valid):
-        raise SilentFrameError(f"frame {frame}: reference output below floor "
-                               "in every bin")
-    values = np.full(b.shape, np.nan, dtype=complex)
-    values[:, valid] = b[:, valid] / denom[valid]
-    return GfvvEstimate(values, valid)
+    near_singular: np.ndarray  # bins x channels, bool
 
 
 def _solve_loaded_2x2(g11, g12, g22, r1, r2):
@@ -154,15 +132,18 @@ def _auto_spectra(spec: SpectrumTensor, cfg: EstimatorConfig) -> np.ndarray:
 
 def _cross_spectra(spec: SpectrumTensor, cfg: EstimatorConfig) -> np.ndarray:
     """a1 = E[(w.b) B*] per segment, bin and channel, w the reference."""
-    w = cfg.reference or make_omni_beam(order_from_channels(spec.channels))
-    if w.weights.size != spec.channels:
-        raise ValueError("reference beam order does not match the spectrum")
+    w = cfg.reference
+    if w is None:
+        w = make_omni_beam(order_from_channels(spec.channels))
+    elif w.size != spec.channels:
+        raise ValueError(f"reference beam has {w.size} weights, the "
+                         f"spectrum {spec.channels} channels")
     need = cfg.seg_count * cfg.frames_per_seg
     # The real weights times the interleaved real and imaginary parts of
     # the (frames, channels, bins) memory that `stft` writes: a product
     # whose summation order does not depend on the BLAS thread count.
     frames = np.ascontiguousarray(spec.data[:need].transpose(0, 2, 1))
-    ref = np.matmul(w.weights, frames.view(np.float64)).view(complex)
+    ref = np.matmul(w, frames.view(np.float64)).view(complex)
     return _segment_means(spec, cfg, ref[:, :, None])
 
 
@@ -249,25 +230,27 @@ def estimate_gtvv(spec: SpectrumTensor, cfg: EstimatorConfig) -> GtvvMatrix:
     return gfvv_to_gtvv(v_f, spec.fs)
 
 
-def relative_wavefronts(scene: GroundTruthScene, w: BeamWeights) -> list:
-    """Express a ground-truth scene relative to its direct path under `w`.
+def relative_wavefronts(scene: GroundTruthScene, w: np.ndarray) -> list:
+    """Express a ground-truth scene relative to its direct path under the
+    beam `w`, of the order its length gives.
 
     The weights are rescaled so the direct-path beta is exactly 1, matching
     the normalization baked into the velocity-vector definition.
     """
+    order = order_from_channels(w.size)
     direct = scene.direct
-    y0 = sh_eval(direct.direction, w.order)
-    beta0 = float(w.weights @ y0)
+    y0 = sh_eval(direct.direction, order)
+    beta0 = float(w @ y0)
     if beta0 == 0.0:
         raise ValueError("reference beam has zero response at the direct path")
     waves = [RelativeWavefront(direct.direction, 1.0, 0.0, 1.0)]
     for wf in scene.wavefronts[1:]:
-        y = sh_eval(wf.direction, w.order)
+        y = sh_eval(wf.direction, order)
         waves.append(RelativeWavefront(
             wf.direction,
             wf.gain / direct.gain,
             wf.toa - direct.toa,
-            float(w.weights @ y) / beta0,
+            float(w @ y) / beta0,
         ))
     return waves
 

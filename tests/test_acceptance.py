@@ -24,6 +24,7 @@ from gtvv.velocity import (EstimatorConfig, RelativeWavefront,
 from gtvv.baselines import h_tdvv
 from gtvv.somp import somp
 from gtvv.experiment import scene_geometry, ExperimentConfig
+from oracles import nearest
 from test_velocity import consistent_fixture, ratio_form_gfvv
 
 FS = 16000.0
@@ -90,7 +91,7 @@ def test_criterion_2_exact_on_grid_recovery():
                                        lag / FS, 1.0))
     v, _ = gtvv_closed_form(waves, 8, 1024, FS, 3)
     est = somp(v, dic, 3)
-    got_idx = [dic.nearest(d) for d in est.directions]
+    got_idx = [nearest(dic, d) for d in est.directions]
     oracle_idx, oracle_delays = exhaustive_pursuit(v, dic.atoms, 3)
     exact = (sorted(got_idx) == sorted(idx)
              and sorted(est.delays) == [lag / FS for lag in lags])

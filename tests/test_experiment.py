@@ -28,6 +28,7 @@ from gtvv.somp import somp
 from gtvv.spectral import frame_count, stft
 from gtvv.velocity import (EstimatorConfig, RelativeWavefront,
                            estimate_gtvv, gtvv_closed_form)
+from oracles import to_json
 
 FS = 16000.0
 CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -103,6 +104,12 @@ class TestConfig:
         {"iter_cap_foa": 4},
         {"iter_cap_hoa": 7},
         {"min_wall_distance": 0.5},
+        # JSON `true` is a bool, which Python counts as the integer 1
+        {"num_scenes": True},
+        {"workers": True},
+        {"seed": True},
+        {"orders": (True,)},
+        {"rt60": (True,)},
     ])
     def test_invalid_configs_rejected(self, tmp_path, overrides):
         with pytest.raises(ConfigError):
@@ -127,7 +134,7 @@ class TestConfig:
     def test_json_round_trip(self, tmp_path):
         cfg = small_config(seed=99, dict_size=500, workers=2)
         path = tmp_path / "cfg.json"
-        path.write_text(cfg.to_json())
+        path.write_text(to_json(cfg))
         back = ExperimentConfig.from_json(path)
         assert back == cfg
 
@@ -365,7 +372,7 @@ def order2_wav(tmp_path_factory):
     """(config path, WAV path) of the order-2 cell of `small_config`."""
     root = tmp_path_factory.mktemp("order2")
     cfg = root / "cfg.json"
-    cfg.write_text(small_config(orders=(2,)).to_json())
+    cfg.write_text(to_json(small_config(orders=(2,))))
     assert main(["simulate", "--config", str(cfg),
                  "--out", str(root)]) == 0
     return str(cfg), str(root / "scene0_rt0.16.wav")
@@ -394,7 +401,7 @@ class TestPathCallCounts:
 
     def test_traces(self, tmp_path, capsys, layer_calls):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(small_config(orders=(2,)).to_json())
+        cfg.write_text(to_json(small_config(orders=(2,))))
         assert main(["traces", "--config", str(cfg),
                      "--out", str(tmp_path / "traces")]) == 0
         assert call_counts(layer_calls) == counts([1], 2)
@@ -434,7 +441,7 @@ class TestCli:
     def _write_cfg(self, tmp_path, **overrides):
         """The JSON of `small_config` with `overrides`, written as a raw
         dict: an invalid config cannot be built, only written."""
-        raw = json.loads(small_config().to_json())
+        raw = json.loads(to_json(small_config()))
         raw.update(overrides)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
@@ -581,7 +588,7 @@ class TestCli:
         dirs = tmp_path / "dirs.txt"
         if content is not None:
             dirs.write_text(content)
-        raw = json.loads(small_config(orders=(2,)).to_json())
+        raw = json.loads(to_json(small_config(orders=(2,))))
         raw["dict_file"] = str(dirs)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
@@ -710,6 +717,8 @@ class TestCli:
         '{"estimator": {"diagonal_load": 1e-06}}',
         '{"rt60": [0.16, 0.16], "num_scenes": 1, "orders": [1]}',
         '{"rt60": [0.16], "num_scenes": 1, "orders": [1, 1]}',
+        '{"num_scenes": true, "rt60": [0.16], "orders": [true], '
+        '"seed": true, "workers": true}',
     ])
     def test_config_field_error_exit_2(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"

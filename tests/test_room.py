@@ -448,6 +448,21 @@ class TestWavRoundTrip:
             write_wav(path, AmbisonicSignal(16000.5, np.ones((4, 10))))
         assert not path.exists()
 
+    @pytest.mark.parametrize("fs, channels", [(2.0**32, 1), (2.0**28, 4)])
+    def test_rate_beyond_the_header_not_written(self, tmp_path, fs,
+                                                channels):
+        # the header stores the rate and the byte rate, rate x 4 x
+        # channels, as 32-bit integers
+        path = tmp_path / "sig.wav"
+        with pytest.raises(ValueError, match="above the header's 2\\^32 - 1"):
+            write_wav(path, AmbisonicSignal(fs, np.ones((channels, 10))))
+        assert not path.exists()
+
+    def test_largest_byte_rate_written(self, tmp_path):
+        path = tmp_path / "sig.wav"
+        write_wav(path, AmbisonicSignal(2.0**28 - 1, np.ones((4, 10))))
+        assert read_wav(path).fs == 2.0**28 - 1
+
     @pytest.mark.parametrize("fs", [math.nan, math.inf, 0.0, -16000.0])
     def test_rate_must_be_positive_and_finite(self, fs):
         with pytest.raises(ValueError, match="positive and finite"):

@@ -10,6 +10,7 @@ from gtvv.sh import (Dictionary, Direction, angular_distance,
                      build_dictionary, fibonacci_directions, make_omni_beam,
                      make_reference_beam, read_direction_file, sh_eval,
                      sh_matrix)
+from oracles import from_unit_vector, nearest
 
 directions = st.builds(
     Direction,
@@ -107,7 +108,7 @@ class TestDirection:
 
     @given(directions)
     def test_unit_vector_round_trip(self, d):
-        d2 = Direction.from_unit_vector(d.unit_vector())
+        d2 = from_unit_vector(d.unit_vector())
         assert angular_distance(d, d2) < 1e-7
 
 
@@ -163,17 +164,17 @@ class TestShEval:
 class TestBeams:
     def test_reference_beam_order0(self):
         np.testing.assert_allclose(
-            make_reference_beam(Direction(0.3, 0.2), 0).weights, [1.0])
+            make_reference_beam(Direction(0.3, 0.2), 0), [1.0])
 
     def test_reference_beam_front(self):
         w = make_reference_beam(Direction(0, 0), 1)
-        np.testing.assert_allclose(w.weights, np.array([1, 0, 0, 1]) / 2)
-        assert w.weights @ sh_eval(Direction(0, 0), 1) == pytest.approx(1.0)
+        np.testing.assert_allclose(w, np.array([1, 0, 0, 1]) / 2)
+        assert w @ sh_eval(Direction(0, 0), 1) == pytest.approx(1.0)
 
     def test_reference_beam_unit_response(self):
         d = Direction(0.7, -0.3)
         w = make_reference_beam(d, 3)
-        assert w.weights @ sh_eval(d, 3) == pytest.approx(1.0, abs=1e-12)
+        assert w @ sh_eval(d, 3) == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_response_random_directions(self):
         rng = np.random.default_rng(0)
@@ -181,18 +182,18 @@ class TestBeams:
             d = Direction(rng.uniform(-math.pi, math.pi),
                           rng.uniform(-math.pi / 2, math.pi / 2))
             w = make_reference_beam(d, 4)
-            assert abs(w.weights @ sh_eval(d, 4) - 1.0) < 1e-10
+            assert abs(w @ sh_eval(d, 4) - 1.0) < 1e-10
 
     def test_omni_beam(self):
-        np.testing.assert_array_equal(make_omni_beam(1).weights, [1, 0, 0, 0])
-        w4 = make_omni_beam(4).weights
+        np.testing.assert_array_equal(make_omni_beam(1), [1, 0, 0, 0])
+        w4 = make_omni_beam(4)
         assert w4.shape == (25,)
         assert w4[0] == 1.0 and np.all(w4[1:] == 0.0)
 
     @given(directions)
     def test_omni_beta_is_one(self, d):
         w = make_omni_beam(4)
-        assert w.weights @ sh_eval(d, 4) == pytest.approx(1.0)
+        assert w @ sh_eval(d, 4) == pytest.approx(1.0)
 
 
 class TestAngularDistance:
@@ -287,7 +288,7 @@ class TestDictionary:
     def test_nearest(self):
         d = build_dictionary(770, 1)
         target = d.directions[123]
-        assert d.nearest(target) == 123
+        assert nearest(d, target) == 123
 
 
 def gram_too_close(dirs) -> bool:
@@ -301,7 +302,7 @@ def gram_too_close(dirs) -> bool:
 
 def accepted(dirs) -> bool:
     try:
-        Dictionary(0, tuple(dirs), np.ones((1, len(dirs))))
+        Dictionary(0, tuple(dirs))
     except ValueError:
         return False
     return True
@@ -314,7 +315,7 @@ def offset(d: Direction, sep: float, heading: float) -> Direction:
     east = np.array([-math.sin(d.azimuth), math.cos(d.azimuth), 0.0])
     north = np.cross(u, east)
     t = math.cos(heading) * east + math.sin(heading) * north
-    return Direction.from_unit_vector(math.cos(sep) * u + math.sin(sep) * t)
+    return from_unit_vector(math.cos(sep) * u + math.sin(sep) * t)
 
 
 # separations of planted pairs, clear of the 0.1 degree limit
@@ -347,8 +348,7 @@ class TestSeparationCheck:
     def test_rejects_directions_0_05_degrees_apart(self):
         d = Direction(0.3, 0.2)
         with pytest.raises(ValueError, match="0.1 degrees"):
-            Dictionary(0, (d, offset(d, math.radians(0.05), 1.0)),
-                       np.ones((1, 2)))
+            Dictionary(0, (d, offset(d, math.radians(0.05), 1.0)))
 
     def test_accepts_directions_0_2_degrees_apart(self):
         d = Direction(0.3, 0.2)
@@ -378,12 +378,11 @@ class TestNearest:
     def test_matches_loop(self, target):
         v = target.unit_vector()
         dots = [d.unit_vector() @ v for d in self.dic.directions]
-        assert self.dic.nearest(target) == int(np.argmax(dots))
+        assert nearest(self.dic, target) == int(np.argmax(dots))
 
     def test_tie_goes_to_lowest_index(self):
         # both atoms are 10 degrees from the target, with equal dot products
         pair = (Direction(math.radians(10.0), 0.0),
                 Direction(math.radians(-10.0), 0.0))
         for dirs in (pair, pair[::-1]):
-            dic = Dictionary(0, dirs, np.ones((1, 2)))
-            assert dic.nearest(Direction(0.0, 0.0)) == 0
+            assert nearest(Dictionary(0, dirs), Direction(0.0, 0.0)) == 0

@@ -4,7 +4,8 @@ Each module (not `__init__.py`, which only re-exports) must reference every
 name it imports and every module-level `_PRIVATE` constant it defines.
 Each parameter with a default of a module-level function must be passed by
 at least one call in `src/gtvv` or `perfbench/`: an option that no caller
-sets is a constant.
+sets is a constant. Each public function, class and method must be read
+there too: a name that only the tests read belongs in the tests.
 """
 
 import ast
@@ -76,6 +77,64 @@ def unset_options(defining: list, calling: list) -> list:
             unset += [f"{node.name}.{arg}" for arg, i in options
                       if count <= i and not keywords & {arg, "**"}]
     return sorted(unset)
+
+
+def unread_names(defining: list, reading: list) -> list:
+    """Each public module-level function or class, and each public method
+    (as `Class.method`), of the `defining` sources whose name no
+    `ast.Name` or `ast.Attribute` load in the `reading` sources reads.
+
+    Names match by themselves alone, so a method escapes when a same-named
+    function or method elsewhere is read: a second `to_json` behind
+    `EstimateSet.to_json`, say.
+    """
+    read = set()
+    for source in reading:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for source in defining:
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            members = [(node.name, node.name)]
+            if isinstance(node, ast.ClassDef):
+                members += [(f"{node.name}.{m.name}", m.name)
+                            for m in node.body
+                            if isinstance(m, ast.FunctionDef)]
+            unread += [label for label, name in members
+                       if not name.startswith("_") and name not in read]
+    return sorted(unread)
+
+
+# Read by no program path, and kept: the closed-form GTVV and the relative
+# wavefronts it takes are the paper's model and criterion 1's subject.
+MODEL_ONLY = {"gtvv_closed_form", "relative_wavefronts"}
+
+
+def test_every_public_name_has_a_reader():
+    defining = [p.read_text(encoding="utf-8") for p in MODULES]
+    reading = [p.read_text(encoding="utf-8") for p in CALLERS]
+    unread = unread_names(defining, reading)
+    assert [name for name in unread if name not in MODEL_ONLY] == []
+
+
+def test_checker_flags_unread_names():
+    defining = ("def f():\n    pass\n"
+                "def g():\n    pass\n"
+                "def _h():\n    pass\n"
+                "class C:\n    def m(self):\n        pass\n"
+                "    def n(self):\n        pass\n"
+                "    def _p(self):\n        pass\n"
+                "class D:\n    def m(self):\n        pass\n"
+                "class E:\n    pass\n")
+    reading = "f()\nx = C()\nx.m()\ng = 1\nx.n = 2\n"
+    assert unread_names([defining], [reading]) == ["C.n", "D", "E", "g"]
 
 
 def test_every_option_is_set_by_some_caller():

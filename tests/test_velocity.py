@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from gtvv import velocity
-from gtvv.errors import (EstimatorDegenerateError, ExpansionInvalidError,
-                         SilentFrameError)
+from gtvv.errors import EstimatorDegenerateError, ExpansionInvalidError
 from gtvv.experiment import ExperimentConfig, simulate_cell
 from gtvv.room import (GroundTruthScene, Wavefront, add_noise, encode_scene,
                        image_source_scene, make_burst_source)
-from gtvv.sh import (BeamWeights, Direction, make_omni_beam,
-                     make_reference_beam, sh_eval)
+from gtvv.sh import Direction, make_omni_beam, make_reference_beam, sh_eval
 from gtvv.spectral import SpectrumTensor, stft
-from gtvv.velocity import (EstimatorConfig, RelativeWavefront,
+from gtvv.velocity import (EstimatorConfig, GfvvEstimate, RelativeWavefront,
                            estimate_gfvv_ls, estimate_gtvv, gtvv_closed_form,
-                           instantaneous_gfvv, interpolate_invalid_bins,
+                           interpolate_invalid_bins,
                            negative_lag_energy_fraction, relative_wavefronts)
+from oracles import SilentFrameError, instantaneous_gfvv
 
 FS = 16000.0
 ROOM = (5.0, 4.0, 2.8)
@@ -69,8 +68,7 @@ def segment_spectra_vectorised(spec, cfg):
                                  spec.bins, spec.channels)
     # the product as `_cross_spectra` forms it; see there
     frames = np.ascontiguousarray(b.transpose(0, 1, 3, 2))
-    ref = np.matmul(cfg.reference.weights,
-                    frames.view(np.float64)).view(complex)
+    ref = np.matmul(cfg.reference, frames.view(np.float64)).view(complex)
     phi = np.mean(b * np.conj(b), axis=1).real
     a1 = np.mean(ref[..., None] * np.conj(b), axis=1)
     return phi, a1
@@ -140,7 +138,7 @@ class TestInstantaneousGfvv:
         freqs = np.arange(win // 2 + 1) * FS / win
         d0, d1 = Direction(0.0, 0.0), Direction(1.2, 0.3)
         w = make_reference_beam(d0, order)
-        beta1 = float(w.weights @ sh_eval(d1, order))
+        beta1 = float(w @ sh_eval(d1, order))
         waves = [RelativeWavefront(d0, 1.0, 0.0, 1.0),
                  RelativeWavefront(d1, 0.6, 32.0 / FS, beta1)]
         spec = multiwave_spectrum(waves, order, freqs)
@@ -251,6 +249,12 @@ class TestLsEstimator:
         with pytest.raises(ValueError):
             estimate_gfvv_ls(spec, cfg)
 
+    def test_reference_of_no_full_order_rejected(self):
+        spec = plane_wave_spectrum(Direction(0, 0), 1, frames=32)
+        cfg = EstimatorConfig(np.ones(5), seg_count=4, frames_per_seg=8)
+        with pytest.raises(ValueError, match="5 weights"):
+            estimate_gfvv_ls(spec, cfg)
+
     @pytest.mark.parametrize("order", [1, 3])
     def test_default_reference_is_the_omni_beam(self, order):
         spec = random_strided_spectrum(order, frames=32, win=64, seed=order)
@@ -359,30 +363,33 @@ class TestLsAccumulation:
                                   0).near_singular is None
 
 
+def unloaded_estimate(values, valid):
+    """A GfvvEstimate of `values` whose systems were none of them loaded."""
+    return GfvvEstimate(values, valid,
+                        np.zeros((valid.size, values.shape[0]), dtype=bool))
+
+
 class TestInterpolation:
     def test_linear_fill(self):
-        from gtvv.velocity import GfvvEstimate
         values = np.arange(5, dtype=complex)[None] * (1.0 + 1.0j)
         valid = np.array([True, True, False, True, True])
         values[:, 2] = np.nan
-        out = interpolate_invalid_bins(GfvvEstimate(values, valid))
+        out = interpolate_invalid_bins(unloaded_estimate(values, valid))
         assert out[0, 2] == pytest.approx(2.0 + 2.0j)
 
     def test_filled_edge_bins_are_real(self):
-        from gtvv.velocity import GfvvEstimate
         values = (np.arange(6) * (1.0 + 1.0j))[None]
         valid = np.array([False, True, True, True, True, False])
         values[:, ~valid] = np.nan
-        out = interpolate_invalid_bins(GfvvEstimate(values, valid))
+        out = interpolate_invalid_bins(unloaded_estimate(values, valid))
         assert out[0, 0] == 1.0 and out[0, -1] == 4.0
         np.testing.assert_array_equal(out[:, valid], values[:, valid])
 
     def test_all_invalid_raises(self):
-        from gtvv.velocity import GfvvEstimate
         values = np.full((2, 4), np.nan, dtype=complex)
         with pytest.raises(ValueError):
-            interpolate_invalid_bins(GfvvEstimate(values,
-                                                  np.zeros(4, dtype=bool)))
+            interpolate_invalid_bins(
+                unloaded_estimate(values, np.zeros(4, dtype=bool)))
 
 
 class TestClosedForm:
@@ -507,7 +514,12 @@ class TestRelativeWavefronts:
         w = make_reference_beam(scene.direct.direction, 2)
         waves = relative_wavefronts(scene, w)
         y = sh_eval(waves[3].direction, 2)
-        assert waves[3].beta == pytest.approx(float(w.weights @ y))
+        assert waves[3].beta == pytest.approx(float(w @ y))
+
+    def test_beam_of_no_full_order_rejected(self):
+        scene = image_source_scene(ROOM, SRC, MIC, 0.3, 1)
+        with pytest.raises(ValueError, match="not a full-order"):
+            relative_wavefronts(scene, np.ones(5))
 
 
 def reverberant_spectrum(order, rt60=0.44, snr=math.inf, src_seed=0,
