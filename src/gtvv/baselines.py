@@ -32,8 +32,8 @@ def srp_map(spec: SpectrumTensor, dictionary: Dictionary) -> np.ndarray:
     skipped: normalizing them would blow their rounding noise up to O(1).
 
     The atoms are real, so the power of atom a summed over a frame b
-    (bins x channels) is aᵀ Re(bᴴ b) a. The map is therefore diag(Aᵀ C A)
-    with the channels x channels covariance C = Σ_u Re(b_uᴴ b_u) / E_u.
+    (channels x bins) is aᵀ Re(b̄ bᵀ) a. The map is therefore diag(Aᵀ C A)
+    with the channels x channels covariance C = Σ_u Re(b̄_u b_uᵀ) / E_u.
     """
     if spec.frames == 0:
         raise ValueError("empty spectrum")
@@ -44,7 +44,7 @@ def srp_map(spec: SpectrumTensor, dictionary: Dictionary) -> np.ndarray:
     cov = np.zeros((spec.channels, spec.channels))
     for b, energy in zip(spec.data, energies):
         if energy > floor:
-            cov += (b.conj().T @ b).real / energy
+            cov += (b.conj() @ b.T).real / energy
     atoms = dictionary.atoms
     values = np.sum(atoms * (cov @ atoms), axis=0)
     # C is positive semi-definite: a negative value is rounding around 0

@@ -73,7 +73,7 @@ def _gtvv_from_wav(args, cfg: ExperimentConfig):
     if args.method == "htdvv":
         return baselines.h_tdvv(spec, EstimatorConfig()), order, None
     dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_directions)
-    _, _, v = analyze(spec, cfg, dictionary, 1)
+    _, _, v = analyze(spec, dictionary, 1)
     return v, order, dictionary
 
 
@@ -118,10 +118,11 @@ def cmd_evaluate(args) -> int:
 def cmd_traces(args) -> int:
     cfg = _load_config(args)
     order = max(cfg.orders) if args.order is None else args.order
+    cfg.check_order(order)
     _, sig = simulate_cell(cfg, 0, cfg.rt60[-1], order)
     spec = stft(sig, cfg.win_len)
     dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_directions)
-    v_h, _, v_g = analyze(spec, cfg, dictionary, 1)
+    v_h, _, v_g = analyze(spec, dictionary, 1)
     os.makedirs(args.out, exist_ok=True)
     for name, v in (("htdvv", v_h), ("gtvv", v_g)):
         path = os.path.join(args.out, f"trace_{name}.csv")

@@ -92,6 +92,11 @@ class ExperimentConfig:
             self.check_order(order)
         if not _is_count(self.seed, 0):
             raise ConfigError("seed must be a non-negative integer")
+        # `open` takes an integer as a file descriptor, so only a path is
+        # let through to the readers
+        for name in ("dict_file", "source_wav"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ConfigError(f"{name} must be a path string or null")
         if self.dict_file is not None:
             try:  # the order-0 dictionary checks the count and spacing
                 build_dictionary(self.dict_size, 0, self.dict_directions)
@@ -273,8 +278,7 @@ def simulate_cell(cfg: ExperimentConfig, scene_idx: int, rt60: float,
     return scene, sig
 
 
-def analyze(spec, cfg: ExperimentConfig, dictionary: Dictionary,
-            h_iters: int) -> tuple:
+def analyze(spec, dictionary: Dictionary, h_iters: int) -> tuple:
     """H-TDVV, its S-OMP and the GTVV steered at that S-OMP's first atom:
     returns (v_h, est_h, v_g).
 
@@ -309,7 +313,7 @@ def run_single(cfg: ExperimentConfig, scene_idx: int, rt60: float,
         math.nan, math.nan, math.nan)
 
     # H-TDVV (omni reference), and GTVV steered at its DoA estimate
-    _, est_h, v_g = analyze(spec, cfg, dictionary, iters)
+    _, est_h, v_g = analyze(spec, dictionary, iters)
     rep_h = match_to_truth(est_h, scene, gate)
     metrics["htdvv"] = _to_metrics(rep_h)
     estimates["htdvv"] = est_h.to_json()

@@ -23,10 +23,11 @@ _FRAME_BLOCK = 8
 
 @dataclass(frozen=True)
 class SpectrumTensor:
-    """STFT of all SH channels: data[frame, bin, channel].
+    """STFT of all SH channels: data[frame, channel, bin], channels first
+    like every other array of the package.
 
-    `data` is a read-only view, so statistics derived from it can be
-    computed once per instance (`cached`).
+    `data` is a read-only C-contiguous view, so statistics derived from it
+    can be computed once per instance (`cached`).
     """
 
     data: np.ndarray
@@ -35,9 +36,9 @@ class SpectrumTensor:
                          compare=False)
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=complex)
+        data = np.ascontiguousarray(self.data, dtype=complex)
         if data.ndim != 3:
-            raise ValueError("spectrum data must be frames x bins x channels")
+            raise ValueError("spectrum data must be frames x channels x bins")
         if not np.all(np.isfinite(data)):
             raise ValueError("spectrum data must be finite")
         data = data.view()
@@ -55,11 +56,11 @@ class SpectrumTensor:
         return self.data.shape[0]
 
     @property
-    def bins(self) -> int:
+    def channels(self) -> int:
         return self.data.shape[1]
 
     @property
-    def channels(self) -> int:
+    def bins(self) -> int:
         return self.data.shape[2]
 
 
@@ -129,7 +130,7 @@ def stft(sig: AmbisonicSignal, win_len: int) -> SpectrumTensor:
         frames = np.multiply(view[start:stop], window,
                              out=block[:stop - start])
         spec[start:stop] = np.fft.rfft(frames, axis=-1)
-    return SpectrumTensor(np.transpose(spec, (0, 2, 1)), sig.fs)
+    return SpectrumTensor(spec, sig.fs)
 
 
 def gfvv_to_gtvv(v_f: np.ndarray, fs: float) -> GtvvMatrix:

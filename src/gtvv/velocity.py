@@ -71,13 +71,13 @@ class EstimatorConfig:
 class GfvvEstimate:
     """Per-bin velocity vector plus a validity flag per bin.
 
-    `near_singular` marks the (bin, channel) systems of the least-squares
+    `near_singular` marks the (channel, bin) systems of the least-squares
     estimator whose normal equations were diagonally loaded.
     """
 
     values: np.ndarray   # channels x bins, complex; invalid bins are NaN
     valid: np.ndarray    # bins, bool
-    near_singular: np.ndarray  # bins x channels, bool
+    near_singular: np.ndarray  # channels x bins, bool
 
 
 def _solve_loaded_2x2(g11, g12, g22, r1, r2):
@@ -102,12 +102,11 @@ def _solve_loaded_2x2(g11, g12, g22, r1, r2):
 def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig,
                    left) -> np.ndarray:
     """E[left[u] · conj(spec.data[u])] over the frames u of each segment:
-    (segments, bins, channels) complex.
+    (segments, channels, bins) complex.
 
     Frames are added one at a time in order, as `np.mean` over the frame
-    axis adds them, into buffers laid out like `spec.data[0]`, so the means
-    equal the `np.mean` of the full frames x bins x channels product bit
-    for bit without building it.
+    axis adds them, so the means equal the `np.mean` of the full
+    frames x channels x bins product bit for bit without building it.
     """
     out = np.empty_like(spec.data[:cfg.seg_count])
     conj_u = np.empty_like(spec.data[0])
@@ -126,12 +125,12 @@ def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig,
 
 
 def _auto_spectra(spec: SpectrumTensor, cfg: EstimatorConfig) -> np.ndarray:
-    """phi = E[B B*] per segment, bin and channel (real)."""
+    """phi = E[B B*] per segment, channel and bin (real)."""
     return _segment_means(spec, cfg, spec.data).real
 
 
 def _cross_spectra(spec: SpectrumTensor, cfg: EstimatorConfig) -> np.ndarray:
-    """a1 = E[(w.b) B*] per segment, bin and channel, w the reference."""
+    """a1 = E[(w.b) B*] per segment, channel and bin, w the reference."""
     w = cfg.reference
     if w is None:
         w = make_omni_beam(order_from_channels(spec.channels))
@@ -140,11 +139,10 @@ def _cross_spectra(spec: SpectrumTensor, cfg: EstimatorConfig) -> np.ndarray:
                          f"spectrum {spec.channels} channels")
     need = cfg.seg_count * cfg.frames_per_seg
     # The real weights times the interleaved real and imaginary parts of
-    # the (frames, channels, bins) memory that `stft` writes: a product
-    # whose summation order does not depend on the BLAS thread count.
-    frames = np.ascontiguousarray(spec.data[:need].transpose(0, 2, 1))
-    ref = np.matmul(w, frames.view(np.float64)).view(complex)
-    return _segment_means(spec, cfg, ref[:, :, None])
+    # each frame: a product whose summation order does not depend on the
+    # BLAS thread count.
+    ref = np.matmul(w, spec.data[:need].view(np.float64)).view(complex)
+    return _segment_means(spec, cfg, ref[:, None, :])
 
 
 def _reference_free_stats(spec: SpectrumTensor, cfg: EstimatorConfig):
@@ -152,8 +150,8 @@ def _reference_free_stats(spec: SpectrumTensor, cfg: EstimatorConfig):
     beam: phi, the bin validity mask and r2 = Σ_segments phi, read-only
     because later estimates on the spectrum share them."""
     phi = _auto_spectra(spec, cfg)
-    energy = np.mean(np.abs(phi), axis=0)  # (bins, ch)
-    bin_energy = np.mean(energy, axis=1)   # (bins,)
+    energy = np.mean(np.abs(phi), axis=0)  # (ch, bins)
+    bin_energy = np.mean(energy, axis=0)   # (bins,)
     valid = bin_energy > _ENERGY_FLOOR * float(np.max(bin_energy))
     stats = (phi, valid, np.sum(phi, axis=0))
     for arr in stats:
@@ -180,25 +178,23 @@ def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig) -> GfvvEstimate
     need = cfg.seg_count * cfg.frames_per_seg
     if spec.frames < need:
         raise ValueError(f"need at least {need} frames, have {spec.frames}")
-    # time-averaged spectra per segment, (seg, bins, ch) each
+    # time-averaged spectra per segment, (seg, ch, bins) each
     phi, valid, r2 = spec.cached(
         ("gfvv_ls", cfg.seg_count, cfg.frames_per_seg),
         lambda: _reference_free_stats(spec, cfg))
     a1 = _cross_spectra(spec, cfg)
 
     a1_spread = np.std(a1, axis=0) / (np.mean(np.abs(a1), axis=0) + 1e-300)
-    degenerate = np.all(a1_spread < _COLLINEAR_TOL, axis=1) & valid
+    degenerate = np.all(a1_spread < _COLLINEAR_TOL, axis=0) & valid
     if np.any(degenerate):
         raise EstimatorDegenerateError(int(np.nonzero(degenerate)[0][0]))
 
-    # normal equations of [a1 1] [v, phi_U]^T = phi, per (bin, channel)
+    # normal equations of [a1 1] [v, phi_U]^T = phi, per (channel, bin)
     g11 = np.sum(np.abs(a1) ** 2, axis=0)
     g12 = np.sum(np.conj(a1), axis=0)
     g22 = float(cfg.seg_count)
     r1 = np.sum(np.conj(a1) * phi, axis=0)
-    v, near_singular = _solve_loaded_2x2(g11, g12, g22, r1, r2)
-
-    values = v.T.astype(complex)  # channels x bins
+    values, near_singular = _solve_loaded_2x2(g11, g12, g22, r1, r2)
     values[:, ~valid] = np.nan
     return GfvvEstimate(values, valid, near_singular)
 

@@ -33,7 +33,7 @@ def instantaneous_gfvv(spec, w, frame: int) -> GfvvEstimate:
     Bins whose reference output falls below 1e-9 times the frame RMS are
     flagged invalid (NaN), not filled.
     """
-    b = spec.data[frame].T  # channels x bins
+    b = spec.data[frame]  # channels x bins
     denom = w @ b
     rms = math.sqrt(float(np.mean(np.abs(b) ** 2)))
     valid = np.abs(denom) > _DENOM_FLOOR * rms

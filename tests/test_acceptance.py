@@ -115,7 +115,7 @@ def test_criterion_3_estimator_fidelity():
     est = estimate_gfvv_ls(spec, EstimatorConfig(make_omni_beam(1),
                                                  seg_count=4,
                                                  frames_per_seg=8))
-    fixture_err = float(np.max(np.abs(est.values - v_row[None, :].T)))
+    fixture_err = float(np.max(np.abs(est.values - v_row[:, None])))
 
     errs_small, errs_big = [], []
     for seed in range(8):
@@ -220,6 +220,36 @@ def test_order_monotonicity_trend(full_sweep):
         o1 = table.cell("gtvv", 1, rt)["doa_error_deg"]
         o4 = table.cell("gtvv", 4, rt)["doa_error_deg"]
         assert o4 < o1
+
+
+def test_default_table_matches_pinned_csv(full_sweep):
+    """The default sweep's results.csv stays what `data/default_results.csv`
+    holds: the label and count columns and any failure line exactly, the
+    means to 1e-9 relative, NaN matching NaN. A change that moves the table
+    updates the file and says why."""
+    _, table, _, _ = full_sweep
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "default_results.csv")
+    with open(path, "r", encoding="utf-8") as fh:
+        want = fh.read().splitlines()
+    got = table.to_csv().splitlines()
+    assert len(got) == len(want)
+    header = want[0].split(",")
+    assert got[0].split(",") == header
+    exact = {"method", "order", "rt60", "runs"}
+    for got_line, want_line in zip(got[1:], want[1:]):
+        if want_line.startswith("#"):
+            assert got_line == want_line
+            continue
+        cells = zip(header, got_line.split(","), want_line.split(","))
+        for col, g, w in cells:
+            if col in exact:
+                assert g == w, (want_line, col)
+            elif math.isnan(float(w)):
+                assert math.isnan(float(g)), (want_line, col)
+            else:
+                assert math.isclose(float(g), float(w), rel_tol=1e-9,
+                                    abs_tol=0.0), (want_line, col)
 
 
 def test_criterion_7_property_suites_present():

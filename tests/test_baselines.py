@@ -30,8 +30,8 @@ def srp_map_loop(spec, dictionary):
         frame_energy = float(np.sum(np.abs(b) ** 2))
         if frame_energy == 0.0:
             continue
-        proj = b @ dictionary.atoms
-        values += np.sum(np.abs(proj) ** 2, axis=0) / frame_energy
+        proj = dictionary.atoms.T @ b  # atoms x bins
+        values += np.sum(np.abs(proj) ** 2, axis=1) / frame_energy
     return values
 
 
@@ -104,8 +104,8 @@ class TestSrp:
         rng = np.random.default_rng(0)
         order = 2
         channels = (order + 1) ** 2
-        data = (rng.standard_normal((400, 513, channels))
-                + 1j * rng.standard_normal((400, 513, channels)))
+        data = (rng.standard_normal((400, channels, 513))
+                + 1j * rng.standard_normal((400, channels, 513)))
         spec = SpectrumTensor(data, FS)
         dic = build_dictionary(770, order)
         pmap = srp_map(spec, dic)
@@ -121,7 +121,7 @@ class TestSrp:
         y1 = sh_eval(d1, order)
         s0 = rng.standard_normal((64, 513)) + 1j * rng.standard_normal((64, 513))
         s1 = rng.standard_normal((64, 513)) + 1j * rng.standard_normal((64, 513))
-        data = s0[:, :, None] * y0 + s1[:, :, None] * y1
+        data = s0[:, None, :] * y0[:, None] + s1[:, None, :] * y1[:, None]
         spec = SpectrumTensor(data, FS)
         dic = build_dictionary(770, order)
         pmap = srp_map(spec, dic)
@@ -182,7 +182,7 @@ class TestSrp:
         # that the energy floor is exercised too
         rng = np.random.default_rng(seed)
         frames, channels = 12, (order + 1) ** 2
-        shape = (frames, 33, channels)
+        shape = (frames, channels, 33)
         b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         b *= np.exp(3.0 * rng.standard_normal((frames, 1, 1)))
         b[rng.random(frames) < 0.2] *= 1e-12
@@ -193,7 +193,7 @@ class TestSrp:
         np.testing.assert_allclose(p, a, rtol=0, atol=1e-12 * np.max(a))
 
     def test_empty_spectrum_rejected(self):
-        spec = SpectrumTensor(np.zeros((0, 513, 4), dtype=complex), FS)
+        spec = SpectrumTensor(np.zeros((0, 4, 513), dtype=complex), FS)
         with pytest.raises(ValueError):
             srp_map(spec, build_dictionary(100, 1))
 

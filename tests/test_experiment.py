@@ -110,6 +110,10 @@ class TestConfig:
         {"seed": True},
         {"orders": (True,)},
         {"rt60": (True,)},
+        # `open` would take these as file descriptors
+        {"dict_file": 0},
+        {"source_wav": 1},
+        {"dict_file": True},
     ])
     def test_invalid_configs_rejected(self, tmp_path, overrides):
         with pytest.raises(ConfigError):
@@ -191,7 +195,7 @@ class TestRunExperiment:
             cfg.duration, cfg.fs, np.random.SeedSequence([cfg.seed, 0, 7]))
         spec = stft(room.encode_scene(scene, source, 1), cfg.win_len)
         dic = build_dictionary(cfg.dict_size, 1)
-        _, est_h, v_g = analyze(spec, cfg, dic, cfg.iter_cap(1))
+        _, est_h, v_g = analyze(spec, dic, cfg.iter_cap(1))
         doas = {"srp": baselines.srp_doa(baselines.srp_map(spec, dic), dic),
                 "htdvv": est_h.directions[0],
                 "gtvv": somp(v_g, dic, cfg.iter_cap(1)).directions[0]}
@@ -313,7 +317,7 @@ def scale_cell(order):
 
 
 def analysis_bytes(sig, cfg, dic, order):
-    v_h, est_h, v_g = analyze(stft(sig, cfg.win_len), cfg, dic,
+    v_h, est_h, v_g = analyze(stft(sig, cfg.win_len), dic,
                               cfg.iter_cap(order))
     return v_h.data.tobytes(), est_h.to_json(), v_g.data.tobytes()
 
@@ -487,6 +491,19 @@ class TestCli:
         assert os.path.isfile(os.path.join(out, "trace_htdvv.csv"))
         assert os.path.isfile(os.path.join(out, "trace_gtvv.csv"))
 
+    def test_traces_order_checked_against_dictionary(self, tmp_path,
+                                                     capsys):
+        # `--order` is checked as the config's orders are, before the
+        # dictionary is built
+        cfg = self._write_cfg(tmp_path, dict_size=10, orders=[1])
+        out = tmp_path / "traces"
+        assert main(["traces", "--config", cfg, "--order", "4",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: dict_size 10 is below the 25 channels of "
+            "order 4\n")
+        assert not out.exists()
+
     def test_traces_print_negative_lag_fractions(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, orders=(3,), rt60=(0.44,))
         out = tmp_path / "traces"
@@ -575,6 +592,19 @@ class TestCli:
                          "--out", str(out)]) == 2
             assert "48000 Hz" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("dict_file", 0), ("source_wav", 1), ("dict_file", True)])
+    def test_file_field_not_a_path_exit_2(self, tmp_path, capsys, field,
+                                          value):
+        # rejected by name before any file is opened: the integer is not
+        # taken as a file descriptor
+        cfg = self._write_cfg(tmp_path, **{field: value})
+        assert main(["evaluate", "--config", cfg,
+                     "--out", str(tmp_path / "results")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {field} must be a path string or null\n")
+        assert not os.path.exists(tmp_path / "results")
 
     @pytest.mark.parametrize("content", [
         None,                                    # missing

@@ -25,8 +25,7 @@ def stft_stacked(sig, win_len):
     window = np.hamming(win_len)
     starts = np.arange((sig.num_samples - win_len) // hop + 1) * hop
     frames = np.stack([sig.channels[:, s:s + win_len] for s in starts])
-    spec = np.fft.rfft(frames * window, axis=-1)
-    return np.transpose(spec, (0, 2, 1))
+    return np.fft.rfft(frames * window, axis=-1)
 
 
 def gtvv_by_hermitian_ifft(v_f):
@@ -62,7 +61,7 @@ class TestStft:
         t = np.arange(4 * win)
         sig = make_signal(amp * np.cos(2 * np.pi * k * t / win))
         spec = stft(sig, win)
-        frame = np.abs(spec.data[0, :, 0])
+        frame = np.abs(spec.data[0, 0, :])
         assert np.argmax(frame) == k
         coherent_gain = np.mean(np.hamming(win))
         expected = coherent_gain * amp * win / 2
@@ -91,7 +90,7 @@ class TestStft:
         for u in range(spec.frames):
             start = u * win // 4
             frame = x[start:start + win] * w
-            X = spec.data[u, :, 0]
+            X = spec.data[u, 0, :]
             two_sided = 2 * np.sum(np.abs(X) ** 2) \
                 - np.abs(X[0]) ** 2 - np.abs(X[-1]) ** 2
             assert two_sided / win == pytest.approx(np.sum(frame ** 2),
@@ -148,6 +147,14 @@ class TestSpectrumTensor:
         with pytest.raises(ValueError):
             spec.data[0, 0, 0] = 2.0
         assert data.flags.writeable  # the caller's array is untouched
+
+    def test_data_is_c_contiguous(self):
+        # the estimator views each frame's channels x bins as floats
+        data = np.arange(40.0).reshape(2, 5, 4).transpose(0, 2, 1)
+        spec = SpectrumTensor(data, FS)
+        assert spec.data.flags.c_contiguous
+        assert (spec.channels, spec.bins) == (4, 5)
+        np.testing.assert_array_equal(spec.data, data)
 
     def test_cached_computes_once_per_key(self):
         spec = SpectrumTensor(np.ones((2, 5, 4), dtype=complex), FS)

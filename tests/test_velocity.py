@@ -44,33 +44,32 @@ def plane_wave_spectrum(direction, order, frames=4, win=256, seed=0):
     y = sh_eval(direction, order)
     s = rng.standard_normal((frames, win // 2 + 1)) \
         + 1j * rng.standard_normal((frames, win // 2 + 1))
-    data = s[:, :, None] * y[None, None, :]
+    data = s[:, None, :] * y[None, :, None]
     return SpectrumTensor(data, FS)
 
 
 def multiwave_spectrum(waves, order, freqs):
     """One-frame spectrum b(f) = sum_n g_n e^{-2j pi f tau_n} y_n."""
     channels = (order + 1) ** 2
-    b = np.zeros((freqs.size, channels), dtype=complex)
+    b = np.zeros((channels, freqs.size), dtype=complex)
     for wv in waves:
         y = sh_eval(wv.direction, order)
-        b += np.outer(wv.rel_gain * np.exp(-2j * np.pi * freqs
-                                           * wv.rel_delay), y)
+        b += np.outer(y, wv.rel_gain * np.exp(-2j * np.pi * freqs
+                                              * wv.rel_delay))
     return SpectrumTensor(b[None], FS)
 
 
 def segment_spectra_vectorised(spec, cfg):
     """Reference segment statistics (phi, a1), computed over the full
-    (segments, frames, bins, channels) products as the estimator first
+    (segments, frames, channels, bins) products as the estimator first
     computed them."""
     need = cfg.seg_count * cfg.frames_per_seg
     b = spec.data[:need].reshape(cfg.seg_count, cfg.frames_per_seg,
-                                 spec.bins, spec.channels)
+                                 spec.channels, spec.bins)
     # the product as `_cross_spectra` forms it; see there
-    frames = np.ascontiguousarray(b.transpose(0, 1, 3, 2))
-    ref = np.matmul(cfg.reference, frames.view(np.float64)).view(complex)
+    ref = np.matmul(cfg.reference, b.view(np.float64)).view(complex)
     phi = np.mean(b * np.conj(b), axis=1).real
-    a1 = np.mean(ref[..., None] * np.conj(b), axis=1)
+    a1 = np.mean(ref[:, :, None, :] * np.conj(b), axis=1)
     return phi, a1
 
 
@@ -78,15 +77,14 @@ def estimate_gfvv_ls_vectorised(spec, cfg):
     """Reference estimator on `segment_spectra_vectorised`: (values, valid,
     near-singular mask)."""
     phi, a1 = segment_spectra_vectorised(spec, cfg)
-    bin_energy = np.mean(np.mean(np.abs(phi), axis=0), axis=1)
+    bin_energy = np.mean(np.mean(np.abs(phi), axis=0), axis=0)
     valid = bin_energy > 1e-9 * float(np.max(bin_energy))
     g11 = np.sum(np.abs(a1) ** 2, axis=0)
     g12 = np.sum(np.conj(a1), axis=0)
     r1 = np.sum(np.conj(a1) * phi, axis=0)
     r2 = np.sum(phi, axis=0)
-    v, near_singular = velocity._solve_loaded_2x2(
+    values, near_singular = velocity._solve_loaded_2x2(
         g11, g12, float(cfg.seg_count), r1, r2)
-    values = v.T.astype(complex)
     values[:, ~valid] = np.nan
     return values, valid, near_singular
 
@@ -100,12 +98,12 @@ def sweep_cell_spectrum(order, rt_idx=1):
 
 
 def random_strided_spectrum(order, frames=96, win=256, seed=0):
-    """Nonstationary random spectrum whose data is a non-contiguous view."""
+    """Nonstationary random spectrum made from a non-contiguous view."""
     rng = np.random.default_rng(seed)
-    shape = (frames, win // 2 + 1, 2 * (order + 1) ** 2)
+    shape = (frames, 2 * (order + 1) ** 2, win // 2 + 1)
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     raw *= np.exp(rng.standard_normal((frames, 1, 1)))
-    data = raw[:, :, ::2]
+    data = raw[:, ::2]
     assert not data.flags.c_contiguous and not data.flags.f_contiguous
     return SpectrumTensor(data, FS)
 
@@ -148,7 +146,7 @@ class TestInstantaneousGfvv:
                                    oracle[:, est.valid], atol=1e-10)
 
     def test_silent_frame_raises(self):
-        spec = SpectrumTensor(np.zeros((1, 129, 4), dtype=complex), FS)
+        spec = SpectrumTensor(np.zeros((1, 4, 129), dtype=complex), FS)
         with pytest.raises(SilentFrameError):
             instantaneous_gfvv(spec, make_omni_beam(1), 0)
 
@@ -156,7 +154,7 @@ class TestInstantaneousGfvv:
         d = Direction(0.5, -0.2)
         spec = plane_wave_spectrum(d, 1)
         data = spec.data.copy()
-        data[:, 10, :] = 0.0  # kill one bin
+        data[:, :, 10] = 0.0  # kill one bin
         spec = SpectrumTensor(data, FS)
         est = instantaneous_gfvv(spec, make_omni_beam(1), 0)
         assert not est.valid[10]
@@ -174,14 +172,14 @@ def consistent_fixture(v_row, seg_count=4, frames_per_seg=8, win=16,
     bins = win // 2 + 1
     channels = v_row.size
     frames = seg_count * frames_per_seg
-    data = np.zeros((frames, bins, channels), dtype=complex)
+    data = np.zeros((frames, channels, bins), dtype=complex)
     for s in range(seg_count):
         a = float(s + 1)  # segment amplitude: nonstationary across segments
         for t in range(frames_per_seg):
             u = noise_amp * (1.0 if t % 2 == 0 else -1.0)
             b0 = a * (np.arange(bins) + 1.0)
-            frame = np.outer(b0, v_row) + u
-            frame[:, 0] = b0  # channel 0 is the reference itself
+            frame = np.outer(v_row, b0) + u
+            frame[0] = b0  # channel 0 is the reference itself
             data[s * frames_per_seg + t] = frame
     return SpectrumTensor(data, FS)
 
@@ -225,8 +223,8 @@ class TestLsEstimator:
         # every frame identical: the per-segment statistics are collinear
         win = 64
         y = sh_eval(Direction(0.3, 0.0), 1)
-        frame = np.zeros((win // 2 + 1, 4), dtype=complex)
-        frame[12] = (2.0 + 1.0j) * y
+        frame = np.zeros((4, win // 2 + 1), dtype=complex)
+        frame[:, 12] = (2.0 + 1.0j) * y
         data = np.tile(frame[None], (16, 1, 1))
         spec = SpectrumTensor(data, FS)
         cfg = EstimatorConfig(make_omni_beam(1), seg_count=4,
@@ -343,14 +341,15 @@ class TestLsAccumulation:
     def test_near_singular_bin_reported(self):
         spec = random_strided_spectrum(1, frames=32, win=64, seed=3)
         data = spec.data.copy()
-        data[:, 10, 2] = 0.0  # channel 2 silent in bin 10: a1 is 0 there
+        data[:, 2, 10] = 0.0  # channel 2 silent in bin 10: a1 is 0 there
         spec = SpectrumTensor(data, FS)
         cfg = EstimatorConfig(make_omni_beam(1), seg_count=4,
                               frames_per_seg=8)
         est = estimate_gfvv_ls(spec, cfg)
-        assert est.near_singular.shape == (spec.bins, spec.channels)
+        assert est.near_singular.shape == est.values.shape == (
+            spec.channels, spec.bins)
         assert est.near_singular.dtype == bool
-        assert np.argwhere(est.near_singular).tolist() == [[10, 2]]
+        assert np.argwhere(est.near_singular).tolist() == [[2, 10]]
         # the loaded solve puts the silent channel at 0; nothing else moves
         assert est.values[2, 10] == 0.0
         values, valid, _ = estimate_gfvv_ls_vectorised(spec, cfg)
@@ -366,7 +365,7 @@ class TestLsAccumulation:
 def unloaded_estimate(values, valid):
     """A GfvvEstimate of `values` whose systems were none of them loaded."""
     return GfvvEstimate(values, valid,
-                        np.zeros((valid.size, values.shape[0]), dtype=bool))
+                        np.zeros(values.shape, dtype=bool))
 
 
 class TestInterpolation:
@@ -538,7 +537,7 @@ class TestEstimateGtvv:
         # a bin that is zero in every frame is invalid and interpolated; at
         # DC or Nyquist the fill must still be the spectrum of a real response
         data = sweep_cell_spectrum(2, rt_idx=0).data.copy()
-        data[:, silent_bin] = 0.0
+        data[:, :, silent_bin] = 0.0
         spec = SpectrumTensor(data, FS)
         cfg = EstimatorConfig()
         assert not estimate_gfvv_ls(spec, cfg).valid[silent_bin]
