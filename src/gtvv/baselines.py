@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from .sh import Dictionary, Direction
-from .spectral import GtvvMatrix, SpectrumTensor
+from .spectral import GtvvMatrix, SpectrumTensor, frame_blocks
 from .velocity import _ENERGY_FLOOR, EstimatorConfig, estimate_gtvv
 
 
@@ -33,18 +33,21 @@ def srp_map(spec: SpectrumTensor, dictionary: Dictionary) -> np.ndarray:
 
     The atoms are real, so the power of atom a summed over a frame b
     (channels x bins) is aᵀ Re(b̄ bᵀ) a. The map is therefore diag(Aᵀ C A)
-    with the channels x channels covariance C = Σ_u Re(b̄_u b_uᵀ) / E_u.
+    with the channels x channels covariance C = Σ_u Re(b̄_u b_uᵀ) / E_u,
+    whose terms are the spectrum's `cross_power` and their traces E_u.
     """
     if spec.frames == 0:
         raise ValueError("empty spectrum")
     if dictionary.atoms.shape[0] != spec.channels:
         raise ValueError("dictionary order does not match the spectrum")
-    energies = np.array([np.vdot(b, b).real for b in spec.data])
+    power = np.concatenate([spec.cross_power(start, stop)
+                            for start, stop in frame_blocks(spec.frames)])
+    energies = np.trace(power, axis1=1, axis2=2)
     floor = _ENERGY_FLOOR * float(np.max(energies))
     cov = np.zeros((spec.channels, spec.channels))
-    for b, energy in zip(spec.data, energies):
+    for frame, energy in zip(power, energies):
         if energy > floor:
-            cov += (b.conj() @ b.T).real / energy
+            cov += frame / energy
     atoms = dictionary.atoms
     values = np.sum(atoms * (cov @ atoms), axis=0)
     # C is positive semi-definite: a negative value is rounding around 0

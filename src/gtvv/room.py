@@ -375,9 +375,14 @@ def read_wav(path) -> AmbisonicSignal:
     if got < frames:
         raise ValueError(f"data chunk truncated: {got} of {frames} frames")
     data = data.reshape(frames, channels)
+    # channels first, transposed 2048 frames at a time: a strided copy of
+    # the whole file reads memory in cache-hostile order
+    out = np.empty((channels, frames))
+    for start in range(0, frames, 2048):
+        out[:, start:start + 2048] = data[start:start + 2048].T
     if data.dtype.kind == "u":
-        data = (data.astype(np.float64) - 128.0) / 128.0
+        out -= 128.0
+        out /= 128.0
     elif data.dtype.kind == "i":
-        data = data.astype(np.float64) / float(2 ** (8 * data.itemsize - 1))
-    return AmbisonicSignal(float(rate), np.ascontiguousarray(data.T,
-                                                             dtype=float))
+        out /= float(2 ** (8 * data.itemsize - 1))
+    return AmbisonicSignal(float(rate), out)

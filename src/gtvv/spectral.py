@@ -8,7 +8,7 @@ off `time_axis`, never off raw column indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -17,33 +17,40 @@ from .errors import InconsistentSpectrumError
 from .room import AmbisonicSignal
 
 _IMAG_RESIDUE_TOL = 1e-8
-# frames windowed and transformed per `stft` pass
+# frames windowed, transformed or reduced at a time
 _FRAME_BLOCK = 8
 
 
-@dataclass(frozen=True)
 class SpectrumTensor:
-    """STFT of all SH channels: data[frame, channel, bin], channels first
-    like every other array of the package.
+    """Hamming-windowed one-sided STFT of every channel of `signal`, with
+    frames `win_len`/4 apart (see `frame_count`), computed where it is
+    read: `block` transforms a run of frames, `cross_power` reduces them
+    without a transform, and nothing frames x channels x bins is stored.
 
-    `data` is a read-only C-contiguous view, so statistics derived from it
-    can be computed once per instance (`cached`).
+    The samples are read when a block is, so the signal must not change
+    after `stft`. Statistics derived from the spectrum can be computed
+    once per instance (`cached`).
     """
 
-    data: np.ndarray
-    fs: float
-    _cache: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
-
-    def __post_init__(self):
-        data = np.ascontiguousarray(self.data, dtype=complex)
-        if data.ndim != 3:
-            raise ValueError("spectrum data must be frames x channels x bins")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("spectrum data must be finite")
-        data = data.view()
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
+    def __init__(self, signal: AmbisonicSignal, win_len: int):
+        self.signal = signal
+        self.win_len = win_len
+        self.fs = signal.fs
+        self.channels = signal.channels.shape[0]
+        self.bins = win_len // 2 + 1
+        self.frames = frame_count(signal.num_samples, win_len)
+        # (frames, channels, win_len) strided view of the frames, no copies
+        self._view = sliding_window_view(
+            signal.channels, win_len, axis=1)[:, ::win_len // 4].transpose(
+                1, 0, 2)
+        self._window = np.hamming(win_len)
+        # the DC and Nyquist bins of a real frame: its sum and its
+        # alternating sum
+        self._edges = np.ones((win_len, 2))
+        self._edges[1::2, 1] = -1.0
+        self._buffer = np.empty((min(_FRAME_BLOCK, self.frames),
+                                 self.channels, win_len))
+        self._cache = {}
 
     def cached(self, key, compute):
         """`compute()`, evaluated on the first call with `key` only."""
@@ -51,17 +58,47 @@ class SpectrumTensor:
             self._cache[key] = compute()
         return self._cache[key]
 
-    @property
-    def frames(self) -> int:
-        return self.data.shape[0]
+    def _windowed(self, start: int, stop: int) -> np.ndarray:
+        """Frames `start` to `stop` - 1 times the window, in the reused
+        buffer when they fit in it."""
+        if not 0 <= start <= stop <= self.frames:
+            raise ValueError(f"frames {start}:{stop} outside 0:{self.frames}")
+        count = stop - start
+        out = (self._buffer[:count] if count <= _FRAME_BLOCK
+               else np.empty((count, self.channels, self.win_len)))
+        return np.multiply(self._view[start:stop], self._window, out=out)
 
-    @property
-    def channels(self) -> int:
-        return self.data.shape[1]
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """The spectra of frames `start` to `stop` - 1: (frames, channels,
+        bins) complex. Each row is the same one-dimensional transform of
+        the same windowed frame as in one batched call over all frames,
+        bit for bit."""
+        return np.fft.rfft(self._windowed(start, stop), axis=-1)
 
-    @property
-    def bins(self) -> int:
-        return self.data.shape[2]
+    def cross_power(self, start: int, stop: int) -> np.ndarray:
+        """Re Σ_k conj(b_k) b_kᵀ over the one-sided bins k of each of
+        frames `start` to `stop` - 1: (frames, channels, channels).
+
+        By Parseval the two-sided sum is N X Xᵀ for the windowed frame X
+        (channels x N). It counts each inner bin twice, its mirror adding
+        the same real part, and the DC and Nyquist bins, d and q, once, so
+        the one-sided sum is (N X Xᵀ + d dᵀ + q qᵀ) / 2 and needs no
+        transform.
+        """
+        x = self._windowed(start, stop)
+        edges = np.matmul(x, self._edges)  # (frames, channels, 2): d, q
+        power = np.matmul(x, x.transpose(0, 2, 1))
+        power *= self.win_len
+        power += np.matmul(edges, edges.transpose(0, 2, 1))
+        power /= 2.0
+        return power
+
+
+def frame_blocks(stop: int):
+    """(start, stop) of the runs of `_FRAME_BLOCK` frames that cover
+    frames 0 to `stop` - 1, the last run possibly shorter."""
+    for start in range(0, stop, _FRAME_BLOCK):
+        yield start, min(start + _FRAME_BLOCK, stop)
 
 
 @dataclass(frozen=True)
@@ -103,34 +140,22 @@ def frame_count(num_samples: int, win_len: int) -> int:
 
 
 def stft(sig: AmbisonicSignal, win_len: int) -> SpectrumTensor:
-    """Hamming-windowed one-sided STFT of every channel, with frames
-    `win_len`/4 apart (see `frame_count`).
+    """The spectrum of every channel of `sig` (see `SpectrumTensor`).
 
-    The frames are windowed and transformed `_FRAME_BLOCK` at a time
-    through one reused buffer, and each block's transform is copied into
-    the spectrum, so the signal, the spectrum and one block of frames and
-    of their transform are all that is held. Every row is the same
-    one-dimensional transform of the same windowed frame as in a single
-    batched call, bit for bit.
+    A sample that is not finite, or of magnitude `finfo(float).max /
+    win_len` or more, could make a transform non-finite and is rejected
+    here once, so every block of the spectrum is finite.
     """
     if win_len <= 0 or (win_len & (win_len - 1)) != 0:
         raise ValueError("win_len must be a power of two")
     if sig.num_samples < win_len:
         raise ValueError("signal shorter than one analysis window")
-    window = np.hamming(win_len)
-    num_frames = frame_count(sig.num_samples, win_len)
-    # (frames, channels, win_len) strided view of the frames, no copies
-    view = sliding_window_view(sig.channels, win_len,
-                               axis=1)[:, ::win_len // 4].transpose(1, 0, 2)
-    spec = np.empty((num_frames, view.shape[1], win_len // 2 + 1),
-                    dtype=complex)
-    block = np.empty((min(_FRAME_BLOCK, num_frames),) + view.shape[1:])
-    for start in range(0, num_frames, _FRAME_BLOCK):
-        stop = min(start + _FRAME_BLOCK, num_frames)
-        frames = np.multiply(view[start:stop], window,
-                             out=block[:stop - start])
-        spec[start:stop] = np.fft.rfft(frames, axis=-1)
-    return SpectrumTensor(spec, sig.fs)
+    # two passes without a temporary; a NaN fails the comparison
+    peak = max(float(np.max(sig.channels)), -float(np.min(sig.channels)))
+    if not peak < np.finfo(float).max / win_len:
+        raise ValueError("signal samples must be finite and of magnitude "
+                         f"below finfo(float).max / {win_len}")
+    return SpectrumTensor(sig, win_len)
 
 
 def gfvv_to_gtvv(v_f: np.ndarray, fs: float) -> GtvvMatrix:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import EstimatorDegenerateError, ExpansionInvalidError
 from .room import GroundTruthScene, fractional_delay_kernel
-from .sh import Direction, make_omni_beam, order_from_channels, sh_eval
-from .spectral import GtvvMatrix, SpectrumTensor, gfvv_to_gtvv
+from .sh import Direction, order_from_channels, sh_eval
+from .spectral import GtvvMatrix, SpectrumTensor, frame_blocks, gfvv_to_gtvv
 
 _ENERGY_FLOOR = 1e-9
 _COLLINEAR_TOL = 1e-9
@@ -99,57 +99,47 @@ def _solve_loaded_2x2(g11, g12, g22, r1, r2):
     return v, near_singular
 
 
-def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig,
-                   left) -> np.ndarray:
-    """E[left[u] · conj(spec.data[u])] over the frames u of each segment:
-    (segments, channels, bins) complex.
+def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
+                   with_phi: bool):
+    """a1 = E[(w.b) B*] per segment, channel and bin, w the reference
+    weights (None for the omni channel itself), and with `with_phi` the
+    auto-spectra phi = E[B B*] (real), from one pass over the blocks of
+    the segments' frames: returns (a1, phi or None).
 
     Frames are added one at a time in order, as `np.mean` over the frame
     axis adds them, so the means equal the `np.mean` of the full
-    frames x channels x bins product bit for bit without building it.
+    frames x channels x bins products bit for bit without building them.
     """
-    out = np.empty_like(spec.data[:cfg.seg_count])
-    conj_u = np.empty_like(spec.data[0])
-    term_u = np.empty_like(spec.data[0])
-
-    def term(u, dest):
-        return np.multiply(left[u], np.conjugate(spec.data[u], out=conj_u),
-                           out=dest)
-
-    for seg, acc in enumerate(out):
-        first = seg * cfg.frames_per_seg
-        term(first, acc)
-        for u in range(first + 1, first + cfg.frames_per_seg):
-            acc += term(u, term_u)
-    return np.true_divide(out, cfg.frames_per_seg, out=out)
-
-
-def _auto_spectra(spec: SpectrumTensor, cfg: EstimatorConfig) -> np.ndarray:
-    """phi = E[B B*] per segment, channel and bin (real)."""
-    return _segment_means(spec, cfg, spec.data).real
-
-
-def _cross_spectra(spec: SpectrumTensor, cfg: EstimatorConfig) -> np.ndarray:
-    """a1 = E[(w.b) B*] per segment, channel and bin, w the reference."""
-    w = cfg.reference
-    if w is None:
-        w = make_omni_beam(order_from_channels(spec.channels))
-    elif w.size != spec.channels:
-        raise ValueError(f"reference beam has {w.size} weights, the "
-                         f"spectrum {spec.channels} channels")
-    need = cfg.seg_count * cfg.frames_per_seg
-    # The real weights times the interleaved real and imaginary parts of
-    # each frame: a product whose summation order does not depend on the
-    # BLAS thread count.
-    ref = np.matmul(w, spec.data[:need].view(np.float64)).view(complex)
-    return _segment_means(spec, cfg, ref[:, None, :])
+    shape = (cfg.seg_count, spec.channels, spec.bins)
+    means = [np.empty(shape, dtype=complex) for _ in range(1 + with_phi)]
+    conj_u = np.empty(shape[1:], dtype=complex)
+    term = np.empty(shape[1:], dtype=complex)
+    for start, stop in frame_blocks(cfg.seg_count * cfg.frames_per_seg):
+        b = spec.block(start, stop)
+        if w is None:
+            ref = b[:, :1]
+        else:
+            # The real weights times the interleaved real and imaginary
+            # parts of each frame: a product whose summation order does
+            # not depend on the BLAS thread count.
+            ref = np.matmul(w, b.view(np.float64)).view(complex)[:, None]
+        for i in range(stop - start):
+            seg, pos = divmod(start + i, cfg.frames_per_seg)
+            np.conjugate(b[i], out=conj_u)
+            for mean, left in zip(means, (ref[i], b[i])):
+                if pos == 0:
+                    np.multiply(left, conj_u, out=mean[seg])
+                else:
+                    mean[seg] += np.multiply(left, conj_u, out=term)
+    for mean in means:
+        np.true_divide(mean, cfg.frames_per_seg, out=mean)
+    return means[0], means[1].real if with_phi else None
 
 
-def _reference_free_stats(spec: SpectrumTensor, cfg: EstimatorConfig):
+def _reference_free_stats(phi: np.ndarray):
     """The half of the estimator that does not depend on the reference
     beam: phi, the bin validity mask and r2 = Σ_segments phi, read-only
     because later estimates on the spectrum share them."""
-    phi = _auto_spectra(spec, cfg)
     energy = np.mean(np.abs(phi), axis=0)  # (ch, bins)
     bin_energy = np.mean(energy, axis=0)   # (bins,)
     valid = bin_energy > _ENERGY_FLOOR * float(np.max(bin_energy))
@@ -168,9 +158,11 @@ def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig) -> GfvvEstimate
     stacked 2-unknown system (channel ratio, stationary residual spectrum)
     is solved in the least-squares sense.
 
-    The auto-spectra do not depend on the reference, so they are computed
-    once per spectrum and segmentation and shared by later calls (the
-    omni-referenced and the steered estimate of one recording).
+    Each estimate reads the spectra of the segments' frames in one pass.
+    The auto-spectra do not depend on the reference, so the first estimate
+    on a spectrum and segmentation forms them in its pass and later ones
+    (the omni-referenced and the steered estimate of one recording) share
+    them.
 
     Bins with energy below floor are flagged invalid; a bin whose system is
     rank deficient despite carrying energy (stationary source) raises.
@@ -178,11 +170,23 @@ def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig) -> GfvvEstimate
     need = cfg.seg_count * cfg.frames_per_seg
     if spec.frames < need:
         raise ValueError(f"need at least {need} frames, have {spec.frames}")
+    w = cfg.reference
+    if w is None:
+        order_from_channels(spec.channels)  # the omni beam's full order
+    elif w.size != spec.channels:
+        raise ValueError(f"reference beam has {w.size} weights, the "
+                         f"spectrum {spec.channels} channels")
+    a1 = None
+
+    def first_pass():
+        nonlocal a1
+        a1, phi = _segment_means(spec, cfg, w, True)
+        return _reference_free_stats(phi)
     # time-averaged spectra per segment, (seg, ch, bins) each
     phi, valid, r2 = spec.cached(
-        ("gfvv_ls", cfg.seg_count, cfg.frames_per_seg),
-        lambda: _reference_free_stats(spec, cfg))
-    a1 = _cross_spectra(spec, cfg)
+        ("gfvv_ls", cfg.seg_count, cfg.frames_per_seg), first_pass)
+    if a1 is None:
+        a1, _ = _segment_means(spec, cfg, w, False)
 
     a1_spread = np.std(a1, axis=0) / (np.mean(np.abs(a1), axis=0) + 1e-300)
     degenerate = np.all(a1_spread < _COLLINEAR_TOL, axis=0) & valid

@@ -1,6 +1,10 @@
 """Test oracles: independent routes to what the package computes, and
 helpers that only the tests call.
 
+- `ArraySpectrum`, a spectrum given as an array with the read interface
+  of `gtvv.spectral.SpectrumTensor`: the fake through which tests inject
+  exact frequency-domain spectra, and the frequency-domain reference of
+  `cross_power`;
 - `instantaneous_gfvv`, the noiseless one-frame GFVV b(f) / (w . b(f)),
   against which the least-squares estimator is checked;
 - `from_unit_vector`, the inverse of `Direction.unit_vector`;
@@ -21,6 +25,42 @@ from gtvv.velocity import GfvvEstimate
 _DENOM_FLOOR = 1e-9
 
 
+class ArraySpectrum:
+    """STFT data[frame, channel, bin], read as `stft`'s lazy spectrum is:
+    `frames`, `channels`, `bins`, `fs`, `cached`, `block` and
+    `cross_power`.
+
+    `data` is a read-only C-contiguous copy of finite values: the
+    estimator views each frame's channels x bins as floats.
+    """
+
+    def __init__(self, data, fs):
+        data = np.ascontiguousarray(data, dtype=complex)
+        if data.ndim != 3:
+            raise ValueError("spectrum data must be frames x channels x bins")
+        if not np.all(np.isfinite(data)):
+            raise ValueError("spectrum data must be finite")
+        data = data.view()
+        data.flags.writeable = False
+        self.data = data
+        self.fs = fs
+        self.frames, self.channels, self.bins = data.shape
+        self._cache = {}
+
+    def cached(self, key, compute):
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
+    def block(self, start, stop):
+        return self.data[start:stop]
+
+    def cross_power(self, start, stop):
+        """Re Σ_k conj(b_k) b_kᵀ over the bins k of each frame."""
+        b = self.data[start:stop]
+        return np.matmul(b.conj(), b.transpose(0, 2, 1)).real
+
+
 class SilentFrameError(GtvvError):
     """Every frequency bin of a frame fell below the reference-output floor."""
 
@@ -33,7 +73,7 @@ def instantaneous_gfvv(spec, w, frame: int) -> GfvvEstimate:
     Bins whose reference output falls below 1e-9 times the frame RMS are
     flagged invalid (NaN), not filled.
     """
-    b = spec.data[frame]  # channels x bins
+    b = spec.block(frame, frame + 1)[0]  # channels x bins
     denom = w @ b
     rms = math.sqrt(float(np.mean(np.abs(b) ** 2)))
     valid = np.abs(denom) > _DENOM_FLOOR * rms

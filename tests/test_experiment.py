@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gtvv
-from gtvv import baselines, cli, experiment, room, sh, velocity
+from gtvv import baselines, cli, experiment, room, sh
 from gtvv.cli import main
 from gtvv.errors import ConfigError, EstimatorDegenerateError
 from gtvv.experiment import (ExperimentConfig, aggregate, analyze,
@@ -25,7 +26,7 @@ from gtvv.sh import (Direction, angular_distance, build_dictionary,
                      fibonacci_directions, make_omni_beam,
                      make_reference_beam)
 from gtvv.somp import somp
-from gtvv.spectral import frame_count, stft
+from gtvv.spectral import SpectrumTensor, frame_count, stft
 from gtvv.velocity import (EstimatorConfig, RelativeWavefront,
                            estimate_gtvv, gtvv_closed_form)
 from oracles import to_json
@@ -542,22 +543,32 @@ class TestCli:
 
     def test_infer_computes_reference_free_statistics_once(
             self, tmp_path, capsys, monkeypatch):
+        # the omni pass forms the reference-free statistics along with its
+        # own cross-spectra and the steered pass reuses them: each of the
+        # estimator's 8 x 24 frames is transformed twice and no later frame
+        # at all; SRP reduces every frame once, with no transform
         path = self._write_cfg(tmp_path, orders=(2,))
         sim = tmp_path / "sim"
         assert main(["simulate", "--config", path, "--out", str(sim)]) == 0
-        calls = []
-        stats = velocity._reference_free_stats
-
-        def counting(spec, cfg):
-            calls.append(spec)
-            return stats(spec, cfg)
-        monkeypatch.setattr(velocity, "_reference_free_stats", counting)
+        wav = sim / "scene0_rt0.16.wav"
+        frames = frame_count(read_wav(wav).num_samples, 1024)
+        assert frames > 192
+        reads = {"block": [], "cross_power": []}
+        for name, log in reads.items():
+            def counting(spec, start, stop,
+                         _read=getattr(SpectrumTensor, name), _log=log):
+                _log.extend(range(start, stop))
+                return _read(spec, start, stop)
+            monkeypatch.setattr(SpectrumTensor, name, counting)
         assert main(["infer", "--config", path, "--out",
-                     str(tmp_path / "est.json"),
-                     "--wav", str(sim / "scene0_rt0.16.wav")]) == 0
-        assert len(calls) == 1
+                     str(tmp_path / "est.json"), "--wav", str(wav)]) == 0
+        twice = {u: 2 for u in range(192)}
+        assert Counter(reads["block"]) == twice
+        assert reads["cross_power"] == []
+        reads["block"].clear()
         run_single(ExperimentConfig.from_json(path), 0, 0.16, 2)
-        assert len(calls) == 2
+        assert Counter(reads["block"]) == twice
+        assert reads["cross_power"] == list(range(frames))
 
     # the estimator is no longer a config setting: each of these blocks,
     # once accepted, names a removed key

@@ -546,6 +546,31 @@ class TestWavReader:
         assert sig.fs == fs == 22050.0
         np.testing.assert_array_equal(sig.channels, want)
 
+    @pytest.mark.parametrize("tag, dtype", [(1, "<i2"), (3, "<f4"),
+                                            (1, "u1")])
+    def test_blocked_transpose_matches_one_strided_copy(self, tmp_path, tag,
+                                                        dtype):
+        # 4097 frames: two whole blocks of 2048 and a partial last one
+        rng = np.random.default_rng(4)
+        if dtype[-2] == "f":
+            raw = rng.standard_normal((4097, 5)).astype(dtype)
+        else:
+            info = np.iinfo(dtype)
+            raw = rng.integers(info.min, info.max, (4097, 5), endpoint=True,
+                               dtype=dtype)
+        path = tmp_path / "long.wav"
+        path.write_bytes(wav_bytes(tag, 5, 8 * raw.itemsize, raw.tobytes()))
+        data = raw
+        if data.dtype.kind == "u":
+            data = (data.astype(np.float64) - 128.0) / 128.0
+        elif data.dtype.kind == "i":
+            data = data.astype(np.float64) / float(
+                2 ** (8 * data.itemsize - 1))
+        got = read_wav(path).channels
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(
+            got, np.ascontiguousarray(data.T, dtype=float))
+
     def test_mono(self, tmp_path):
         path = tmp_path / "mono.wav"
         wavfile.write(path, 8000, np.arange(-5, 5, dtype=np.int16))

@@ -4,12 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gtvv.baselines import srp_map
 from gtvv.errors import InconsistentSpectrumError
-from gtvv.experiment import ExperimentConfig, simulate_cell
+from gtvv.experiment import ExperimentConfig, analyze, simulate_cell
 from gtvv.room import AmbisonicSignal
-from gtvv.sh import Direction, sh_eval
-from gtvv.spectral import (GtvvMatrix, SpectrumTensor, frame_count,
+from gtvv.sh import Direction, build_dictionary, sh_eval
+from gtvv.spectral import (GtvvMatrix, frame_blocks, frame_count,
                            gfvv_to_gtvv, make_time_axis, stft)
+from oracles import ArraySpectrum
 
 FS = 16000.0
 
@@ -61,7 +63,7 @@ class TestStft:
         t = np.arange(4 * win)
         sig = make_signal(amp * np.cos(2 * np.pi * k * t / win))
         spec = stft(sig, win)
-        frame = np.abs(spec.data[0, 0, :])
+        frame = np.abs(spec.block(0, 1)[0, 0])
         assert np.argmax(frame) == k
         coherent_gain = np.mean(np.hamming(win))
         expected = coherent_gain * amp * win / 2
@@ -69,7 +71,7 @@ class TestStft:
 
     def test_zero_signal(self):
         spec = stft(make_signal(np.zeros(4096)), 1024)
-        assert np.all(spec.data == 0)
+        assert np.all(spec.block(0, spec.frames) == 0)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
@@ -90,7 +92,7 @@ class TestStft:
         for u in range(spec.frames):
             start = u * win // 4
             frame = x[start:start + win] * w
-            X = spec.data[u, 0, :]
+            X = spec.block(u, u + 1)[0, 0]
             two_sided = 2 * np.sum(np.abs(X) ** 2) \
                 - np.abs(X[0]) ** 2 - np.abs(X[-1]) ** 2
             assert two_sided / win == pytest.approx(np.sum(frame ** 2),
@@ -101,7 +103,8 @@ class TestStft:
     def test_matches_stacked_frames(self, order):
         cfg = ExperimentConfig()
         _, sig = simulate_cell(cfg, 0, cfg.rt60[1], order)
-        got = stft(sig, cfg.win_len).data
+        spec = stft(sig, cfg.win_len)
+        got = spec.block(0, spec.frames)
         want = stft_stacked(sig, cfg.win_len)
         np.testing.assert_array_equal(got, want)
         assert got.strides == want.strides
@@ -109,7 +112,8 @@ class TestStft:
     def test_matches_stacked_frames_on_uneven_length(self):
         # the last partial hop is dropped, as by the stacked frames
         sig = make_signal(np.random.default_rng(1).standard_normal((4, 5000)))
-        np.testing.assert_array_equal(stft(sig, 512).data,
+        spec = stft(sig, 512)
+        np.testing.assert_array_equal(spec.block(0, spec.frames),
                                       stft_stacked(sig, 512))
 
     # below one frame block, exactly one, and a partial last block
@@ -119,31 +123,110 @@ class TestStft:
         samples = win + (frames - 1) * win // 4
         sig = make_signal(
             np.random.default_rng(frames).standard_normal((9, samples)))
-        got = stft(sig, win).data
+        spec = stft(sig, win)
+        got = spec.block(0, spec.frames)
         want = stft_stacked(sig, win)
         assert got.shape[0] == frames
         np.testing.assert_array_equal(got, want)
         assert got.strides == want.strides
 
-    def test_peak_memory_is_the_spectrum_and_one_block(self):
-        # the frames are never all windowed at once: as float64 they take
-        # as many bytes as their one-sided complex spectrum, less 0.2 %
+    # each frame block, alone, within one block, and across block edges
+    @pytest.mark.parametrize("start, stop", [(0, 1), (5, 6), (2, 7), (0, 8),
+                                             (6, 11), (3, 21)])
+    def test_block_is_the_rows_of_the_whole(self, start, stop):
+        sig = make_signal(np.random.default_rng(2).standard_normal((4, 1536)))
+        spec = stft(sig, 256)
+        assert spec.frames == 21
+        np.testing.assert_array_equal(spec.block(start, stop),
+                                      stft_stacked(sig, 256)[start:stop])
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (3, 2), (0, 22)])
+    def test_block_outside_the_frames_rejected(self, start, stop):
+        spec = stft(make_signal(np.ones((4, 1536))), 256)
+        with pytest.raises(ValueError, match="outside 0:21"):
+            spec.block(start, stop)
+        with pytest.raises(ValueError, match="outside 0:21"):
+            spec.cross_power(start, stop)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e306,
+                                     -1e306])
+    def test_non_finite_or_overflowing_sample_rejected(self, bad):
+        # 1e306 is below finfo(float).max but not below it over win_len
+        x = np.random.default_rng(0).standard_normal((4, 4096))
+        x[2, 1234] = bad
+        with pytest.raises(ValueError, match="finite and of magnitude"):
+            stft(make_signal(x), 1024)
+
+    def test_largest_accepted_sample_gives_a_finite_spectrum(self):
+        # every sample at the bound: the DC bin sums them all
+        x = np.full((1, 1024), np.nextafter(np.finfo(float).max / 1024, 0.0))
+        spec = stft(make_signal(x), 1024)
+        assert np.all(np.isfinite(spec.block(0, 1)))
+
+    def test_analysis_peak_memory_is_under_0_3_of_the_spectrum(self):
+        # the analysis of the order-6 cell, SRP included, holds frame
+        # blocks, segment statistics and per-frame channel cross-powers,
+        # never the whole complex spectrum (frames x channels x bins x 16
+        # bytes; the array-backed spectrum took 1.14 times that)
         cfg = ExperimentConfig()
         _, sig = simulate_cell(cfg, 0, cfg.rt60[0], 6)
+        dic = build_dictionary(cfg.dict_size, 6)
         tracemalloc.start()
         try:
             spec = stft(sig, cfg.win_len)
+            srp_map(spec, dic)
+            analyze(spec, dic, cfg.iter_cap(6))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert spec.channels == 49
-        assert peak <= 1.15 * spec.data.nbytes
+        assert peak <= 0.3 * spec.frames * spec.channels * spec.bins * 16
+
+
+class TestCrossPower:
+    """The Parseval cross-power of the windowed frames against the
+    frequency-domain one of their spectra."""
+
+    @staticmethod
+    def assert_matches_spectra(spec):
+        want = ArraySpectrum(spec.block(0, spec.frames), FS).cross_power(
+            0, spec.frames)
+        got = np.concatenate([spec.cross_power(start, stop)
+                              for start, stop in frame_blocks(spec.frames)])
+        assert got.shape == (spec.frames, spec.channels, spec.channels)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)))
+        np.testing.assert_allclose(spec.cross_power(0, spec.frames), want,
+                                   rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+    # below one frame block, exactly one, and one frame past it
+    @pytest.mark.parametrize("frames", [1, 7, 8, 9])
+    @pytest.mark.parametrize("order", [1, 6])
+    def test_matches_frequency_domain(self, order, frames):
+        win = 1024
+        samples = win + (frames - 1) * win // 4
+        rng = np.random.default_rng(10 * order + frames)
+        x = rng.standard_normal(((order + 1) ** 2, samples))
+        x *= np.exp(rng.standard_normal((x.shape[0], 1)))
+        spec = stft(make_signal(x), win)
+        assert spec.frames == frames
+        self.assert_matches_spectra(spec)
+
+    # a constant puts the frame sum in the DC bin, a +-1 alternation puts
+    # the alternating sum in the Nyquist bin: the correction terms
+    @pytest.mark.parametrize("pattern", ["constant", "alternating"])
+    def test_edge_bin_signals(self, pattern):
+        t = np.arange(3 * 1024)
+        x = np.ones(t.size) if pattern == "constant" else (-1.0) ** t
+        spec = stft(make_signal(np.stack([x, 0.5 * x, -2.0 * x])), 1024)
+        self.assert_matches_spectra(spec)
 
 
 class TestSpectrumTensor:
+    # the array-backed spectrum of the tests
     def test_data_is_read_only(self):
         data = np.ones((2, 5, 4), dtype=complex)
-        spec = SpectrumTensor(data, FS)
+        spec = ArraySpectrum(data, FS)
         with pytest.raises(ValueError):
             spec.data[0, 0, 0] = 2.0
         assert data.flags.writeable  # the caller's array is untouched
@@ -151,13 +234,13 @@ class TestSpectrumTensor:
     def test_data_is_c_contiguous(self):
         # the estimator views each frame's channels x bins as floats
         data = np.arange(40.0).reshape(2, 5, 4).transpose(0, 2, 1)
-        spec = SpectrumTensor(data, FS)
+        spec = ArraySpectrum(data, FS)
         assert spec.data.flags.c_contiguous
         assert (spec.channels, spec.bins) == (4, 5)
         np.testing.assert_array_equal(spec.data, data)
 
     def test_cached_computes_once_per_key(self):
-        spec = SpectrumTensor(np.ones((2, 5, 4), dtype=complex), FS)
+        spec = stft(make_signal(np.ones((4, 64))), 16)
         calls = []
 
         def compute(tag):

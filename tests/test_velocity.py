@@ -6,15 +6,16 @@ import pytest
 from gtvv import velocity
 from gtvv.errors import EstimatorDegenerateError, ExpansionInvalidError
 from gtvv.experiment import ExperimentConfig, simulate_cell
-from gtvv.room import (GroundTruthScene, Wavefront, add_noise, encode_scene,
-                       image_source_scene, make_burst_source)
+from gtvv.room import (AmbisonicSignal, GroundTruthScene, Wavefront,
+                       add_noise, encode_scene, image_source_scene,
+                       make_burst_source)
 from gtvv.sh import Direction, make_omni_beam, make_reference_beam, sh_eval
 from gtvv.spectral import SpectrumTensor, stft
 from gtvv.velocity import (EstimatorConfig, GfvvEstimate, RelativeWavefront,
                            estimate_gfvv_ls, estimate_gtvv, gtvv_closed_form,
                            interpolate_invalid_bins,
                            negative_lag_energy_fraction, relative_wavefronts)
-from oracles import SilentFrameError, instantaneous_gfvv
+from oracles import ArraySpectrum, SilentFrameError, instantaneous_gfvv
 
 FS = 16000.0
 ROOM = (5.0, 4.0, 2.8)
@@ -45,7 +46,7 @@ def plane_wave_spectrum(direction, order, frames=4, win=256, seed=0):
     s = rng.standard_normal((frames, win // 2 + 1)) \
         + 1j * rng.standard_normal((frames, win // 2 + 1))
     data = s[:, None, :] * y[None, :, None]
-    return SpectrumTensor(data, FS)
+    return ArraySpectrum(data, FS)
 
 
 def multiwave_spectrum(waves, order, freqs):
@@ -56,7 +57,7 @@ def multiwave_spectrum(waves, order, freqs):
         y = sh_eval(wv.direction, order)
         b += np.outer(y, wv.rel_gain * np.exp(-2j * np.pi * freqs
                                               * wv.rel_delay))
-    return SpectrumTensor(b[None], FS)
+    return ArraySpectrum(b[None], FS)
 
 
 def segment_spectra_vectorised(spec, cfg):
@@ -64,10 +65,13 @@ def segment_spectra_vectorised(spec, cfg):
     (segments, frames, channels, bins) products as the estimator first
     computed them."""
     need = cfg.seg_count * cfg.frames_per_seg
-    b = spec.data[:need].reshape(cfg.seg_count, cfg.frames_per_seg,
-                                 spec.channels, spec.bins)
-    # the product as `_cross_spectra` forms it; see there
-    ref = np.matmul(cfg.reference, b.view(np.float64)).view(complex)
+    b = spec.block(0, need).reshape(cfg.seg_count, cfg.frames_per_seg,
+                                    spec.channels, spec.bins)
+    w = cfg.reference
+    if w is None:
+        w = make_omni_beam(int(round(np.sqrt(spec.channels))) - 1)
+    # the product as `_segment_means` forms it; see there
+    ref = np.matmul(w, b.view(np.float64)).view(complex)
     phi = np.mean(b * np.conj(b), axis=1).real
     a1 = np.mean(ref[:, :, None, :] * np.conj(b), axis=1)
     return phi, a1
@@ -105,11 +109,11 @@ def random_strided_spectrum(order, frames=96, win=256, seed=0):
     raw *= np.exp(rng.standard_normal((frames, 1, 1)))
     data = raw[:, ::2]
     assert not data.flags.c_contiguous and not data.flags.f_contiguous
-    return SpectrumTensor(data, FS)
+    return ArraySpectrum(data, FS)
 
 
 def fresh_copy(spec):
-    return SpectrumTensor(spec.data.copy(), spec.fs)
+    return stft(spec.signal, spec.win_len)
 
 
 class TestInstantaneousGfvv:
@@ -146,7 +150,7 @@ class TestInstantaneousGfvv:
                                    oracle[:, est.valid], atol=1e-10)
 
     def test_silent_frame_raises(self):
-        spec = SpectrumTensor(np.zeros((1, 4, 129), dtype=complex), FS)
+        spec = ArraySpectrum(np.zeros((1, 4, 129), dtype=complex), FS)
         with pytest.raises(SilentFrameError):
             instantaneous_gfvv(spec, make_omni_beam(1), 0)
 
@@ -155,7 +159,7 @@ class TestInstantaneousGfvv:
         spec = plane_wave_spectrum(d, 1)
         data = spec.data.copy()
         data[:, :, 10] = 0.0  # kill one bin
-        spec = SpectrumTensor(data, FS)
+        spec = ArraySpectrum(data, FS)
         est = instantaneous_gfvv(spec, make_omni_beam(1), 0)
         assert not est.valid[10]
         assert np.all(np.isnan(est.values[:, 10]))
@@ -181,7 +185,7 @@ def consistent_fixture(v_row, seg_count=4, frames_per_seg=8, win=16,
             frame = np.outer(v_row, b0) + u
             frame[0] = b0  # channel 0 is the reference itself
             data[s * frames_per_seg + t] = frame
-    return SpectrumTensor(data, FS)
+    return ArraySpectrum(data, FS)
 
 
 class TestLsEstimator:
@@ -226,7 +230,7 @@ class TestLsEstimator:
         frame = np.zeros((4, win // 2 + 1), dtype=complex)
         frame[:, 12] = (2.0 + 1.0j) * y
         data = np.tile(frame[None], (16, 1, 1))
-        spec = SpectrumTensor(data, FS)
+        spec = ArraySpectrum(data, FS)
         cfg = EstimatorConfig(make_omni_beam(1), seg_count=4,
                               frames_per_seg=4)
         with pytest.raises(EstimatorDegenerateError) as exc:
@@ -281,15 +285,17 @@ class TestLsAccumulation:
         else:
             spec = random_strided_spectrum(order)
             seg = dict(seg_count=6, frames_per_seg=16)
-        beams = (make_omni_beam(order),
+        # None reads the omni channel itself, the others weight channels
+        beams = (None, make_omni_beam(order),
                  make_reference_beam(Direction(1.0, -0.4), order))
         for beam in beams:
             cfg = EstimatorConfig(beam, **seg)
             phi, a1 = segment_spectra_vectorised(spec, cfg)
-            np.testing.assert_array_equal(velocity._auto_spectra(spec, cfg),
-                                          phi)
+            got_a1, got_phi = velocity._segment_means(spec, cfg, beam, True)
+            np.testing.assert_array_equal(got_phi, phi)
+            np.testing.assert_array_equal(got_a1, a1)
             np.testing.assert_array_equal(
-                velocity._cross_spectra(spec, cfg), a1)
+                velocity._segment_means(spec, cfg, beam, False)[0], a1)
             est = estimate_gfvv_ls(spec, cfg)
             values, valid, near_singular = estimate_gfvv_ls_vectorised(
                 spec, cfg)
@@ -321,28 +327,38 @@ class TestLsAccumulation:
     def test_segmentation_change_recomputes(self, monkeypatch):
         spec = sweep_cell_spectrum(1)
         beam = make_omni_beam(1)
-        calls = []
-        stats = velocity._reference_free_stats
+        computed, frames_read = [], []
+        cached, block = SpectrumTensor.cached, SpectrumTensor.block
 
-        def counting(spec_, cfg_):
-            if spec_ is spec:
-                calls.append((cfg_.seg_count, cfg_.frames_per_seg))
-            return stats(spec_, cfg_)
-        monkeypatch.setattr(velocity, "_reference_free_stats", counting)
+        def counting_cached(self, key, compute):
+            def counted():
+                computed.append(key[1:])
+                return compute()
+            return cached(self, key, counted if self is spec else compute)
+
+        def counting_block(self, start, stop):
+            if self is spec:
+                frames_read.extend(range(start, stop))
+            return block(self, start, stop)
+        monkeypatch.setattr(SpectrumTensor, "cached", counting_cached)
+        monkeypatch.setattr(SpectrumTensor, "block", counting_block)
         for seg, fps in ((8, 24), (4, 24), (8, 12), (8, 24), (4, 24)):
             cfg = EstimatorConfig(beam, seg_count=seg, frames_per_seg=fps)
+            frames_read.clear()
             got = estimate_gfvv_ls(spec, cfg)
+            # one pass over the segments' frames, computed or not
+            assert frames_read == list(range(seg * fps))
             want = estimate_gfvv_ls(fresh_copy(spec), cfg)
             np.testing.assert_array_equal(got.values, want.values)
             np.testing.assert_array_equal(got.valid, want.valid)
         # computed once per segmentation, reused when it comes back
-        assert calls == [(8, 24), (4, 24), (8, 12)]
+        assert computed == [(8, 24), (4, 24), (8, 12)]
 
     def test_near_singular_bin_reported(self):
         spec = random_strided_spectrum(1, frames=32, win=64, seed=3)
         data = spec.data.copy()
         data[:, 2, 10] = 0.0  # channel 2 silent in bin 10: a1 is 0 there
-        spec = SpectrumTensor(data, FS)
+        spec = ArraySpectrum(data, FS)
         cfg = EstimatorConfig(make_omni_beam(1), seg_count=4,
                               frames_per_seg=8)
         est = estimate_gfvv_ls(spec, cfg)
@@ -536,9 +552,10 @@ class TestEstimateGtvv:
     def test_silent_bin_is_filled(self, silent_bin):
         # a bin that is zero in every frame is invalid and interpolated; at
         # DC or Nyquist the fill must still be the spectrum of a real response
-        data = sweep_cell_spectrum(2, rt_idx=0).data.copy()
+        spec = sweep_cell_spectrum(2, rt_idx=0)
+        data = spec.block(0, spec.frames)
         data[:, :, silent_bin] = 0.0
-        spec = SpectrumTensor(data, FS)
+        spec = ArraySpectrum(data, FS)
         cfg = EstimatorConfig()
         assert not estimate_gfvv_ls(spec, cfg).valid[silent_bin]
         v = estimate_gtvv(spec, cfg)
@@ -611,3 +628,18 @@ class TestEstimateGtvv:
         disagreement = np.median(np.abs(a - b) / (np.abs(a) + np.abs(b)
                                                   + 1e-12))
         assert disagreement < 0.25
+
+    def test_reads_only_the_segments_frames(self):
+        # 8 x 24 frames 256 samples apart: a 30 s recording estimates as
+        # its first 191 * 256 + 1024 samples do
+        scene = image_source_scene(ROOM, SRC, MIC, 0.44, 2)
+        sig = add_noise(encode_scene(scene, make_burst_source(30.0, FS, 4),
+                                     1), 20.0, 5)
+        head = AmbisonicSignal(FS, sig.channels[:, :191 * 256 + 1024])
+        long_spec, head_spec = stft(sig, 1024), stft(head, 1024)
+        assert head_spec.frames == 192 < 1872 <= long_spec.frames
+        cfg = EstimatorConfig(make_reference_beam(scene.direct.direction, 1))
+        for est_cfg in (EstimatorConfig(), cfg):
+            np.testing.assert_array_equal(
+                estimate_gtvv(long_spec, est_cfg).data,
+                estimate_gtvv(head_spec, est_cfg).data)
