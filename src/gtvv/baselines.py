@@ -34,20 +34,24 @@ def srp_map(spec: SpectrumTensor, dictionary: Dictionary) -> np.ndarray:
     The atoms are real, so the power of atom a summed over a frame b
     (channels x bins) is aᵀ Re(b̄ bᵀ) a. The map is therefore diag(Aᵀ C A)
     with the channels x channels covariance C = Σ_u Re(b̄_u b_uᵀ) / E_u,
-    whose terms are the spectrum's `cross_power` and their traces E_u.
+    whose terms are the spectrum's `cross_power` and `energy`. The
+    energies come first, in a pass that forms no channel x channel
+    product, because the floor needs their maximum; only they grow with
+    the recording.
     """
     if spec.frames == 0:
         raise ValueError("empty spectrum")
     if dictionary.atoms.shape[0] != spec.channels:
         raise ValueError("dictionary order does not match the spectrum")
-    power = np.concatenate([spec.cross_power(start, stop)
-                            for start, stop in frame_blocks(spec.frames)])
-    energies = np.trace(power, axis1=1, axis2=2)
+    energies = np.concatenate([spec.energy(start, stop)
+                               for start, stop in frame_blocks(spec.frames)])
     floor = _ENERGY_FLOOR * float(np.max(energies))
     cov = np.zeros((spec.channels, spec.channels))
-    for frame, energy in zip(power, energies):
-        if energy > floor:
-            cov += frame / energy
+    for start, stop in frame_blocks(spec.frames):
+        for frame, energy in zip(spec.cross_power(start, stop),
+                                 energies[start:stop]):
+            if energy > floor:
+                cov += frame / energy
     atoms = dictionary.atoms
     values = np.sum(atoms * (cov @ atoms), axis=0)
     # C is positive semi-definite: a negative value is rounding around 0

@@ -24,15 +24,29 @@ _FRAME_BLOCK = 8
 class SpectrumTensor:
     """Hamming-windowed one-sided STFT of every channel of `signal`, with
     frames `win_len`/4 apart (see `frame_count`), computed where it is
-    read: `block` transforms a run of frames, `cross_power` reduces them
-    without a transform, and nothing frames x channels x bins is stored.
+    read: `block` transforms a run of frames, `cross_power` and `energy`
+    reduce them without a transform, and nothing frames x channels x bins
+    is stored.
 
-    The samples are read when a block is, so the signal must not change
-    after `stft`. Statistics derived from the spectrum can be computed
+    The signal is checked once here, so every block is finite. Its
+    samples are read when a block is, so it must not change after
+    construction. Statistics derived from the spectrum can be computed
     once per instance (`cached`).
     """
 
     def __init__(self, signal: AmbisonicSignal, win_len: int):
+        if win_len <= 0 or (win_len & (win_len - 1)) != 0:
+            raise ValueError("win_len must be a power of two")
+        if signal.num_samples < win_len:
+            raise ValueError("signal shorter than one analysis window")
+        # A sample that is not finite, or of magnitude finfo(float).max /
+        # win_len or more, could make a transform non-finite. Two passes
+        # without a temporary; a NaN fails the comparison.
+        peak = max(float(np.max(signal.channels)),
+                   -float(np.min(signal.channels)))
+        if not peak < np.finfo(float).max / win_len:
+            raise ValueError("signal samples must be finite and of magnitude "
+                             f"below finfo(float).max / {win_len}")
         self.signal = signal
         self.win_len = win_len
         self.fs = signal.fs
@@ -44,10 +58,10 @@ class SpectrumTensor:
             signal.channels, win_len, axis=1)[:, ::win_len // 4].transpose(
                 1, 0, 2)
         self._window = np.hamming(win_len)
-        # the DC and Nyquist bins of a real frame: its sum and its
-        # alternating sum
-        self._edges = np.ones((win_len, 2))
-        self._edges[1::2, 1] = -1.0
+        # the DC and Nyquist bins of a real windowed frame: its sum and its
+        # alternating sum, as products of the frame with these columns
+        self._window_edges = np.stack([self._window, self._window], axis=1)
+        self._window_edges[1::2, 1] *= -1.0
         self._buffer = np.empty((min(_FRAME_BLOCK, self.frames),
                                  self.channels, win_len))
         self._cache = {}
@@ -58,18 +72,26 @@ class SpectrumTensor:
             self._cache[key] = compute()
         return self._cache[key]
 
+    def _check_run(self, start: int, stop: int):
+        if not 0 <= start < stop <= min(self.frames, start + _FRAME_BLOCK):
+            raise ValueError(f"frames {start}:{stop}: not a run of 1 to "
+                             f"{_FRAME_BLOCK} of 0:{self.frames}")
+
     def _windowed(self, start: int, stop: int) -> np.ndarray:
         """Frames `start` to `stop` - 1 times the window, in the reused
-        buffer when they fit in it."""
-        if not 0 <= start <= stop <= self.frames:
-            raise ValueError(f"frames {start}:{stop} outside 0:{self.frames}")
-        count = stop - start
-        out = (self._buffer[:count] if count <= _FRAME_BLOCK
-               else np.empty((count, self.channels, self.win_len)))
-        return np.multiply(self._view[start:stop], self._window, out=out)
+        buffer."""
+        self._check_run(start, stop)
+        return np.multiply(self._view[start:stop], self._window,
+                           out=self._buffer[:stop - start])
+
+    def _edge_bins(self, start: int, stop: int) -> np.ndarray:
+        """The DC and Nyquist bins d, q of frames `start` to `stop` - 1:
+        (frames, channels, 2), real."""
+        return np.matmul(self._view[start:stop], self._window_edges)
 
     def block(self, start: int, stop: int) -> np.ndarray:
-        """The spectra of frames `start` to `stop` - 1: (frames, channels,
+        """The spectra of frames `start` to `stop` - 1, a run of 1 to
+        `_FRAME_BLOCK` frames (see `frame_blocks`): (frames, channels,
         bins) complex. Each row is the same one-dimensional transform of
         the same windowed frame as in one batched call over all frames,
         bit for bit."""
@@ -77,7 +99,8 @@ class SpectrumTensor:
 
     def cross_power(self, start: int, stop: int) -> np.ndarray:
         """Re Σ_k conj(b_k) b_kᵀ over the one-sided bins k of each of
-        frames `start` to `stop` - 1: (frames, channels, channels).
+        frames `start` to `stop` - 1: (frames, channels, channels). Like
+        `block`, it takes a run of 1 to `_FRAME_BLOCK` frames.
 
         By Parseval the two-sided sum is N X Xᵀ for the windowed frame X
         (channels x N). It counts each inner bin twice, its mirror adding
@@ -86,12 +109,32 @@ class SpectrumTensor:
         transform.
         """
         x = self._windowed(start, stop)
-        edges = np.matmul(x, self._edges)  # (frames, channels, 2): d, q
+        edges = self._edge_bins(start, stop)
         power = np.matmul(x, x.transpose(0, 2, 1))
         power *= self.win_len
         power += np.matmul(edges, edges.transpose(0, 2, 1))
         power /= 2.0
         return power
+
+    def energy(self, start: int, stop: int) -> np.ndarray:
+        """Σ_k |b_k|² over the channels and one-sided bins k of each of
+        frames `start` to `stop` - 1, the trace of `cross_power`:
+        (N Σ_n w_n² s_n + |d|² + |q|²) / 2 with s the frame's squared
+        samples summed over channels. It windows no frame and forms no
+        channel x channel product."""
+        self._check_run(start, stop)
+        hop = self.win_len // 4
+        span = self.signal.channels[
+            :, start * hop:(stop - 1) * hop + self.win_len]
+        squares = np.einsum("ct,ct->t", span, span)
+        energy = np.matmul(
+            sliding_window_view(squares, self.win_len)[::hop],
+            self._window ** 2)
+        energy *= self.win_len
+        edges = self._edge_bins(start, stop)
+        energy += np.einsum("fce,fce->f", edges, edges)
+        energy /= 2.0
+        return energy
 
 
 def frame_blocks(stop: int):
@@ -140,21 +183,7 @@ def frame_count(num_samples: int, win_len: int) -> int:
 
 
 def stft(sig: AmbisonicSignal, win_len: int) -> SpectrumTensor:
-    """The spectrum of every channel of `sig` (see `SpectrumTensor`).
-
-    A sample that is not finite, or of magnitude `finfo(float).max /
-    win_len` or more, could make a transform non-finite and is rejected
-    here once, so every block of the spectrum is finite.
-    """
-    if win_len <= 0 or (win_len & (win_len - 1)) != 0:
-        raise ValueError("win_len must be a power of two")
-    if sig.num_samples < win_len:
-        raise ValueError("signal shorter than one analysis window")
-    # two passes without a temporary; a NaN fails the comparison
-    peak = max(float(np.max(sig.channels)), -float(np.min(sig.channels)))
-    if not peak < np.finfo(float).max / win_len:
-        raise ValueError("signal samples must be finite and of magnitude "
-                         f"below finfo(float).max / {win_len}")
+    """The spectrum of every channel of `sig` (see `SpectrumTensor`)."""
     return SpectrumTensor(sig, win_len)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EstimatorDegenerateError, ExpansionInvalidError
 from .room import GroundTruthScene, fractional_delay_kernel
-from .sh import Direction, order_from_channels, sh_eval
+from .sh import Direction, make_omni_beam, order_from_channels, sh_eval
 from .spectral import GtvvMatrix, SpectrumTensor, frame_blocks, gfvv_to_gtvv
 
 _ENERGY_FLOOR = 1e-9
@@ -102,9 +102,9 @@ def _solve_loaded_2x2(g11, g12, g22, r1, r2):
 def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
                    with_phi: bool):
     """a1 = E[(w.b) B*] per segment, channel and bin, w the reference
-    weights (None for the omni channel itself), and with `with_phi` the
-    auto-spectra phi = E[B B*] (real), from one pass over the blocks of
-    the segments' frames: returns (a1, phi or None).
+    weights, and with `with_phi` the auto-spectra phi = E[B B*] (real),
+    from one pass over the blocks of the segments' frames: returns (a1,
+    phi or None).
 
     Frames are added one at a time in order, as `np.mean` over the frame
     axis adds them, so the means equal the `np.mean` of the full
@@ -116,13 +116,10 @@ def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
     term = np.empty(shape[1:], dtype=complex)
     for start, stop in frame_blocks(cfg.seg_count * cfg.frames_per_seg):
         b = spec.block(start, stop)
-        if w is None:
-            ref = b[:, :1]
-        else:
-            # The real weights times the interleaved real and imaginary
-            # parts of each frame: a product whose summation order does
-            # not depend on the BLAS thread count.
-            ref = np.matmul(w, b.view(np.float64)).view(complex)[:, None]
+        # The real weights times the interleaved real and imaginary parts
+        # of each frame: a product whose summation order does not depend
+        # on the BLAS thread count.
+        ref = np.matmul(w, b.view(np.float64)).view(complex)[:, None]
         for i in range(stop - start):
             seg, pos = divmod(start + i, cfg.frames_per_seg)
             np.conjugate(b[i], out=conj_u)
@@ -172,7 +169,7 @@ def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig) -> GfvvEstimate
         raise ValueError(f"need at least {need} frames, have {spec.frames}")
     w = cfg.reference
     if w is None:
-        order_from_channels(spec.channels)  # the omni beam's full order
+        w = make_omni_beam(order_from_channels(spec.channels))
     elif w.size != spec.channels:
         raise ValueError(f"reference beam has {w.size} weights, the "
                          f"spectrum {spec.channels} channels")

@@ -4,7 +4,8 @@ helpers that only the tests call.
 - `ArraySpectrum`, a spectrum given as an array with the read interface
   of `gtvv.spectral.SpectrumTensor`: the fake through which tests inject
   exact frequency-domain spectra, and the frequency-domain reference of
-  `cross_power`;
+  `cross_power` and `energy`;
+- `all_frames`, every frame of a spectrum as one array;
 - `instantaneous_gfvv`, the noiseless one-frame GFVV b(f) / (w . b(f)),
   against which the least-squares estimator is checked;
 - `from_unit_vector`, the inverse of `Direction.unit_vector`;
@@ -20,6 +21,7 @@ import numpy as np
 
 from gtvv.errors import GtvvError
 from gtvv.sh import Direction
+from gtvv.spectral import frame_blocks
 from gtvv.velocity import GfvvEstimate
 
 _DENOM_FLOOR = 1e-9
@@ -27,8 +29,8 @@ _DENOM_FLOOR = 1e-9
 
 class ArraySpectrum:
     """STFT data[frame, channel, bin], read as `stft`'s lazy spectrum is:
-    `frames`, `channels`, `bins`, `fs`, `cached`, `block` and
-    `cross_power`.
+    `frames`, `channels`, `bins`, `fs`, `cached`, `block`,
+    `cross_power` and `energy`.
 
     `data` is a read-only C-contiguous copy of finite values: the
     estimator views each frame's channels x bins as floats.
@@ -59,6 +61,17 @@ class ArraySpectrum:
         """Re Σ_k conj(b_k) b_kᵀ over the bins k of each frame."""
         b = self.data[start:stop]
         return np.matmul(b.conj(), b.transpose(0, 2, 1)).real
+
+    def energy(self, start, stop):
+        """The trace of each frame's `cross_power`."""
+        return np.trace(self.cross_power(start, stop), axis1=1, axis2=2)
+
+
+def all_frames(spec):
+    """The spectra of every frame of `spec`, (frames, channels, bins): its
+    blocks concatenated."""
+    return np.concatenate([spec.block(start, stop)
+                           for start, stop in frame_blocks(spec.frames)])
 
 
 class SilentFrameError(GtvvError):

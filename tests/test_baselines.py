@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from gtvv.sh import (Direction, angular_distance, build_dictionary,
 from gtvv.spectral import stft
 from gtvv.velocity import (EstimatorConfig, estimate_gtvv,
                            negative_lag_energy_fraction)
-from oracles import ArraySpectrum, nearest
+from oracles import ArraySpectrum, all_frames, nearest
 
 FS = 16000.0
 ROOM = (5.0, 4.0, 2.8)
@@ -26,7 +27,7 @@ def srp_map_loop(spec, dictionary):
     """Reference SRP: project every frame onto every atom, as `srp_map` was
     first written."""
     values = np.zeros(len(dictionary))
-    for b in spec.block(0, spec.frames):
+    for b in all_frames(spec):
         frame_energy = float(np.sum(np.abs(b) ** 2))
         if frame_energy == 0.0:
             continue
@@ -81,6 +82,26 @@ class TestHTdvv:
 
 
 class TestSrp:
+    def test_peak_memory_does_not_grow_with_the_recording(self):
+        # six times the frames add one float per frame, not a channels x
+        # channels cross-power per frame (5 KB each at order 4)
+        dic = build_dictionary(770, 4)
+        rng = np.random.default_rng(4)
+        frames, peaks = [], []
+        for seconds in (1.0, 6.0):
+            spec = stft(AmbisonicSignal(FS, rng.standard_normal(
+                (25, int(seconds * FS)))), 1024)
+            tracemalloc.start()
+            try:
+                srp_map(spec, dic)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            frames.append(spec.frames)
+        added = frames[1] - frames[0]
+        assert added > 300
+        assert peaks[1] - peaks[0] <= 16 * added + 65536
+
     def test_single_wave_argmax_at_nearest_atom(self):
         d = Direction(1.1, -0.35)
         spec = free_field_spectrum(d, 4)
@@ -163,8 +184,7 @@ class TestSrp:
         scene = image_source_scene(ROOM, SRC, MIC, 0.44, 3)
         sig = encode_scene(scene, make_burst_source(3.2, FS, 1), 4)
         spec = stft(sig, 1024)
-        energies = np.sum(np.abs(spec.block(0, spec.frames)) ** 2,
-                          axis=(1, 2))
+        energies = np.sum(np.abs(all_frames(spec)) ** 2, axis=(1, 2))
         assert np.min(energies) < 1e-20 * np.max(energies)
         # noise at 1e-15 of the peak: rounding-level in the bursts, but it
         # replaces the rounding residue that fills the silent frames

@@ -9,9 +9,9 @@ from gtvv.errors import InconsistentSpectrumError
 from gtvv.experiment import ExperimentConfig, analyze, simulate_cell
 from gtvv.room import AmbisonicSignal
 from gtvv.sh import Direction, build_dictionary, sh_eval
-from gtvv.spectral import (GtvvMatrix, frame_blocks, frame_count,
-                           gfvv_to_gtvv, make_time_axis, stft)
-from oracles import ArraySpectrum
+from gtvv.spectral import (GtvvMatrix, SpectrumTensor, frame_blocks,
+                           frame_count, gfvv_to_gtvv, make_time_axis, stft)
+from oracles import ArraySpectrum, all_frames
 
 FS = 16000.0
 
@@ -71,16 +71,19 @@ class TestStft:
 
     def test_zero_signal(self):
         spec = stft(make_signal(np.zeros(4096)), 1024)
-        assert np.all(spec.block(0, spec.frames) == 0)
+        assert np.all(all_frames(spec) == 0)
 
+    # the checks are the spectrum's own, whichever way it is built
     def test_too_short(self):
-        with pytest.raises(ValueError):
-            stft(make_signal(np.zeros(512)), 1024)
+        for make in (stft, SpectrumTensor):
+            with pytest.raises(ValueError, match="shorter than one"):
+                make(make_signal(np.zeros(512)), 1024)
 
     def test_bad_window(self):
         sig = make_signal(np.zeros(4096))
-        with pytest.raises(ValueError):
-            stft(sig, 1000)
+        for make in (stft, SpectrumTensor):
+            with pytest.raises(ValueError, match="power of two"):
+                make(sig, 1000)
 
     def test_parseval_per_frame(self):
         win = 256
@@ -104,7 +107,7 @@ class TestStft:
         cfg = ExperimentConfig()
         _, sig = simulate_cell(cfg, 0, cfg.rt60[1], order)
         spec = stft(sig, cfg.win_len)
-        got = spec.block(0, spec.frames)
+        got = all_frames(spec)
         want = stft_stacked(sig, cfg.win_len)
         np.testing.assert_array_equal(got, want)
         assert got.strides == want.strides
@@ -113,7 +116,7 @@ class TestStft:
         # the last partial hop is dropped, as by the stacked frames
         sig = make_signal(np.random.default_rng(1).standard_normal((4, 5000)))
         spec = stft(sig, 512)
-        np.testing.assert_array_equal(spec.block(0, spec.frames),
+        np.testing.assert_array_equal(all_frames(spec),
                                       stft_stacked(sig, 512))
 
     # below one frame block, exactly one, and a partial last block
@@ -124,15 +127,16 @@ class TestStft:
         sig = make_signal(
             np.random.default_rng(frames).standard_normal((9, samples)))
         spec = stft(sig, win)
-        got = spec.block(0, spec.frames)
+        got = all_frames(spec)
         want = stft_stacked(sig, win)
         assert got.shape[0] == frames
         np.testing.assert_array_equal(got, want)
         assert got.strides == want.strides
 
-    # each frame block, alone, within one block, and across block edges
+    # one frame, within one block, a whole block, across block edges and
+    # the partial last block
     @pytest.mark.parametrize("start, stop", [(0, 1), (5, 6), (2, 7), (0, 8),
-                                             (6, 11), (3, 21)])
+                                             (6, 11), (13, 21), (16, 21)])
     def test_block_is_the_rows_of_the_whole(self, start, stop):
         sig = make_signal(np.random.default_rng(2).standard_normal((4, 1536)))
         spec = stft(sig, 256)
@@ -140,13 +144,14 @@ class TestStft:
         np.testing.assert_array_equal(spec.block(start, stop),
                                       stft_stacked(sig, 256)[start:stop])
 
-    @pytest.mark.parametrize("start, stop", [(-1, 2), (3, 2), (0, 22)])
+    # outside the frames, reversed, empty, or longer than one block
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (3, 2), (4, 4),
+                                             (18, 22), (0, 9), (0, 21)])
     def test_block_outside_the_frames_rejected(self, start, stop):
         spec = stft(make_signal(np.ones((4, 1536))), 256)
-        with pytest.raises(ValueError, match="outside 0:21"):
-            spec.block(start, stop)
-        with pytest.raises(ValueError, match="outside 0:21"):
-            spec.cross_power(start, stop)
+        for read in (spec.block, spec.cross_power, spec.energy):
+            with pytest.raises(ValueError, match="1 to 8 of 0:21"):
+                read(start, stop)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e306,
                                      -1e306])
@@ -154,8 +159,9 @@ class TestStft:
         # 1e306 is below finfo(float).max but not below it over win_len
         x = np.random.default_rng(0).standard_normal((4, 4096))
         x[2, 1234] = bad
-        with pytest.raises(ValueError, match="finite and of magnitude"):
-            stft(make_signal(x), 1024)
+        for make in (stft, SpectrumTensor):
+            with pytest.raises(ValueError, match="finite and of magnitude"):
+                make(make_signal(x), 1024)
 
     def test_largest_accepted_sample_gives_a_finite_spectrum(self):
         # every sample at the bound: the DC bin sums them all
@@ -189,15 +195,18 @@ class TestCrossPower:
 
     @staticmethod
     def assert_matches_spectra(spec):
-        want = ArraySpectrum(spec.block(0, spec.frames), FS).cross_power(
+        want = ArraySpectrum(all_frames(spec), FS).cross_power(
             0, spec.frames)
-        got = np.concatenate([spec.cross_power(start, stop)
-                              for start, stop in frame_blocks(spec.frames)])
+        blocks = list(frame_blocks(spec.frames))
+        got = np.concatenate([spec.cross_power(*run) for run in blocks])
         assert got.shape == (spec.frames, spec.channels, spec.channels)
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-12 * np.max(np.abs(want)))
-        np.testing.assert_allclose(spec.cross_power(0, spec.frames), want,
-                                   rtol=0, atol=1e-12 * np.max(np.abs(want)))
+        # the energies are the traces
+        energy = np.concatenate([spec.energy(*run) for run in blocks])
+        want_energy = np.trace(want, axis1=1, axis2=2)
+        np.testing.assert_allclose(energy, want_energy, rtol=0,
+                                   atol=1e-12 * np.max(want_energy))
 
     # below one frame block, exactly one, and one frame past it
     @pytest.mark.parametrize("frames", [1, 7, 8, 9])

@@ -15,7 +15,8 @@ from gtvv.velocity import (EstimatorConfig, GfvvEstimate, RelativeWavefront,
                            estimate_gfvv_ls, estimate_gtvv, gtvv_closed_form,
                            interpolate_invalid_bins,
                            negative_lag_energy_fraction, relative_wavefronts)
-from oracles import ArraySpectrum, SilentFrameError, instantaneous_gfvv
+from oracles import (ArraySpectrum, SilentFrameError, all_frames,
+                     instantaneous_gfvv)
 
 FS = 16000.0
 ROOM = (5.0, 4.0, 2.8)
@@ -65,8 +66,8 @@ def segment_spectra_vectorised(spec, cfg):
     (segments, frames, channels, bins) products as the estimator first
     computed them."""
     need = cfg.seg_count * cfg.frames_per_seg
-    b = spec.block(0, need).reshape(cfg.seg_count, cfg.frames_per_seg,
-                                    spec.channels, spec.bins)
+    b = all_frames(spec)[:need].reshape(cfg.seg_count, cfg.frames_per_seg,
+                                        spec.channels, spec.bins)
     w = cfg.reference
     if w is None:
         w = make_omni_beam(int(round(np.sqrt(spec.channels))) - 1)
@@ -285,17 +286,18 @@ class TestLsAccumulation:
         else:
             spec = random_strided_spectrum(order)
             seg = dict(seg_count=6, frames_per_seg=16)
-        # None reads the omni channel itself, the others weight channels
+        # the estimator takes None for the omni beam
         beams = (None, make_omni_beam(order),
                  make_reference_beam(Direction(1.0, -0.4), order))
         for beam in beams:
             cfg = EstimatorConfig(beam, **seg)
             phi, a1 = segment_spectra_vectorised(spec, cfg)
-            got_a1, got_phi = velocity._segment_means(spec, cfg, beam, True)
+            w = make_omni_beam(order) if beam is None else beam
+            got_a1, got_phi = velocity._segment_means(spec, cfg, w, True)
             np.testing.assert_array_equal(got_phi, phi)
             np.testing.assert_array_equal(got_a1, a1)
             np.testing.assert_array_equal(
-                velocity._segment_means(spec, cfg, beam, False)[0], a1)
+                velocity._segment_means(spec, cfg, w, False)[0], a1)
             est = estimate_gfvv_ls(spec, cfg)
             values, valid, near_singular = estimate_gfvv_ls_vectorised(
                 spec, cfg)
@@ -553,7 +555,7 @@ class TestEstimateGtvv:
         # a bin that is zero in every frame is invalid and interpolated; at
         # DC or Nyquist the fill must still be the spectrum of a real response
         spec = sweep_cell_spectrum(2, rt_idx=0)
-        data = spec.block(0, spec.frames)
+        data = all_frames(spec)
         data[:, :, silent_bin] = 0.0
         spec = ArraySpectrum(data, FS)
         cfg = EstimatorConfig()
