@@ -25,7 +25,7 @@ from .sh import (MAX_ORDER, Dictionary, angular_distance, build_dictionary,
                  make_reference_beam, num_channels, read_direction_file)
 from .somp import MatchReport, match_to_truth, somp
 from .spectral import GtvvMatrix, frame_count, stft
-from .velocity import EstimatorConfig, estimate_gtvv
+from .velocity import EstimatorConfig, estimate_gtvv, use_one_thread
 
 METHODS = ("srp", "htdvv", "gtvv")
 
@@ -123,7 +123,10 @@ class ExperimentConfig:
         if sig.fs != self.fs:
             raise ConfigError(f"{path} is sampled at {sig.fs:g} Hz, "
                               f"the config's fs is {self.fs:g} Hz")
-        if not np.isfinite(sig.channels).all():
+        # np.max and np.min make no temporary; a NaN reaches both, an
+        # infinity one of them
+        if not (math.isfinite(np.max(sig.channels))
+                and math.isfinite(np.min(sig.channels))):
             raise ConfigError(f"{path} holds non-finite samples")
         if not np.any(sig.channels[0]):
             raise ConfigError(f"{path} is silent")
@@ -355,14 +358,15 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
         # Workers forked from this process would inherit its BLAS, with one
         # thread per core each. The fork server instead imports numpy (and
         # this module, so that workers start at once) with the thread
-        # variables pinned, and keeps them for later pools.
+        # variables pinned, and keeps them for later pools. Each worker
+        # owns one CPU, so its estimator passes run on one thread too.
         ctx = multiprocessing.get_context("forkserver")
         ctx.set_forkserver_preload([__name__])
         saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
         os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
         try:
-            with ProcessPoolExecutor(max_workers=cfg.workers,
-                                     mp_context=ctx) as pool:
+            with ProcessPoolExecutor(max_workers=cfg.workers, mp_context=ctx,
+                                     initializer=use_one_thread) as pool:
                 records = list(pool.map(_execute_run, tasks))
         finally:
             for var, value in saved.items():

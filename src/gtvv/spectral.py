@@ -18,15 +18,15 @@ from .room import AmbisonicSignal
 
 _IMAG_RESIDUE_TOL = 1e-8
 # frames windowed, transformed or reduced at a time
-_FRAME_BLOCK = 8
+FRAME_BLOCK = 8
 
 
 class SpectrumTensor:
     """Hamming-windowed one-sided STFT of every channel of `signal`, with
     frames `win_len`/4 apart (see `frame_count`), computed where it is
-    read: `block` transforms a run of frames, `cross_power` and `energy`
-    reduce them without a transform, and nothing frames x channels x bins
-    is stored.
+    read: `block` (or a `reader`'s) transforms a run of frames,
+    `cross_power` and `energy` reduce them without a transform, and
+    nothing frames x channels x bins is stored.
 
     The signal is checked once here, so every block is finite. Its
     samples are read when a block is, so it must not change after
@@ -62,8 +62,6 @@ class SpectrumTensor:
         # alternating sum, as products of the frame with these columns
         self._window_edges = np.stack([self._window, self._window], axis=1)
         self._window_edges[1::2, 1] *= -1.0
-        self._buffer = np.empty((min(_FRAME_BLOCK, self.frames),
-                                 self.channels, win_len))
         self._cache = {}
 
     def cached(self, key, compute):
@@ -73,34 +71,41 @@ class SpectrumTensor:
         return self._cache[key]
 
     def _check_run(self, start: int, stop: int):
-        if not 0 <= start < stop <= min(self.frames, start + _FRAME_BLOCK):
+        if not 0 <= start < stop <= min(self.frames, start + FRAME_BLOCK):
             raise ValueError(f"frames {start}:{stop}: not a run of 1 to "
-                             f"{_FRAME_BLOCK} of 0:{self.frames}")
+                             f"{FRAME_BLOCK} of 0:{self.frames}")
 
-    def _windowed(self, start: int, stop: int) -> np.ndarray:
-        """Frames `start` to `stop` - 1 times the window, in the reused
-        buffer."""
+    def _windowed(self, start: int, stop: int, out) -> np.ndarray:
+        """Frames `start` to `stop` - 1 times the window, in the first rows
+        of `out` (a new array if None)."""
         self._check_run(start, stop)
-        return np.multiply(self._view[start:stop], self._window,
-                           out=self._buffer[:stop - start])
+        if out is not None:
+            out = out[:stop - start]
+        return np.multiply(self._view[start:stop], self._window, out=out)
 
     def _edge_bins(self, start: int, stop: int) -> np.ndarray:
         """The DC and Nyquist bins d, q of frames `start` to `stop` - 1:
         (frames, channels, 2), real."""
         return np.matmul(self._view[start:stop], self._window_edges)
 
+    def reader(self, frames: int) -> "FrameReader":
+        """A reader of runs of up to `frames` frames into buffers of its
+        own (see `FrameReader`)."""
+        return FrameReader(self, frames)
+
     def block(self, start: int, stop: int) -> np.ndarray:
         """The spectra of frames `start` to `stop` - 1, a run of 1 to
-        `_FRAME_BLOCK` frames (see `frame_blocks`): (frames, channels,
-        bins) complex. Each row is the same one-dimensional transform of
-        the same windowed frame as in one batched call over all frames,
-        bit for bit."""
-        return np.fft.rfft(self._windowed(start, stop), axis=-1)
+        `FRAME_BLOCK` frames (see `frame_blocks`): (frames, channels,
+        bins) complex, a new array. Each row is the same one-dimensional
+        transform of the same windowed frame as in one batched call over
+        all frames, bit for bit."""
+        self._check_run(start, stop)
+        return self.reader(stop - start).block(start, stop)
 
     def cross_power(self, start: int, stop: int) -> np.ndarray:
         """Re Σ_k conj(b_k) b_kᵀ over the one-sided bins k of each of
         frames `start` to `stop` - 1: (frames, channels, channels). Like
-        `block`, it takes a run of 1 to `_FRAME_BLOCK` frames.
+        `block`, it takes a run of 1 to `FRAME_BLOCK` frames.
 
         By Parseval the two-sided sum is N X Xᵀ for the windowed frame X
         (channels x N). It counts each inner bin twice, its mirror adding
@@ -108,7 +113,7 @@ class SpectrumTensor:
         the one-sided sum is (N X Xᵀ + d dᵀ + q qᵀ) / 2 and needs no
         transform.
         """
-        x = self._windowed(start, stop)
+        x = self._windowed(start, stop, None)
         edges = self._edge_bins(start, stop)
         power = np.matmul(x, x.transpose(0, 2, 1))
         power *= self.win_len
@@ -137,11 +142,29 @@ class SpectrumTensor:
         return energy
 
 
+class FrameReader:
+    """`SpectrumTensor.block` into buffers allocated once, here, for runs
+    of up to `frames` frames: each block overwrites the last one's, and
+    readers share no buffer, so that readers on different threads may
+    read one spectrum at the same time."""
+
+    def __init__(self, spec: SpectrumTensor, frames: int):
+        self._spec = spec
+        self._windowed = np.empty((frames, spec.channels, spec.win_len))
+        self._spectra = np.empty((frames, spec.channels, spec.bins),
+                                 dtype=complex)
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """`SpectrumTensor.block`, a view of this reader's buffer."""
+        x = self._spec._windowed(start, stop, self._windowed)
+        return np.fft.rfft(x, axis=-1, out=self._spectra[:stop - start])
+
+
 def frame_blocks(stop: int):
-    """(start, stop) of the runs of `_FRAME_BLOCK` frames that cover
+    """(start, stop) of the runs of `FRAME_BLOCK` frames that cover
     frames 0 to `stop` - 1, the last run possibly shorter."""
-    for start in range(0, stop, _FRAME_BLOCK):
-        yield start, min(start + _FRAME_BLOCK, stop)
+    for start in range(0, stop, FRAME_BLOCK):
+        yield start, min(start + FRAME_BLOCK, stop)
 
 
 @dataclass(frozen=True)

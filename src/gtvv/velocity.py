@@ -10,7 +10,9 @@ A reference beam is a float array of (L+1)^2 weights on the SH channels.
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +20,7 @@ import numpy as np
 from .errors import EstimatorDegenerateError, ExpansionInvalidError
 from .room import GroundTruthScene, fractional_delay_kernel
 from .sh import Direction, make_omni_beam, order_from_channels, sh_eval
-from .spectral import GtvvMatrix, SpectrumTensor, frame_blocks, gfvv_to_gtvv
+from .spectral import FRAME_BLOCK, GtvvMatrix, SpectrumTensor, gfvv_to_gtvv
 
 _ENERGY_FLOOR = 1e-9
 _COLLINEAR_TOL = 1e-9
@@ -99,6 +101,48 @@ def _solve_loaded_2x2(g11, g12, g22, r1, r2):
     return v, near_singular
 
 
+class _ThreadPool:
+    """The threads on which `_segment_means` runs its segment runs, one
+    pool per process. The threads start on first use, so importing the
+    package starts none. A forked child forgets its parent's pool, whose
+    threads do not exist in it, and starts its own."""
+
+    def __init__(self):
+        self.threads = None  # the CPUs this process may run on, once read
+        self.executor = None
+
+    def size(self) -> int:
+        if self.threads is None:
+            try:
+                self.threads = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity on this platform
+                self.threads = os.cpu_count() or 1
+        return self.threads
+
+    def run(self, fn, args: list):
+        """fn(a) for each a of `args`, one per thread, or on the calling
+        thread for one; returns once every call has ended."""
+        if len(args) == 1:
+            fn(args[0])
+            return
+        if self.executor is None:
+            self.executor = ThreadPoolExecutor(self.size())
+        calls = [self.executor.submit(fn, a) for a in args]
+        wait(calls)
+        for call in calls:
+            call.result()
+
+
+_POOL = _ThreadPool()
+os.register_at_fork(after_in_child=lambda: setattr(_POOL, "executor", None))
+
+
+def use_one_thread():
+    """Run the estimator's passes on the calling thread: for a process
+    that owns one CPU, such as a sweep's worker."""
+    _POOL.threads = 1
+
+
 def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
                    with_phi: bool):
     """a1 = E[(w.b) B*] per segment, channel and bin, w the reference
@@ -106,30 +150,51 @@ def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
     from one pass over the blocks of the segments' frames: returns (a1,
     phi or None).
 
-    Frames are added one at a time in order, as `np.mean` over the frame
-    axis adds them, so the means equal the `np.mean` of the full
-    frames x channels x bins products bit for bit without building them.
+    The segments are split into contiguous runs, one per thread of the
+    process's pool (at most one per CPU). Each run reads its frames
+    through a reader of its own and adds them one at a time in order, as
+    `np.mean` over the frame axis adds them, so the means equal the
+    `np.mean` of the full frames x channels x bins products bit for bit,
+    at any thread count, without building them.
     """
+    fps = cfg.frames_per_seg
     shape = (cfg.seg_count, spec.channels, spec.bins)
     means = [np.empty(shape, dtype=complex) for _ in range(1 + with_phi)]
-    conj_u = np.empty(shape[1:], dtype=complex)
-    term = np.empty(shape[1:], dtype=complex)
-    for start, stop in frame_blocks(cfg.seg_count * cfg.frames_per_seg):
-        b = spec.block(start, stop)
-        # The real weights times the interleaved real and imaginary parts
-        # of each frame: a product whose summation order does not depend
-        # on the BLAS thread count.
-        ref = np.matmul(w, b.view(np.float64)).view(complex)[:, None]
-        for i in range(stop - start):
-            seg, pos = divmod(start + i, cfg.frames_per_seg)
-            np.conjugate(b[i], out=conj_u)
-            for mean, left in zip(means, (ref[i], b[i])):
-                if pos == 0:
-                    np.multiply(left, conj_u, out=mean[seg])
-                else:
-                    mean[seg] += np.multiply(left, conj_u, out=term)
+    runs = min(_POOL.size(), cfg.seg_count)
+    # A run holds its reader's windowed frames and spectra and two frames
+    # of scratch; up to 4 runs hold no more together than one run over
+    # blocks of FRAME_BLOCK frames.
+    frames = max(1, (FRAME_BLOCK + 1) // runs - 1)
+
+    def accumulate(run):
+        lo, hi, reader, conj_u, term, ref_out = run
+        for start in range(lo, hi, frames):
+            stop = min(start + frames, hi)
+            b = reader.block(start, stop)
+            # The real weights times the interleaved real and imaginary
+            # parts of each frame: a product whose summation order does not
+            # depend on the BLAS thread count.
+            ref = np.matmul(w, b.view(np.float64),
+                            out=ref_out[:stop - start]).view(complex)
+            for i in range(stop - start):
+                seg, pos = divmod(start + i, fps)
+                np.conjugate(b[i], out=conj_u)
+                for mean, left in zip(means, (ref[i], b[i])):
+                    if pos == 0:
+                        np.multiply(left, conj_u, out=mean[seg])
+                    else:
+                        mean[seg] += np.multiply(left, conj_u, out=term)
+
+    # Every buffer is allocated here, on the calling thread: memory that a
+    # pool thread allocated and freed would stay in its own malloc arena.
+    edges = [cfg.seg_count * r // runs * fps for r in range(runs + 1)]
+    _POOL.run(accumulate, [
+        (lo, hi, spec.reader(frames), np.empty(shape[1:], dtype=complex),
+         np.empty(shape[1:], dtype=complex),
+         np.empty((frames, 2 * spec.bins)))
+        for lo, hi in zip(edges, edges[1:])])
     for mean in means:
-        np.true_divide(mean, cfg.frames_per_seg, out=mean)
+        np.true_divide(mean, fps, out=mean)
     return means[0], means[1].real if with_phi else None
 
 

@@ -29,7 +29,7 @@ _DENOM_FLOOR = 1e-9
 
 class ArraySpectrum:
     """STFT data[frame, channel, bin], read as `stft`'s lazy spectrum is:
-    `frames`, `channels`, `bins`, `fs`, `cached`, `block`,
+    `frames`, `channels`, `bins`, `fs`, `cached`, `block`, `reader`,
     `cross_power` and `energy`.
 
     `data` is a read-only C-contiguous copy of finite values: the
@@ -56,6 +56,11 @@ class ArraySpectrum:
 
     def block(self, start, stop):
         return self.data[start:stop]
+
+    def reader(self, frames):
+        """Itself: its blocks are read-only slices, which any number of
+        threads may read at once."""
+        return self
 
     def cross_power(self, start, stop):
         """Re Σ_k conj(b_k) b_kᵀ over the bins k of each frame."""

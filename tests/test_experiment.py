@@ -6,7 +6,9 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,7 @@ from gtvv.sh import (Direction, angular_distance, build_dictionary,
                      fibonacci_directions, make_omni_beam,
                      make_reference_beam)
 from gtvv.somp import somp
-from gtvv.spectral import SpectrumTensor, frame_count, stft
+from gtvv.spectral import FrameReader, SpectrumTensor, frame_count, stft
 from gtvv.velocity import (EstimatorConfig, RelativeWavefront,
                            estimate_gtvv, gtvv_closed_form)
 from oracles import to_json
@@ -280,6 +282,30 @@ class TestRunExperiment:
             "EstimatorDegenerateError: degenerate estimator system at bin 3"]
         assert not table.rows and len(table.failures) == 1
 
+    def test_importing_starts_no_thread(self):
+        # the fork server preloads `gtvv.experiment`, and a fork of a
+        # threaded process is unsafe: threads start with the first estimate
+        code = ("import threading, gtvv.cli; "
+                "from gtvv.experiment import ExperimentConfig; "
+                "ExperimentConfig(); print(threading.active_count())")
+        out = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "1"
+
+    def test_sweep_worker_estimates_on_one_thread(self, monkeypatch):
+        # each worker owns one CPU, so its estimator passes start no thread
+        counts = []
+
+        class Probing(ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                counts.append(self.submit(threads_after_an_estimate).result(
+                    timeout=120))
+                return super().map(fn, *iterables, **kwargs)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", Probing)
+        _, records = run_experiment(small_config(workers=2))
+        assert not any(r.error for r in records)
+        assert counts == [1]
+
     def test_worker_pool_leaves_environment_unchanged(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -287,6 +313,14 @@ class TestRunExperiment:
         _, records = run_experiment(small_config(workers=2))
         assert not any(r.error for r in records)
         assert dict(os.environ) == before
+
+
+def threads_after_an_estimate() -> int:
+    """The threads of this process after an estimate; run in a sweep
+    worker."""
+    noise = np.random.default_rng(0).standard_normal((4, 50000))
+    estimate_gtvv(stft(AmbisonicSignal(FS, noise), 1024), EstimatorConfig())
+    return threading.active_count()
 
 
 def full_steering_infer_json(wav, cfg: ExperimentConfig) -> str:
@@ -553,13 +587,15 @@ class TestCli:
         wav = sim / "scene0_rt0.16.wav"
         frames = frame_count(read_wav(wav).num_samples, 1024)
         assert frames > 192
+        # the estimator's runs read through readers, perhaps on threads
         reads = {"block": [], "cross_power": []}
-        for name, log in reads.items():
-            def counting(spec, start, stop,
-                         _read=getattr(SpectrumTensor, name), _log=log):
+        for cls, name in ((FrameReader, "block"),
+                          (SpectrumTensor, "cross_power")):
+            def counting(spec, start, stop, _read=getattr(cls, name),
+                         _log=reads[name]):
                 _log.extend(range(start, stop))
                 return _read(spec, start, stop)
-            monkeypatch.setattr(SpectrumTensor, name, counting)
+            monkeypatch.setattr(cls, name, counting)
         assert main(["infer", "--config", path, "--out",
                      str(tmp_path / "est.json"), "--wav", str(wav)]) == 0
         twice = {u: 2 for u in range(192)}
@@ -793,6 +829,8 @@ class TestCli:
         ("cut-early", {}, "data chunk truncated: 3 of 51200 frames"),
         ("cut-late", {}, "data chunk truncated: 50000 of 51200 frames"),
         ("a-law", {}, "unsupported WAV format: tag 6"),
+        ("inf", {}, "non-finite"),
+        ("-inf", {}, "non-finite"),
     ])
     def test_bad_wav_exit_2(self, tmp_path, capsys, fault, config, why):
         samples = int((0.5 if fault == "short" else 3.2) * FS)
@@ -800,8 +838,8 @@ class TestCli:
         data = np.random.default_rng(0).standard_normal((channels, samples))
         if fault == "silent":
             data[:] = 0.0
-        if fault == "nan":
-            data[2, 1000] = np.nan
+        if fault in ("nan", "inf", "-inf"):
+            data[2, 1000] = float(fault)
         wav = tmp_path / "in.wav"
         if fault != "missing":
             write_wav(wav, AmbisonicSignal(FS, data))

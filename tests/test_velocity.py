@@ -1,4 +1,10 @@
 import math
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +16,7 @@ from gtvv.room import (AmbisonicSignal, GroundTruthScene, Wavefront,
                        add_noise, encode_scene, image_source_scene,
                        make_burst_source)
 from gtvv.sh import Direction, make_omni_beam, make_reference_beam, sh_eval
-from gtvv.spectral import SpectrumTensor, stft
+from gtvv.spectral import FrameReader, SpectrumTensor, stft
 from gtvv.velocity import (EstimatorConfig, GfvvEstimate, RelativeWavefront,
                            estimate_gfvv_ls, estimate_gtvv, gtvv_closed_form,
                            interpolate_invalid_bins,
@@ -330,7 +336,7 @@ class TestLsAccumulation:
         spec = sweep_cell_spectrum(1)
         beam = make_omni_beam(1)
         computed, frames_read = [], []
-        cached, block = SpectrumTensor.cached, SpectrumTensor.block
+        cached, block = SpectrumTensor.cached, FrameReader.block
 
         def counting_cached(self, key, compute):
             def counted():
@@ -338,18 +344,24 @@ class TestLsAccumulation:
                 return compute()
             return cached(self, key, counted if self is spec else compute)
 
+        # the segment runs read through readers of their own, perhaps on
+        # threads of their own
         def counting_block(self, start, stop):
-            if self is spec:
+            if self._spec is spec:
                 frames_read.extend(range(start, stop))
             return block(self, start, stop)
         monkeypatch.setattr(SpectrumTensor, "cached", counting_cached)
-        monkeypatch.setattr(SpectrumTensor, "block", counting_block)
+        monkeypatch.setattr(FrameReader, "block", counting_block)
         for seg, fps in ((8, 24), (4, 24), (8, 12), (8, 24), (4, 24)):
             cfg = EstimatorConfig(beam, seg_count=seg, frames_per_seg=fps)
             frames_read.clear()
             got = estimate_gfvv_ls(spec, cfg)
-            # one pass over the segments' frames, computed or not
-            assert frames_read == list(range(seg * fps))
+            # one pass over the segments' frames, computed or not: each
+            # frame read once, in order within its segment
+            assert sorted(frames_read) == list(range(seg * fps))
+            for s in range(seg):
+                own = [u for u in frames_read if u // fps == s]
+                assert own == sorted(own)
             want = estimate_gfvv_ls(fresh_copy(spec), cfg)
             np.testing.assert_array_equal(got.values, want.values)
             np.testing.assert_array_equal(got.valid, want.valid)
@@ -378,6 +390,99 @@ class TestLsAccumulation:
         spec = plane_wave_spectrum(Direction(0.5, -0.2), 1)
         assert instantaneous_gfvv(spec, make_omni_beam(1),
                                   0).near_singular is None
+
+
+@pytest.fixture
+def thread_pool(monkeypatch):
+    """`use(n)` gives the estimator a fresh pool of n threads, which switch
+    often, so that an unsynchronised update would show."""
+    pools = []
+
+    def use(n):
+        pool = velocity._ThreadPool()
+        pool.threads = n
+        pools.append(pool)
+        monkeypatch.setattr(velocity, "_POOL", pool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield use
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in pools:
+            if pool.executor is not None:
+                pool.executor.shutdown()
+
+
+class TestSegmentThreads:
+    """The segment runs of the estimator's passes on 1 to 8 threads."""
+
+    # 8 x 24: 3 frames a reader at 2 threads, 1 at 8; 4 x 12 and 5 x 13:
+    # runs that do not start on a multiple of 8 frames
+    @pytest.mark.parametrize("seg, fps", [(8, 24), (4, 12), (5, 13)])
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    @pytest.mark.parametrize("kind", ["sweep_cell", "random_strided"])
+    def test_bit_identical_at_any_thread_count(self, thread_pool,
+                                               monkeypatch, kind, threads,
+                                               seg, fps):
+        if kind == "sweep_cell":
+            spec, order = sweep_cell_spectrum(2), 2
+        else:
+            spec, order = random_strided_spectrum(1, frames=seg * fps), 1
+        thread_pool(threads)
+        on_main, reader = [], spec.reader
+
+        class Tracked:
+            """A reader that notes whether it reads on the main thread."""
+
+            def __init__(self, frames):
+                self.inner = reader(frames)
+
+            def block(self, start, stop):
+                on_main.append(threading.current_thread()
+                               is threading.main_thread())
+                return self.inner.block(start, stop)
+        monkeypatch.setattr(spec, "reader", Tracked)
+        beams = (None, make_reference_beam(Direction(1.0, -0.4), order))
+        for beam in beams:
+            cfg = EstimatorConfig(beam, seg_count=seg, frames_per_seg=fps)
+            on_main.clear()
+            est = estimate_gfvv_ls(spec, cfg)
+            # one thread reads on the caller's, more on the pool's
+            assert set(on_main) == {threads == 1}
+            values, valid, near_singular = estimate_gfvv_ls_vectorised(
+                spec, cfg)
+            np.testing.assert_array_equal(est.values, values)
+            np.testing.assert_array_equal(est.valid, valid)
+            np.testing.assert_array_equal(est.near_singular, near_singular)
+
+    def test_forked_child_estimates_alone(self, thread_pool):
+        # the child inherits a pool whose threads exist only in the parent
+        thread_pool(2)
+        spec = sweep_cell_spectrum(1)
+        cfg = EstimatorConfig(make_reference_beam(Direction(0.3, 0.2), 1))
+        want = estimate_gtvv(spec, cfg).data
+        assert velocity._POOL.executor is not None
+        with warnings.catch_warnings():  # forking a threaded process
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            try:
+                got = estimate_gtvv(fresh_copy(spec), cfg).data
+                os._exit(0 if np.array_equal(got, want) else 1)
+            finally:
+                os._exit(2)
+        deadline = time.monotonic() + 60.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's estimate hung")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 def unloaded_estimate(values, valid):
