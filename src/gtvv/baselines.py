@@ -10,16 +10,18 @@ import numpy as np
 
 from .sh import Dictionary, Direction
 from .spectral import GtvvMatrix, SpectrumTensor, frame_blocks
-from .velocity import _ENERGY_FLOOR, EstimatorConfig, estimate_gtvv
+from .velocity import (_ENERGY_FLOOR, EstimatorConfig, SegmentStats,
+                       estimate_gtvv)
 
 
-def h_tdvv(spec: SpectrumTensor, cfg: EstimatorConfig) -> GtvvMatrix:
+def h_tdvv(spec: SpectrumTensor, cfg: EstimatorConfig,
+           stats: SegmentStats = None) -> GtvvMatrix:
     """GTVV with the omnidirectional channel as reference, whatever
-    `cfg.reference` holds.
+    `cfg.reference` holds; `stats` as in `estimate_gfvv_ls`.
 
     Identical code path to the steered variant: only the weights change.
     """
-    return estimate_gtvv(spec, replace(cfg, reference=None))
+    return estimate_gtvv(spec, replace(cfg, reference=None), stats)
 
 
 def srp_map(spec: SpectrumTensor, dictionary: Dictionary) -> np.ndarray:

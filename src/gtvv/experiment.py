@@ -25,7 +25,8 @@ from .sh import (MAX_ORDER, Dictionary, angular_distance, build_dictionary,
                  make_reference_beam, num_channels, read_direction_file)
 from .somp import MatchReport, match_to_truth, somp
 from .spectral import GtvvMatrix, frame_count, stft
-from .velocity import EstimatorConfig, estimate_gtvv, use_one_thread
+from .velocity import (EstimatorConfig, estimate_gtvv, segment_stats,
+                       use_one_thread)
 
 METHODS = ("srp", "htdvv", "gtvv")
 
@@ -285,13 +286,17 @@ def analyze(spec, dictionary: Dictionary, h_iters: int) -> tuple:
     """H-TDVV, its S-OMP and the GTVV steered at that S-OMP's first atom:
     returns (v_h, est_h, v_g).
 
+    Both estimates share one omni pass (`segment_stats`); the steered one
+    adds a pass for its own cross-spectra.
+
     `est_h` runs `h_iters` iterations. S-OMP is greedy, so one iteration
     picks the atom that a full run picks first, and steers alike.
     """
-    v_h = baselines.h_tdvv(spec, EstimatorConfig())
+    stats = segment_stats(spec, EstimatorConfig())
+    v_h = baselines.h_tdvv(spec, EstimatorConfig(), stats)
     est_h = somp(v_h, dictionary, h_iters)
     steered = make_reference_beam(est_h.directions[0], dictionary.order)
-    v_g = estimate_gtvv(spec, EstimatorConfig(steered))
+    v_g = estimate_gtvv(spec, EstimatorConfig(steered), stats)
     return v_h, est_h, v_g
 
 

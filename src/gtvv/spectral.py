@@ -24,14 +24,13 @@ FRAME_BLOCK = 8
 class SpectrumTensor:
     """Hamming-windowed one-sided STFT of every channel of `signal`, with
     frames `win_len`/4 apart (see `frame_count`), computed where it is
-    read: `block` (or a `reader`'s) transforms a run of frames,
-    `cross_power` and `energy` reduce them without a transform, and
-    nothing frames x channels x bins is stored.
+    read: a `reader`'s `block` transforms a run of frames, `cross_power`
+    and `energy` reduce them without a transform, and nothing frames x
+    channels x bins is stored.
 
     The signal is checked once here, so every block is finite. Its
     samples are read when a block is, so it must not change after
-    construction. Statistics derived from the spectrum can be computed
-    once per instance (`cached`).
+    construction.
     """
 
     def __init__(self, signal: AmbisonicSignal, win_len: int):
@@ -62,13 +61,6 @@ class SpectrumTensor:
         # alternating sum, as products of the frame with these columns
         self._window_edges = np.stack([self._window, self._window], axis=1)
         self._window_edges[1::2, 1] *= -1.0
-        self._cache = {}
-
-    def cached(self, key, compute):
-        """`compute()`, evaluated on the first call with `key` only."""
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
 
     def _check_run(self, start: int, stop: int):
         if not 0 <= start < stop <= min(self.frames, start + FRAME_BLOCK):
@@ -93,19 +85,10 @@ class SpectrumTensor:
         own (see `FrameReader`)."""
         return FrameReader(self, frames)
 
-    def block(self, start: int, stop: int) -> np.ndarray:
-        """The spectra of frames `start` to `stop` - 1, a run of 1 to
-        `FRAME_BLOCK` frames (see `frame_blocks`): (frames, channels,
-        bins) complex, a new array. Each row is the same one-dimensional
-        transform of the same windowed frame as in one batched call over
-        all frames, bit for bit."""
-        self._check_run(start, stop)
-        return self.reader(stop - start).block(start, stop)
-
     def cross_power(self, start: int, stop: int) -> np.ndarray:
         """Re Σ_k conj(b_k) b_kᵀ over the one-sided bins k of each of
         frames `start` to `stop` - 1: (frames, channels, channels). Like
-        `block`, it takes a run of 1 to `FRAME_BLOCK` frames.
+        `FrameReader.block`, it takes a run of 1 to `FRAME_BLOCK` frames.
 
         By Parseval the two-sided sum is N X Xᵀ for the windowed frame X
         (channels x N). It counts each inner bin twice, its mirror adding
@@ -143,10 +126,10 @@ class SpectrumTensor:
 
 
 class FrameReader:
-    """`SpectrumTensor.block` into buffers allocated once, here, for runs
-    of up to `frames` frames: each block overwrites the last one's, and
-    readers share no buffer, so that readers on different threads may
-    read one spectrum at the same time."""
+    """The spectra of runs of up to `frames` frames of a `SpectrumTensor`,
+    into buffers allocated once, here: each block overwrites the last
+    one's, and readers share no buffer, so that readers on different
+    threads may read one spectrum at the same time."""
 
     def __init__(self, spec: SpectrumTensor, frames: int):
         self._spec = spec
@@ -155,7 +138,10 @@ class FrameReader:
                                  dtype=complex)
 
     def block(self, start: int, stop: int) -> np.ndarray:
-        """`SpectrumTensor.block`, a view of this reader's buffer."""
+        """The spectra of frames `start` to `stop` - 1, a run of 1 to
+        `FRAME_BLOCK` frames and no more than the reader's: (frames,
+        channels, bins) complex, a view of this reader's buffer. Each row
+        is, bit for bit, the row of one batched transform of all frames."""
         x = self._spec._windowed(start, stop, self._windowed)
         return np.fft.rfft(x, axis=-1, out=self._spectra[:stop - start])
 

@@ -146,9 +146,9 @@ def use_one_thread():
 def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
                    with_phi: bool):
     """a1 = E[(w.b) B*] per segment, channel and bin, w the reference
-    weights, and with `with_phi` the auto-spectra phi = E[B B*] (real),
-    from one pass over the blocks of the segments' frames: returns (a1,
-    phi or None).
+    weights, and with `with_phi` the auto-spectra phi = E[B B*] (real, in
+    a buffer of its own), from one pass over the blocks of the segments'
+    frames: returns (a1, phi or None).
 
     The segments are split into contiguous runs, one per thread of the
     process's pool (at most one per CPU). Each run reads its frames
@@ -158,16 +158,21 @@ def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
     at any thread count, without building them.
     """
     fps = cfg.frames_per_seg
+    need = cfg.seg_count * fps
+    if spec.frames < need:
+        raise ValueError(f"need at least {need} frames, have {spec.frames}")
     shape = (cfg.seg_count, spec.channels, spec.bins)
     means = [np.empty(shape, dtype=complex) for _ in range(1 + with_phi)]
     runs = min(_POOL.size(), cfg.seg_count)
-    # A run holds its reader's windowed frames and spectra and two frames
-    # of scratch; up to 4 runs hold no more together than one run over
-    # blocks of FRAME_BLOCK frames.
+    # A run holds its reader's windowed frames and spectra and a frame of
+    # scratch per mean; up to 4 runs hold no more together than one run
+    # over blocks of FRAME_BLOCK frames.
     frames = max(1, (FRAME_BLOCK + 1) // runs - 1)
 
     def accumulate(run):
         lo, hi, reader, conj_u, term, ref_out = run
+        # the last product may overwrite the conjugate: nothing reads it after
+        products = (term, conj_u)[-len(means):]
         for start in range(lo, hi, frames):
             stop = min(start + frames, hi)
             b = reader.block(start, stop)
@@ -179,39 +184,52 @@ def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
             for i in range(stop - start):
                 seg, pos = divmod(start + i, fps)
                 np.conjugate(b[i], out=conj_u)
-                for mean, left in zip(means, (ref[i], b[i])):
+                for mean, left, out in zip(means, (ref[i], b[i]), products):
                     if pos == 0:
                         np.multiply(left, conj_u, out=mean[seg])
                     else:
-                        mean[seg] += np.multiply(left, conj_u, out=term)
+                        mean[seg] += np.multiply(left, conj_u, out=out)
 
     # Every buffer is allocated here, on the calling thread: memory that a
     # pool thread allocated and freed would stay in its own malloc arena.
     edges = [cfg.seg_count * r // runs * fps for r in range(runs + 1)]
     _POOL.run(accumulate, [
         (lo, hi, spec.reader(frames), np.empty(shape[1:], dtype=complex),
-         np.empty(shape[1:], dtype=complex),
+         np.empty(shape[1:], dtype=complex) if with_phi else None,
          np.empty((frames, 2 * spec.bins)))
         for lo, hi in zip(edges, edges[1:])])
     for mean in means:
         np.true_divide(mean, fps, out=mean)
-    return means[0], means[1].real if with_phi else None
+    return means[0], np.ascontiguousarray(means[1].real) if with_phi else None
 
 
-def _reference_free_stats(phi: np.ndarray):
-    """The half of the estimator that does not depend on the reference
-    beam: phi, the bin validity mask and r2 = Σ_segments phi, read-only
-    because later estimates on the spectrum share them."""
+@dataclass(frozen=True)
+class SegmentStats:
+    """One spectrum's omni pass in one segmentation, read-only: the omni
+    a1 and the reference-free phi, (segments, channels, bins) each, the
+    bin validity mask and r2 = Σ_segments phi."""
+
+    a1: np.ndarray
+    phi: np.ndarray
+    valid: np.ndarray
+    r2: np.ndarray
+
+
+def segment_stats(spec: SpectrumTensor, cfg: EstimatorConfig) -> SegmentStats:
+    """One omni pass: the `SegmentStats` of `spec` in `cfg`'s segmentation."""
+    omni = make_omni_beam(order_from_channels(spec.channels))
+    a1, phi = _segment_means(spec, cfg, omni, True)
     energy = np.mean(np.abs(phi), axis=0)  # (ch, bins)
     bin_energy = np.mean(energy, axis=0)   # (bins,)
     valid = bin_energy > _ENERGY_FLOOR * float(np.max(bin_energy))
-    stats = (phi, valid, np.sum(phi, axis=0))
-    for arr in stats:
+    stats = SegmentStats(a1, phi, valid, np.sum(phi, axis=0))
+    for arr in vars(stats).values():
         arr.flags.writeable = False
     return stats
 
 
-def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig) -> GfvvEstimate:
+def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig,
+                     stats: SegmentStats = None) -> GfvvEstimate:
     """Nonstationarity-based least-squares GFVV estimator.
 
     Frames are split into cfg.seg_count sub-segments of cfg.frames_per_seg
@@ -220,38 +238,27 @@ def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig) -> GfvvEstimate
     stacked 2-unknown system (channel ratio, stationary residual spectrum)
     is solved in the least-squares sense.
 
-    Each estimate reads the spectra of the segments' frames in one pass.
-    The auto-spectra do not depend on the reference, so the first estimate
-    on a spectrum and segmentation forms them in its pass and later ones
-    (the omni-referenced and the steered estimate of one recording) share
-    them.
+    `stats`, the `segment_stats` of `spec` in `cfg`'s segmentation, are
+    formed here if None. The omni estimate (reference None) reads its
+    cross-spectra from them; any other reference makes a pass for its own.
 
     Bins with energy below floor are flagged invalid; a bin whose system is
     rank deficient despite carrying energy (stationary source) raises.
     """
-    need = cfg.seg_count * cfg.frames_per_seg
-    if spec.frames < need:
-        raise ValueError(f"need at least {need} frames, have {spec.frames}")
     w = cfg.reference
-    if w is None:
-        w = make_omni_beam(order_from_channels(spec.channels))
-    elif w.size != spec.channels:
+    if w is not None and w.size != spec.channels:
         raise ValueError(f"reference beam has {w.size} weights, the "
                          f"spectrum {spec.channels} channels")
-    a1 = None
-
-    def first_pass():
-        nonlocal a1
-        a1, phi = _segment_means(spec, cfg, w, True)
-        return _reference_free_stats(phi)
+    if stats is None:
+        stats = segment_stats(spec, cfg)
+    elif stats.phi.shape != (cfg.seg_count, spec.channels, spec.bins):
+        raise ValueError(f"statistics of shape {stats.phi.shape}, not "
+                         f"{(cfg.seg_count, spec.channels, spec.bins)}")
     # time-averaged spectra per segment, (seg, ch, bins) each
-    phi, valid, r2 = spec.cached(
-        ("gfvv_ls", cfg.seg_count, cfg.frames_per_seg), first_pass)
-    if a1 is None:
-        a1, _ = _segment_means(spec, cfg, w, False)
+    a1 = stats.a1 if w is None else _segment_means(spec, cfg, w, False)[0]
 
     a1_spread = np.std(a1, axis=0) / (np.mean(np.abs(a1), axis=0) + 1e-300)
-    degenerate = np.all(a1_spread < _COLLINEAR_TOL, axis=0) & valid
+    degenerate = np.all(a1_spread < _COLLINEAR_TOL, axis=0) & stats.valid
     if np.any(degenerate):
         raise EstimatorDegenerateError(int(np.nonzero(degenerate)[0][0]))
 
@@ -259,10 +266,10 @@ def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig) -> GfvvEstimate
     g11 = np.sum(np.abs(a1) ** 2, axis=0)
     g12 = np.sum(np.conj(a1), axis=0)
     g22 = float(cfg.seg_count)
-    r1 = np.sum(np.conj(a1) * phi, axis=0)
-    values, near_singular = _solve_loaded_2x2(g11, g12, g22, r1, r2)
-    values[:, ~valid] = np.nan
-    return GfvvEstimate(values, valid, near_singular)
+    r1 = np.sum(np.conj(a1) * stats.phi, axis=0)
+    values, near_singular = _solve_loaded_2x2(g11, g12, g22, r1, stats.r2)
+    values[:, ~stats.valid] = np.nan
+    return GfvvEstimate(values, stats.valid, near_singular)
 
 
 def interpolate_invalid_bins(est: GfvvEstimate) -> np.ndarray:
@@ -286,9 +293,10 @@ def interpolate_invalid_bins(est: GfvvEstimate) -> np.ndarray:
     return out
 
 
-def estimate_gtvv(spec: SpectrumTensor, cfg: EstimatorConfig) -> GtvvMatrix:
+def estimate_gtvv(spec: SpectrumTensor, cfg: EstimatorConfig,
+                  stats: SegmentStats = None) -> GtvvMatrix:
     """Least-squares GFVV followed by the inverse transform to the lag domain."""
-    v_f = interpolate_invalid_bins(estimate_gfvv_ls(spec, cfg))
+    v_f = interpolate_invalid_bins(estimate_gfvv_ls(spec, cfg, stats))
     return gfvv_to_gtvv(v_f, spec.fs)
 
 

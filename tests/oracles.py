@@ -2,10 +2,12 @@
 helpers that only the tests call.
 
 - `ArraySpectrum`, a spectrum given as an array with the read interface
-  of `gtvv.spectral.SpectrumTensor`: the fake through which tests inject
-  exact frequency-domain spectra, and the frequency-domain reference of
+  of `gtvv.spectral.SpectrumTensor` (`reader` and its `block`,
+  `cross_power`, `energy`): the fake through which tests inject exact
+  frequency-domain spectra, and the frequency-domain reference of
   `cross_power` and `energy`;
-- `all_frames`, every frame of a spectrum as one array;
+- `all_frames`, every frame of a spectrum as one array, read through
+  the spectrum's readers;
 - `instantaneous_gfvv`, the noiseless one-frame GFVV b(f) / (w . b(f)),
   against which the least-squares estimator is checked;
 - `from_unit_vector`, the inverse of `Direction.unit_vector`;
@@ -29,7 +31,7 @@ _DENOM_FLOOR = 1e-9
 
 class ArraySpectrum:
     """STFT data[frame, channel, bin], read as `stft`'s lazy spectrum is:
-    `frames`, `channels`, `bins`, `fs`, `cached`, `block`, `reader`,
+    `frames`, `channels`, `bins`, `fs`, `reader` (and its `block`),
     `cross_power` and `energy`.
 
     `data` is a read-only C-contiguous copy of finite values: the
@@ -47,20 +49,15 @@ class ArraySpectrum:
         self.data = data
         self.fs = fs
         self.frames, self.channels, self.bins = data.shape
-        self._cache = {}
-
-    def cached(self, key, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
-    def block(self, start, stop):
-        return self.data[start:stop]
 
     def reader(self, frames):
         """Itself: its blocks are read-only slices, which any number of
         threads may read at once."""
         return self
+
+    def block(self, start, stop):
+        """`FrameReader.block`: frames `start` to `stop` - 1."""
+        return self.data[start:stop]
 
     def cross_power(self, start, stop):
         """Re Σ_k conj(b_k) b_kᵀ over the bins k of each frame."""
@@ -74,8 +71,9 @@ class ArraySpectrum:
 
 def all_frames(spec):
     """The spectra of every frame of `spec`, (frames, channels, bins): its
-    blocks concatenated."""
-    return np.concatenate([spec.block(start, stop)
+    blocks concatenated, each read by a reader of its own, since the next
+    read of a reader overwrites its last block."""
+    return np.concatenate([spec.reader(stop - start).block(start, stop)
                            for start, stop in frame_blocks(spec.frames)])
 
 
@@ -91,7 +89,7 @@ def instantaneous_gfvv(spec, w, frame: int) -> GfvvEstimate:
     Bins whose reference output falls below 1e-9 times the frame RMS are
     flagged invalid (NaN), not filled.
     """
-    b = spec.block(frame, frame + 1)[0]  # channels x bins
+    b = spec.reader(1).block(frame, frame + 1)[0]  # channels x bins
     denom = w @ b
     rms = math.sqrt(float(np.mean(np.abs(b) ** 2)))
     valid = np.abs(denom) > _DENOM_FLOOR * rms

@@ -577,10 +577,12 @@ class TestCli:
 
     def test_infer_computes_reference_free_statistics_once(
             self, tmp_path, capsys, monkeypatch):
-        # the omni pass forms the reference-free statistics along with its
-        # own cross-spectra and the steered pass reuses them: each of the
-        # estimator's 8 x 24 frames is transformed twice and no later frame
-        # at all; SRP reduces every frame once, with no transform
+        # the omni pass (`segment_stats`) forms the reference-free
+        # statistics along with the omni cross-spectra, `analyze` hands
+        # them to both estimates and the steered one adds its own pass:
+        # each of the estimator's 8 x 24 frames is transformed twice and no
+        # later frame at all; SRP reduces every frame once, with no
+        # transform
         path = self._write_cfg(tmp_path, orders=(2,))
         sim = tmp_path / "sim"
         assert main(["simulate", "--config", path, "--out", str(sim)]) == 0

@@ -9,8 +9,9 @@ from gtvv.errors import InconsistentSpectrumError
 from gtvv.experiment import ExperimentConfig, analyze, simulate_cell
 from gtvv.room import AmbisonicSignal
 from gtvv.sh import Direction, build_dictionary, sh_eval
-from gtvv.spectral import (GtvvMatrix, SpectrumTensor, frame_blocks,
-                           frame_count, gfvv_to_gtvv, make_time_axis, stft)
+from gtvv.spectral import (FRAME_BLOCK, GtvvMatrix, SpectrumTensor,
+                           frame_blocks, frame_count, gfvv_to_gtvv,
+                           make_time_axis, stft)
 from oracles import ArraySpectrum, all_frames
 
 FS = 16000.0
@@ -63,7 +64,7 @@ class TestStft:
         t = np.arange(4 * win)
         sig = make_signal(amp * np.cos(2 * np.pi * k * t / win))
         spec = stft(sig, win)
-        frame = np.abs(spec.block(0, 1)[0, 0])
+        frame = np.abs(spec.reader(1).block(0, 1)[0, 0])
         assert np.argmax(frame) == k
         coherent_gain = np.mean(np.hamming(win))
         expected = coherent_gain * amp * win / 2
@@ -95,7 +96,7 @@ class TestStft:
         for u in range(spec.frames):
             start = u * win // 4
             frame = x[start:start + win] * w
-            X = spec.block(u, u + 1)[0, 0]
+            X = spec.reader(1).block(u, u + 1)[0, 0]
             two_sided = 2 * np.sum(np.abs(X) ** 2) \
                 - np.abs(X[0]) ** 2 - np.abs(X[-1]) ** 2
             assert two_sided / win == pytest.approx(np.sum(frame ** 2),
@@ -141,7 +142,9 @@ class TestStft:
         sig = make_signal(np.random.default_rng(2).standard_normal((4, 1536)))
         spec = stft(sig, 256)
         assert spec.frames == 21
-        np.testing.assert_array_equal(spec.block(start, stop),
+        reader = spec.reader(FRAME_BLOCK)
+        reader.block(13, 21)  # the block it overwrites leaves no trace
+        np.testing.assert_array_equal(reader.block(start, stop),
                                       stft_stacked(sig, 256)[start:stop])
 
     # outside the frames, reversed, empty, or longer than one block
@@ -149,7 +152,8 @@ class TestStft:
                                              (18, 22), (0, 9), (0, 21)])
     def test_block_outside_the_frames_rejected(self, start, stop):
         spec = stft(make_signal(np.ones((4, 1536))), 256)
-        for read in (spec.block, spec.cross_power, spec.energy):
+        for read in (spec.reader(FRAME_BLOCK).block, spec.cross_power,
+                     spec.energy):
             with pytest.raises(ValueError, match="1 to 8 of 0:21"):
                 read(start, stop)
 
@@ -167,7 +171,7 @@ class TestStft:
         # every sample at the bound: the DC bin sums them all
         x = np.full((1, 1024), np.nextafter(np.finfo(float).max / 1024, 0.0))
         spec = stft(make_signal(x), 1024)
-        assert np.all(np.isfinite(spec.block(0, 1)))
+        assert np.all(np.isfinite(spec.reader(1).block(0, 1)))
 
     def test_analysis_peak_memory_is_under_0_3_of_the_spectrum(self):
         # the analysis of the order-6 cell, SRP included, holds frame
@@ -247,18 +251,6 @@ class TestSpectrumTensor:
         assert spec.data.flags.c_contiguous
         assert (spec.channels, spec.bins) == (4, 5)
         np.testing.assert_array_equal(spec.data, data)
-
-    def test_cached_computes_once_per_key(self):
-        spec = stft(make_signal(np.ones((4, 64))), 16)
-        calls = []
-
-        def compute(tag):
-            calls.append(tag)
-            return tag
-        assert spec.cached("a", lambda: compute(1)) == 1
-        assert spec.cached("a", lambda: compute(2)) == 1
-        assert spec.cached("b", lambda: compute(3)) == 3
-        assert calls == [1, 3]
 
 
 class TestGfvvToGtvv:

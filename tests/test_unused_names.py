@@ -2,10 +2,11 @@
 
 Each module (not `__init__.py`, which only re-exports) must reference every
 name it imports and every module-level `_PRIVATE` constant it defines.
-Each parameter with a default of a module-level function must be passed by
-at least one call in `src/gtvv` or `perfbench/`: an option that no caller
-sets is a constant. Each public function, class and method must be read
-there too: a name that only the tests read belongs in the tests.
+Each parameter with a default of a module-level function, and each field
+with a default of a module-level dataclass, must be passed by at least one
+call in `src/gtvv` or `perfbench/`: an option that no caller sets is a
+constant. Each public function, class and method must be read there
+too: a name that only the tests read belongs in the tests.
 """
 
 import ast
@@ -44,18 +45,56 @@ def unused_names(source: str) -> list:
                   if name not in used)
 
 
+def _name(node):
+    """`name` of an `ast` node `name` or `module.name`, else None."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _init_fields(node: ast.ClassDef) -> list:
+    """The `__init__` parameters of a dataclass, in order, as (name, has a
+    default): its annotated fields but the `ClassVar`s and the
+    `field(init=False)`s."""
+    fields = []
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)):
+            continue
+        kind = stmt.annotation
+        if isinstance(kind, ast.Subscript):  # ClassVar[...]
+            kind = kind.value
+        if _name(kind) == "ClassVar":
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) and _name(value.func) == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            init = keywords.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            fields.append((stmt.target.id, bool(
+                keywords.keys() & {"default", "default_factory"})))
+        else:
+            fields.append((stmt.target.id, value is not None))
+    return fields
+
+
 def unset_options(defining: list, calling: list) -> list:
     """`function.parameter` for each defaulted parameter of a module-level
-    function in the `defining` sources that no call in the `calling`
-    sources passes, by position or keyword. Calls match by the called name
-    (`f(...)` or `module.f(...)`); `*args` or `**kwargs` pass everything."""
+    function, and `Class.field` for each defaulted `__init__` field of a
+    module-level dataclass, in the `defining` sources that no call in the
+    `calling` sources passes, by position or keyword. Calls match by the
+    called name (`f(...)` or `module.f(...)`); `*args` or `**kwargs` pass
+    everything."""
     passed = {}  # name -> [most positional arguments, keyword names]
     for source in calling:
         for node in ast.walk(ast.parse(source)):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            name = _name(node.func)
             count, keywords = passed.setdefault(name, [0, set()])
             if any(isinstance(a, ast.Starred) for a in node.args):
                 count = math.inf
@@ -64,15 +103,19 @@ def unset_options(defining: list, calling: list) -> list:
     unset = []
     for source in defining:
         for node in ast.parse(source).body:
-            if not isinstance(node, ast.FunctionDef):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                options = [(name, i) for i, (name, default)
+                           in enumerate(_init_fields(node)) if default]
+            elif isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                options = [(a.arg, i) for i, a in enumerate(positional)
+                           if i >= first]
+                options += [(a.arg, math.inf) for a, d in zip(
+                    args.kwonlyargs, args.kw_defaults) if d is not None]
+            else:
                 continue
-            args = node.args
-            positional = args.posonlyargs + args.args
-            first = len(positional) - len(args.defaults)
-            options = [(a.arg, i) for i, a in enumerate(positional)
-                       if i >= first]
-            options += [(a.arg, math.inf) for a, d in
-                        zip(args.kwonlyargs, args.kw_defaults) if d is not None]
             count, keywords = passed.get(node.name, [0, set()])
             unset += [f"{node.name}.{arg}" for arg, i in options
                       if count <= i and not keywords & {arg, "**"}]
@@ -137,10 +180,19 @@ def test_checker_flags_unread_names():
     assert unread_names([defining], [reading]) == ["C.n", "D", "E", "g"]
 
 
+# Set by no program path, and kept: criterion 3's test
+# (`test_acceptance.py::test_criterion_3_estimator_fidelity`) compares the
+# estimator over 4 x 12 and 8 x 24 segments.
+TEST_VARIED = {"EstimatorConfig.seg_count", "EstimatorConfig.frames_per_seg"}
+
+
 def test_every_option_is_set_by_some_caller():
     sources = [p.read_text(encoding="utf-8") for p in CALLERS]
     defining = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
-    assert unset_options(defining, sources) == []
+    unset = unset_options(defining, sources)
+    assert [name for name in unset if name not in TEST_VARIED] == []
+    # each allowed field exists and is unset
+    assert TEST_VARIED <= set(unset)
 
 
 def test_checker_flags_unset_options():
@@ -151,6 +203,34 @@ def test_checker_flags_unset_options():
                 "class C:\n    def m(self, v=1):\n        pass\n")
     calling = "f(0, 1)\nmod.f(0, e=5)\nh(*ys)\nk(**kw)\nC().m()\n"
     assert unset_options([defining], [calling]) == ["f.c", "f.d", "g.x"]
+
+
+def test_checker_flags_unset_fields():
+    defining = ("from dataclasses import dataclass, field\n"
+                "from typing import ClassVar\n"
+                "import dataclasses, typing\n"
+                "@dataclass(frozen=True)\n"
+                "class A:\n"
+                "    k: ClassVar[int] = 1\n"
+                "    t: typing.ClassVar[int] = 2\n"
+                "    a: int\n"
+                "    r: int = field(repr=False)\n"
+                "    b: int = 1\n"
+                "    d: int = field(init=False)\n"
+                "    c: list = field(default_factory=list)\n"
+                "    e: int = 2\n"
+                "@dataclasses.dataclass\n"
+                "class B:\n"
+                "    x: int = 0\n"
+                "    y: int = 0\n"
+                "@dataclass\n"
+                "class K:\n"
+                "    z: int = 0\n"
+                "class P:\n"
+                "    p: int = 0\n")
+    # A's positions: a 0, r 1, b 2, c 3, e 4
+    calling = "A(0, 1, 2, e=3)\nB(y=1)\nK(**kw)\n"
+    assert unset_options([defining], [calling]) == ["A.c", "B.x"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -9,18 +9,19 @@ import warnings
 import numpy as np
 import pytest
 
-from gtvv import velocity
+from gtvv import baselines, velocity
 from gtvv.errors import EstimatorDegenerateError, ExpansionInvalidError
 from gtvv.experiment import ExperimentConfig, simulate_cell
 from gtvv.room import (AmbisonicSignal, GroundTruthScene, Wavefront,
                        add_noise, encode_scene, image_source_scene,
                        make_burst_source)
 from gtvv.sh import Direction, make_omni_beam, make_reference_beam, sh_eval
-from gtvv.spectral import FrameReader, SpectrumTensor, stft
+from gtvv.spectral import FrameReader, stft
 from gtvv.velocity import (EstimatorConfig, GfvvEstimate, RelativeWavefront,
                            estimate_gfvv_ls, estimate_gtvv, gtvv_closed_form,
                            interpolate_invalid_bins,
-                           negative_lag_energy_fraction, relative_wavefronts)
+                           negative_lag_energy_fraction, relative_wavefronts,
+                           segment_stats)
 from oracles import (ArraySpectrum, SilentFrameError, all_frames,
                      instantaneous_gfvv)
 
@@ -281,8 +282,8 @@ class TestLsEstimator:
 
 
 class TestLsAccumulation:
-    """The frame-by-frame accumulation and the per-spectrum reuse of the
-    reference-free statistics change no bit of the estimate."""
+    """The frame-by-frame accumulation and the sharing of one omni pass
+    (`segment_stats`) between estimates change no bit of the estimate."""
 
     @pytest.mark.parametrize("kind", ["sweep_cell", "random_strided"])
     @pytest.mark.parametrize("order", [1, 4, 6])
@@ -314,35 +315,39 @@ class TestLsAccumulation:
     @pytest.mark.parametrize("order", [1, 4])
     def test_shared_statistics_equal_fresh_spectrum(self, order):
         spec = sweep_cell_spectrum(order)
-        omni = EstimatorConfig(make_omni_beam(order))
-        steered = EstimatorConfig(
-            make_reference_beam(Direction(0.4, 0.1), order))
-        for first, second in ((omni, steered), (steered, omni)):
-            shared = fresh_copy(spec)
-            got = [estimate_gtvv(shared, first), estimate_gtvv(shared, second)]
-            want = [estimate_gtvv(fresh_copy(spec), first),
-                    estimate_gtvv(fresh_copy(spec), second)]
-            for g, w in zip(got, want):
-                np.testing.assert_array_equal(g.data, w.data)
+        stats = segment_stats(spec, EstimatorConfig())
+        beams = (None, make_omni_beam(order),
+                 make_reference_beam(Direction(0.4, 0.1), order))
+        for beam in beams:
+            cfg = EstimatorConfig(beam)
+            np.testing.assert_array_equal(
+                estimate_gtvv(spec, cfg, stats).data,
+                estimate_gtvv(fresh_copy(spec), cfg).data)
+        # H-TDVV passes the stats on, whatever reference it is given
+        np.testing.assert_array_equal(
+            baselines.h_tdvv(spec, EstimatorConfig(beams[-1]), stats).data,
+            estimate_gtvv(fresh_copy(spec), EstimatorConfig()).data)
 
     def test_shared_statistics_are_read_only(self):
         spec = random_strided_spectrum(1)
-        est = estimate_gfvv_ls(spec, EstimatorConfig(
-            make_omni_beam(1), seg_count=6, frames_per_seg=16))
+        seg = dict(seg_count=6, frames_per_seg=16)
+        stats = segment_stats(spec, EstimatorConfig(**seg))
+        for name in ("a1", "phi", "valid", "r2"):
+            arr = getattr(stats, name)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 0
+        # phi is real, in a buffer of its own rather than a view of a
+        # complex one
+        assert stats.phi.dtype == float and stats.phi.flags.owndata
+        est = estimate_gfvv_ls(
+            spec, EstimatorConfig(make_omni_beam(1), **seg), stats)
         with pytest.raises(ValueError):
             est.valid[0] = False
 
-    def test_segmentation_change_recomputes(self, monkeypatch):
+    def test_estimate_without_stats_makes_one_omni_pass(self, monkeypatch):
         spec = sweep_cell_spectrum(1)
-        beam = make_omni_beam(1)
-        computed, frames_read = [], []
-        cached, block = SpectrumTensor.cached, FrameReader.block
-
-        def counting_cached(self, key, compute):
-            def counted():
-                computed.append(key[1:])
-                return compute()
-            return cached(self, key, counted if self is spec else compute)
+        frames_read, passes = [], []
+        block, means = FrameReader.block, velocity._segment_means
 
         # the segment runs read through readers of their own, perhaps on
         # threads of their own
@@ -350,23 +355,52 @@ class TestLsAccumulation:
             if self._spec is spec:
                 frames_read.extend(range(start, stop))
             return block(self, start, stop)
-        monkeypatch.setattr(SpectrumTensor, "cached", counting_cached)
+
+        def counting_means(*args):  # (spec, cfg, w, with_phi)
+            passes.append((args[2].tolist(), args[3]))
+            return means(*args)
         monkeypatch.setattr(FrameReader, "block", counting_block)
-        for seg, fps in ((8, 24), (4, 24), (8, 12), (8, 24), (4, 24)):
-            cfg = EstimatorConfig(beam, seg_count=seg, frames_per_seg=fps)
-            frames_read.clear()
-            got = estimate_gfvv_ls(spec, cfg)
-            # one pass over the segments' frames, computed or not: each
-            # frame read once, in order within its segment
-            assert sorted(frames_read) == list(range(seg * fps))
-            for s in range(seg):
-                own = [u for u in frames_read if u // fps == s]
-                assert own == sorted(own)
-            want = estimate_gfvv_ls(fresh_copy(spec), cfg)
-            np.testing.assert_array_equal(got.values, want.values)
-            np.testing.assert_array_equal(got.valid, want.valid)
-        # computed once per segmentation, reused when it comes back
-        assert computed == [(8, 24), (4, 24), (8, 12)]
+        monkeypatch.setattr(velocity, "_segment_means", counting_means)
+        omni = make_omni_beam(1).tolist()
+        steered = make_reference_beam(Direction(0.3, 0.2), 1)
+        for seg, fps in ((8, 24), (4, 24), (8, 12)):
+            for beam, want in ((None, [(omni, True)]),
+                               (steered, [(omni, True),
+                                          (steered.tolist(), False)])):
+                cfg = EstimatorConfig(beam, seg_count=seg, frames_per_seg=fps)
+                frames_read.clear()
+                passes.clear()
+                got = estimate_gfvv_ls(spec, cfg)
+                assert passes == want
+                # each pass, one after the other, reads each frame once,
+                # in order within its segment
+                need = seg * fps
+                assert len(frames_read) == need * len(want)
+                for k in range(len(want)):
+                    one = frames_read[k * need:(k + 1) * need]
+                    assert sorted(one) == list(range(need))
+                    for s in range(seg):
+                        own = [u for u in one if u // fps == s]
+                        assert own == sorted(own)
+                # given the stats, the omni estimate makes no pass and the
+                # steered one its own
+                stats = segment_stats(spec, cfg)
+                passes.clear()
+                again = estimate_gfvv_ls(spec, cfg, stats)
+                assert passes == want[1:]
+                np.testing.assert_array_equal(got.values, again.values)
+                np.testing.assert_array_equal(got.valid, again.valid)
+
+    def test_stats_of_another_segmentation_rejected(self):
+        spec = sweep_cell_spectrum(2)
+        steered = make_reference_beam(Direction(0.3, 0.2), 2)
+        other_segments = segment_stats(spec, EstimatorConfig(seg_count=4))
+        other_channels = segment_stats(sweep_cell_spectrum(1),
+                                       EstimatorConfig())
+        for stats in (other_segments, other_channels):
+            for beam in (None, steered):
+                with pytest.raises(ValueError, match="statistics of shape"):
+                    estimate_gfvv_ls(spec, EstimatorConfig(beam), stats)
 
     def test_near_singular_bin_reported(self):
         spec = random_strided_spectrum(1, frames=32, win=64, seed=3)
