@@ -212,13 +212,6 @@ class ResultsTable:
             lines.append(f"# failed run: {f}")
         return "\n".join(lines) + "\n"
 
-    def cell(self, method, order, rt60) -> dict:
-        for r in self.rows:
-            if (r["method"] == method and r["order"] == order
-                    and r["rt60"] == rt60):
-                return r
-        raise KeyError((method, order, rt60))
-
 
 def _fmt(value) -> str:
     if isinstance(value, str):

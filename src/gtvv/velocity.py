@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,46 +101,16 @@ def _solve_loaded_2x2(g11, g12, g22, r1, r2):
     return v, near_singular
 
 
-class _ThreadPool:
-    """The threads on which `_segment_means` runs its segment runs, one
-    pool per process. The threads start on first use, so importing the
-    package starts none. A forked child forgets its parent's pool, whose
-    threads do not exist in it, and starts its own."""
-
-    def __init__(self):
-        self.threads = None  # the CPUs this process may run on, once read
-        self.executor = None
-
-    def size(self) -> int:
-        if self.threads is None:
-            try:
-                self.threads = len(os.sched_getaffinity(0))
-            except AttributeError:  # no affinity on this platform
-                self.threads = os.cpu_count() or 1
-        return self.threads
-
-    def run(self, fn, args: list):
-        """fn(a) for each a of `args`, one per thread, or on the calling
-        thread for one; returns once every call has ended."""
-        if len(args) == 1:
-            fn(args[0])
-            return
-        if self.executor is None:
-            self.executor = ThreadPoolExecutor(self.size())
-        calls = [self.executor.submit(fn, a) for a in args]
-        wait(calls)
-        for call in calls:
-            call.result()
-
-
-_POOL = _ThreadPool()
-os.register_at_fork(after_in_child=lambda: setattr(_POOL, "executor", None))
+# The threads of each estimator pass; None for one per CPU that the
+# process may run on.
+_THREADS = None
 
 
 def use_one_thread():
     """Run the estimator's passes on the calling thread: for a process
     that owns one CPU, such as a sweep's worker."""
-    _POOL.threads = 1
+    global _THREADS
+    _THREADS = 1
 
 
 def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
@@ -150,12 +120,15 @@ def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
     a buffer of its own), from one pass over the blocks of the segments'
     frames: returns (a1, phi or None).
 
-    The segments are split into contiguous runs, one per thread of the
-    process's pool (at most one per CPU). Each run reads its frames
-    through a reader of its own and adds them one at a time in order, as
-    `np.mean` over the frame axis adds them, so the means equal the
-    `np.mean` of the full frames x channels x bins products bit for bit,
-    at any thread count, without building them.
+    The segments are split into contiguous runs, one per CPU that the
+    process may run on (one in all after `use_one_thread`). Of two or
+    more runs, each runs on a thread of its own, which the pass starts and
+    joins before it returns, then raises the error of the earliest run
+    that failed; a single run runs on the calling thread. Each run reads
+    its frames through a reader of its own and adds them one at a time in
+    order, as `np.mean` over the frame axis adds them, so the means equal
+    the `np.mean` of the full frames x channels x bins products bit for
+    bit, at any thread count, without building them.
     """
     fps = cfg.frames_per_seg
     need = cfg.seg_count * fps
@@ -163,7 +136,13 @@ def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
         raise ValueError(f"need at least {need} frames, have {spec.frames}")
     shape = (cfg.seg_count, spec.channels, spec.bins)
     means = [np.empty(shape, dtype=complex) for _ in range(1 + with_phi)]
-    runs = min(_POOL.size(), cfg.seg_count)
+    threads = _THREADS
+    if threads is None:
+        try:
+            threads = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity on this platform
+            threads = os.cpu_count() or 1
+    runs = min(threads, cfg.seg_count)
     # A run holds its reader's windowed frames and spectra and a frame of
     # scratch per mean; up to 4 runs hold no more together than one run
     # over blocks of FRAME_BLOCK frames.
@@ -191,13 +170,17 @@ def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
                         mean[seg] += np.multiply(left, conj_u, out=out)
 
     # Every buffer is allocated here, on the calling thread: memory that a
-    # pool thread allocated and freed would stay in its own malloc arena.
+    # run's thread allocated and freed would stay in its own malloc arena.
     edges = [cfg.seg_count * r // runs * fps for r in range(runs + 1)]
-    _POOL.run(accumulate, [
-        (lo, hi, spec.reader(frames), np.empty(shape[1:], dtype=complex),
-         np.empty(shape[1:], dtype=complex) if with_phi else None,
-         np.empty((frames, 2 * spec.bins)))
-        for lo, hi in zip(edges, edges[1:])])
+    args = [(lo, hi, spec.reader(frames), np.empty(shape[1:], dtype=complex),
+             np.empty(shape[1:], dtype=complex) if with_phi else None,
+             np.empty((frames, 2 * spec.bins)))
+            for lo, hi in zip(edges, edges[1:])]
+    if runs == 1:
+        accumulate(args[0])
+    else:
+        with ThreadPoolExecutor(runs) as pool:
+            list(pool.map(accumulate, args))
     for mean in means:
         np.true_divide(mean, fps, out=mean)
     return means[0], np.ascontiguousarray(means[1].real) if with_phi else None
@@ -207,12 +190,15 @@ def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
 class SegmentStats:
     """One spectrum's omni pass in one segmentation, read-only: the omni
     a1 and the reference-free phi, (segments, channels, bins) each, the
-    bin validity mask and r2 = Σ_segments phi."""
+    bin validity mask and r2 = Σ_segments phi, with the spectrum they
+    were formed from and the frames of each segment."""
 
     a1: np.ndarray
     phi: np.ndarray
     valid: np.ndarray
     r2: np.ndarray
+    spectrum: SpectrumTensor
+    frames_per_seg: int
 
 
 def segment_stats(spec: SpectrumTensor, cfg: EstimatorConfig) -> SegmentStats:
@@ -222,8 +208,9 @@ def segment_stats(spec: SpectrumTensor, cfg: EstimatorConfig) -> SegmentStats:
     energy = np.mean(np.abs(phi), axis=0)  # (ch, bins)
     bin_energy = np.mean(energy, axis=0)   # (bins,)
     valid = bin_energy > _ENERGY_FLOOR * float(np.max(bin_energy))
-    stats = SegmentStats(a1, phi, valid, np.sum(phi, axis=0))
-    for arr in vars(stats).values():
+    stats = SegmentStats(a1, phi, valid, np.sum(phi, axis=0), spec,
+                         cfg.frames_per_seg)
+    for arr in (a1, phi, valid, stats.r2):
         arr.flags.writeable = False
     return stats
 
@@ -239,7 +226,8 @@ def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig,
     is solved in the least-squares sense.
 
     `stats`, the `segment_stats` of `spec` in `cfg`'s segmentation, are
-    formed here if None. The omni estimate (reference None) reads its
+    formed here if None; those of another spectrum object or segmentation
+    raise ValueError. The omni estimate (reference None) reads its
     cross-spectra from them; any other reference makes a pass for its own.
 
     Bins with energy below floor are flagged invalid; a bin whose system is
@@ -251,9 +239,13 @@ def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig,
                          f"spectrum {spec.channels} channels")
     if stats is None:
         stats = segment_stats(spec, cfg)
-    elif stats.phi.shape != (cfg.seg_count, spec.channels, spec.bins):
-        raise ValueError(f"statistics of shape {stats.phi.shape}, not "
-                         f"{(cfg.seg_count, spec.channels, spec.bins)}")
+    elif stats.spectrum is not spec:
+        raise ValueError("statistics of another spectrum")
+    elif (len(stats.phi), stats.frames_per_seg) != (cfg.seg_count,
+                                                    cfg.frames_per_seg):
+        raise ValueError(f"statistics of {len(stats.phi)} x "
+                         f"{stats.frames_per_seg} frames, not "
+                         f"{cfg.seg_count} x {cfg.frames_per_seg}")
     # time-averaged spectra per segment, (seg, ch, bins) each
     a1 = stats.a1 if w is None else _segment_means(spec, cfg, w, False)[0]
 

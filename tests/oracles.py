@@ -12,7 +12,8 @@ helpers that only the tests call.
   against which the least-squares estimator is checked;
 - `from_unit_vector`, the inverse of `Direction.unit_vector`;
 - `nearest`, a dictionary's atom closest to a direction;
-- `to_json`, an `ExperimentConfig` as the JSON that `from_json` reads.
+- `to_json`, an `ExperimentConfig` as the JSON that `from_json` reads;
+- `cell`, a `ResultsTable`'s row of one method, order and rt60.
 """
 
 import json
@@ -124,3 +125,13 @@ def nearest(dictionary, direction: Direction) -> int:
 def to_json(cfg) -> str:
     """The JSON of an `ExperimentConfig`'s fields."""
     return json.dumps(asdict(cfg), indent=2, sort_keys=True)
+
+
+def cell(table, method, order, rt60) -> dict:
+    """The row of `table` (a `ResultsTable`) of `method` at `order` and
+    `rt60`."""
+    for r in table.rows:
+        if (r["method"] == method and r["order"] == order
+                and r["rt60"] == rt60):
+            return r
+    raise KeyError((method, order, rt60))

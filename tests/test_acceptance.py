@@ -24,7 +24,7 @@ from gtvv.velocity import (EstimatorConfig, RelativeWavefront,
 from gtvv.baselines import h_tdvv
 from gtvv.somp import somp
 from gtvv.experiment import scene_geometry, ExperimentConfig
-from oracles import nearest
+from oracles import cell, nearest
 from test_velocity import consistent_fixture, ratio_form_gfvv
 
 FS = 16000.0
@@ -176,10 +176,10 @@ def test_criterion_5_doa_trend(full_sweep):
     wins = 0
     for order in cfg.orders:
         for rt in cfg.rt60:
-            g = table.cell("gtvv", order, rt)["doa_error_deg"]
-            h = table.cell("htdvv", order, rt)["doa_error_deg"]
+            g = cell(table, "gtvv", order, rt)["doa_error_deg"]
+            h = cell(table, "htdvv", order, rt)["doa_error_deg"]
             wins += int(g < h)
-    o4_low = table.cell("gtvv", 4, min(cfg.rt60))["doa_error_deg"]
+    o4_low = cell(table, "gtvv", 4, min(cfg.rt60))["doa_error_deg"]
     ok = wins >= 7 and o4_low < 10.0 and elapsed < 15 * 60
     record_acceptance(5, ok, f"GTVV wins {wins}/8 cells (>= 7), order-4 "
                              f"low-reverb DoA {o4_low:.2f} deg (< 10), "
@@ -198,8 +198,8 @@ def test_criterion_6_detection_and_delay_trend(full_sweep):
     det_ok = True
     for order in (2, 3, 4):
         for rt in cfg.rt60:
-            g = table.cell("gtvv", order, rt)["detections"]
-            h = table.cell("htdvv", order, rt)["detections"]
+            g = cell(table, "gtvv", order, rt)["detections"]
+            h = cell(table, "htdvv", order, rt)["detections"]
             det_ok = det_ok and g >= h
     delays = [r.metrics["gtvv"].delay_error for r in records
               if r.order >= 2 and not r.error]
@@ -217,8 +217,8 @@ def test_order_monotonicity_trend(full_sweep):
     reverberation conditions."""
     cfg, table, _, _ = full_sweep
     for rt in cfg.rt60:
-        o1 = table.cell("gtvv", 1, rt)["doa_error_deg"]
-        o4 = table.cell("gtvv", 4, rt)["doa_error_deg"]
+        o1 = cell(table, "gtvv", 1, rt)["doa_error_deg"]
+        o4 = cell(table, "gtvv", 4, rt)["doa_error_deg"]
         assert o4 < o1
 
 

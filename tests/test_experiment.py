@@ -293,18 +293,20 @@ class TestRunExperiment:
         assert out.stdout.strip() == "1"
 
     def test_sweep_worker_estimates_on_one_thread(self, monkeypatch):
-        # each worker owns one CPU, so its estimator passes start no thread
-        counts = []
+        # each worker owns one CPU, so its estimator passes read every
+        # frame on the calling thread (on more than one CPU, a process
+        # without `use_one_thread` reads them on threads of the pass)
+        readers = []
 
         class Probing(ProcessPoolExecutor):
             def map(self, fn, *iterables, **kwargs):
-                counts.append(self.submit(threads_after_an_estimate).result(
+                readers.append(self.submit(estimate_readers).result(
                     timeout=120))
                 return super().map(fn, *iterables, **kwargs)
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", Probing)
         _, records = run_experiment(small_config(workers=2))
         assert not any(r.error for r in records)
-        assert counts == [1]
+        assert readers == [{"caller"}]
 
     def test_worker_pool_leaves_environment_unchanged(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
@@ -315,12 +317,24 @@ class TestRunExperiment:
         assert dict(os.environ) == before
 
 
-def threads_after_an_estimate() -> int:
-    """The threads of this process after an estimate; run in a sweep
-    worker."""
+def estimate_readers() -> set:
+    """The threads, "caller" or "other", on which an estimate's passes
+    read their frames; run in a sweep worker."""
     noise = np.random.default_rng(0).standard_normal((4, 50000))
-    estimate_gtvv(stft(AmbisonicSignal(FS, noise), 1024), EstimatorConfig())
-    return threading.active_count()
+    spec = stft(AmbisonicSignal(FS, noise), 1024)
+    readers, reader, caller = set(), spec.reader, threading.current_thread()
+
+    class Tracked:
+        def __init__(self, frames):
+            self.inner = reader(frames)
+
+        def block(self, start, stop):
+            readers.add("caller" if threading.current_thread() is caller
+                        else "other")
+            return self.inner.block(start, stop)
+    spec.reader = Tracked
+    estimate_gtvv(spec, EstimatorConfig())
+    return readers
 
 
 def full_steering_infer_json(wav, cfg: ExperimentConfig) -> str:

@@ -123,34 +123,35 @@ def unset_options(defining: list, calling: list) -> list:
 
 
 def unread_names(defining: list, reading: list) -> list:
-    """Each public module-level function or class, and each public method
-    (as `Class.method`), of the `defining` sources whose name no
-    `ast.Name` or `ast.Attribute` load in the `reading` sources reads.
+    """Each public module-level function or class of the `defining`
+    sources whose name no `ast.Name` or `ast.Attribute` load in the
+    `reading` sources reads, and each public method (as `Class.method`)
+    whose name no `ast.Attribute` load reads.
 
     Names match by themselves alone, so a method escapes when a same-named
-    function or method elsewhere is read: a second `to_json` behind
-    `EstimateSet.to_json`, say.
+    method or module attribute elsewhere is read: a second `to_json`
+    behind `EstimateSet.to_json`, say.
     """
-    read = set()
+    names, attributes = set(), set()
     for source in reading:
         for node in ast.walk(ast.parse(source)):
             if not isinstance(getattr(node, "ctx", None), ast.Load):
                 continue
             if isinstance(node, ast.Name):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                attributes.add(node.attr)
     unread = []
     for source in defining:
         for node in ast.parse(source).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            members = [(node.name, node.name)]
+            members = [(node.name, node.name, names | attributes)]
             if isinstance(node, ast.ClassDef):
-                members += [(f"{node.name}.{m.name}", m.name)
+                members += [(f"{node.name}.{m.name}", m.name, attributes)
                             for m in node.body
                             if isinstance(m, ast.FunctionDef)]
-            unread += [label for label, name in members
+            unread += [label for label, name, read in members
                        if not name.startswith("_") and name not in read]
     return sorted(unread)
 
@@ -175,9 +176,13 @@ def test_checker_flags_unread_names():
                 "    def n(self):\n        pass\n"
                 "    def _p(self):\n        pass\n"
                 "class D:\n    def m(self):\n        pass\n"
-                "class E:\n    pass\n")
-    reading = "f()\nx = C()\nx.m()\ng = 1\nx.n = 2\n"
-    assert unread_names([defining], [reading]) == ["C.n", "D", "E", "g"]
+                "class E:\n    pass\n"
+                "class F:\n    def k(self):\n        pass\n"
+                "def k():\n    pass\n")
+    # F.k is not read through the module-level k() that shares its name
+    reading = "f()\nx = C()\nx.m()\ng = 1\nx.n = 2\nF\nk()\n"
+    assert unread_names([defining], [reading]) == ["C.n", "D", "E", "F.k",
+                                                   "g"]
 
 
 # Set by no program path, and kept: criterion 3's test

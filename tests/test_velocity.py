@@ -4,7 +4,6 @@ import signal
 import sys
 import threading
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -101,11 +100,11 @@ def estimate_gfvv_ls_vectorised(spec, cfg):
     return values, valid, near_singular
 
 
-def sweep_cell_spectrum(order, rt_idx=1):
-    """Noisy default-sweep cell: scene 0 at `cfg.rt60[rt_idx]`, 0.44 s by
-    default."""
+def sweep_cell_spectrum(order, rt_idx=1, scene=0):
+    """Noisy default-sweep cell: `scene` at `cfg.rt60[rt_idx]`, scene 0 at
+    0.44 s by default."""
     cfg = ExperimentConfig()
-    _, sig = simulate_cell(cfg, 0, cfg.rt60[rt_idx], order)
+    _, sig = simulate_cell(cfg, scene, cfg.rt60[rt_idx], order)
     return stft(sig, cfg.win_len)
 
 
@@ -392,14 +391,25 @@ class TestLsAccumulation:
                 np.testing.assert_array_equal(got.valid, again.valid)
 
     def test_stats_of_another_segmentation_rejected(self):
-        spec = sweep_cell_spectrum(2)
-        steered = make_reference_beam(Direction(0.3, 0.2), 2)
-        other_segments = segment_stats(spec, EstimatorConfig(seg_count=4))
-        other_channels = segment_stats(sweep_cell_spectrum(1),
-                                       EstimatorConfig())
-        for stats in (other_segments, other_channels):
+        spec = sweep_cell_spectrum(1)
+        steered = make_reference_beam(Direction(0.3, 0.2), 1)
+        # the 8 x 12 stats and those of scene 1 or of a fresh copy of the
+        # recording have the shape of the default 8 x 24 stats of `spec`;
+        # the spectrum is compared by identity
+        rejected = [
+            (segment_stats(spec, EstimatorConfig(seg_count=4)),
+             "statistics of 4 x 24 frames, not 8 x 24"),
+            (segment_stats(spec, EstimatorConfig(frames_per_seg=12)),
+             "statistics of 8 x 12 frames, not 8 x 24"),
+            (segment_stats(sweep_cell_spectrum(1, scene=1), EstimatorConfig()),
+             "statistics of another spectrum"),
+            (segment_stats(fresh_copy(spec), EstimatorConfig()),
+             "statistics of another spectrum"),
+            (segment_stats(sweep_cell_spectrum(2), EstimatorConfig()),
+             "statistics of another spectrum")]
+        for stats, message in rejected:
             for beam in (None, steered):
-                with pytest.raises(ValueError, match="statistics of shape"):
+                with pytest.raises(ValueError, match=message):
                     estimate_gfvv_ls(spec, EstimatorConfig(beam), stats)
 
     def test_near_singular_bin_reported(self):
@@ -428,24 +438,14 @@ class TestLsAccumulation:
 
 @pytest.fixture
 def thread_pool(monkeypatch):
-    """`use(n)` gives the estimator a fresh pool of n threads, which switch
+    """`use(n)` runs the estimator's passes on n threads, which switch
     often, so that an unsynchronised update would show."""
-    pools = []
-
-    def use(n):
-        pool = velocity._ThreadPool()
-        pool.threads = n
-        pools.append(pool)
-        monkeypatch.setattr(velocity, "_POOL", pool)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        yield use
+        yield lambda n: monkeypatch.setattr(velocity, "_THREADS", n)
     finally:
         sys.setswitchinterval(interval)
-        for pool in pools:
-            if pool.executor is not None:
-                pool.executor.shutdown()
 
 
 class TestSegmentThreads:
@@ -490,16 +490,77 @@ class TestSegmentThreads:
             np.testing.assert_array_equal(est.valid, valid)
             np.testing.assert_array_equal(est.near_singular, near_singular)
 
+    @pytest.mark.parametrize("threads", [2, 8])
+    def test_estimate_leaves_no_thread(self, thread_pool, monkeypatch,
+                                       threads):
+        thread_pool(threads)
+        spec = sweep_cell_spectrum(1)
+        during, reader = [], spec.reader
+
+        class Counting:
+            """A reader that notes the threads running as it reads."""
+
+            def __init__(self, frames):
+                self.inner = reader(frames)
+
+            def block(self, start, stop):
+                during.append(threading.active_count())
+                return self.inner.block(start, stop)
+        monkeypatch.setattr(spec, "reader", Counting)
+        before = threading.active_count()
+        estimate_gtvv(spec, EstimatorConfig(
+            make_reference_beam(Direction(0.3, 0.2), 1)))
+        # the executor starts a thread only when none of its own is idle
+        assert before < max(during) <= before + threads
+        assert threading.active_count() == before
+
+    def test_run_error_raised_once_every_run_ends(self, thread_pool,
+                                                  monkeypatch):
+        thread_pool(4)
+        spec = random_strided_spectrum(1, frames=8 * 24)
+        started = threading.Barrier(4, timeout=60)
+        read, reader = [], spec.reader
+
+        class ReadError(Exception):
+            pass
+
+        class Failing:
+            """Run 0's reader raises at its first block, once every run has
+            started; the others read slowly to the end."""
+
+            made = 0
+
+            def __init__(self, frames):
+                self.inner, self.run = reader(frames), Failing.made
+                self.first = True
+                Failing.made += 1
+
+            def block(self, start, stop):
+                if self.first:
+                    self.first = False
+                    started.wait()
+                    if self.run == 0:
+                        raise ReadError(start)
+                time.sleep(0.002)
+                read.extend(range(start, stop))
+                return self.inner.block(start, stop)
+        monkeypatch.setattr(spec, "reader", Failing)
+        before = threading.active_count()
+        with pytest.raises(ReadError) as raised:
+            estimate_gfvv_ls(spec, EstimatorConfig())
+        assert raised.value.args == (0,)
+        # runs 1 to 3, of 2 segments each, had read all their frames
+        assert sorted(read) == list(range(2 * 24, 8 * 24))
+        assert threading.active_count() == before
+
     def test_forked_child_estimates_alone(self, thread_pool):
-        # the child inherits a pool whose threads exist only in the parent
+        # a child forked after a 2-thread estimate starts threads of its
+        # own for its passes, and gets the parent's GTVV
         thread_pool(2)
         spec = sweep_cell_spectrum(1)
         cfg = EstimatorConfig(make_reference_beam(Direction(0.3, 0.2), 1))
         want = estimate_gtvv(spec, cfg).data
-        assert velocity._POOL.executor is not None
-        with warnings.catch_warnings():  # forking a threaded process
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
+        pid = os.fork()
         if pid == 0:
             try:
                 got = estimate_gtvv(fresh_copy(spec), cfg).data
