@@ -13,7 +13,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from typing import ClassVar
 
@@ -287,6 +287,7 @@ def analyze(spec, dictionary: Dictionary, h_iters: int) -> tuple:
     """
     stats = segment_stats(spec, EstimatorConfig())
     v_h = baselines.h_tdvv(spec, EstimatorConfig(), stats)
+    stats = replace(stats, a1=None)  # only the omni estimate reads a1
     est_h = somp(v_h, dictionary, h_iters)
     steered = make_reference_beam(est_h.directions[0], dictionary.order)
     v_g = estimate_gtvv(spec, EstimatorConfig(steered), stats)

@@ -192,8 +192,10 @@ def encode_scene(scene: GroundTruthScene, source, order: int) -> AmbisonicSignal
 
     The gain-weighted fractional-delay kernels of all wavefronts form one
     wavefronts x taps impulse response, mixed to SH channels by the atoms;
-    each channel is then one FFT convolution with the source, whose
-    transform is computed once. Samples before t = 0 are dropped.
+    each channel is then convolved by overlap-add (Stockham 1966) with the
+    source's blocks, transformed once at the power of two of at least
+    4 x taps, on its own, so lower orders are exact slices of higher ones.
+    Samples before t = 0 are dropped.
     """
     source = np.asarray(source, dtype=float)
     if source.ndim != 1 or source.size == 0:
@@ -211,30 +213,24 @@ def encode_scene(scene: GroundTruthScene, source, order: int) -> AmbisonicSignal
     az = np.array([w.direction.azimuth for w in scene.wavefronts])
     el = np.array([w.direction.elevation for w in scene.wavefronts])
     ir = sh_matrix(az, el, order) @ ir  # channels x taps
-    conv_len = source.size + ir.shape[1] - 1
-    nfft = _next_fast_len(conv_len)
-    source_f = rfft(source, nfft)
+    taps = ir.shape[1]
+    nfft = 1 << (4 * taps - 1).bit_length()
+    step = nfft - taps + 1
+    blocks = -(-source.size // step)
+    source_f = rfft(np.pad(source, (0, blocks * step - source.size)).reshape(
+        blocks, step), nfft)
+    conv_len = source.size + taps - 1
+    # the convolution by blocks; a block's tail (taps - 1 < step samples)
+    # overlaps the next block only
+    conv = np.empty((blocks + 1, step))
     out = np.zeros((num_channels(order), out_len))
     for out_row, ir_row in zip(out, ir):
-        y = irfft(source_f * rfft(ir_row, nfft), nfft)[lead:conv_len]
-        out_row[:y.size] = y
+        y = irfft(source_f * rfft(ir_row, nfft), nfft)
+        conv[:-1] = y[:, :step]
+        conv[-1] = 0.0
+        conv[1:, :taps - 1] += y[:, step:]
+        out_row[:conv_len - lead] = conv.reshape(-1)[lead:conv_len]
     return AmbisonicSignal(fs, out)
-
-
-def _next_fast_len(n: int) -> int:
-    """The smallest 5-smooth integer 2^a 3^b 5^c that is at least `n`."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < n:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 def add_noise(sig: AmbisonicSignal, snr_db: float, seed: int) -> AmbisonicSignal:

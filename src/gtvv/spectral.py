@@ -24,9 +24,9 @@ FRAME_BLOCK = 8
 class SpectrumTensor:
     """Hamming-windowed one-sided STFT of every channel of `signal`, with
     frames `win_len`/4 apart (see `frame_count`), computed where it is
-    read: a `reader`'s `block` transforms a run of frames, `cross_power`
-    and `energy` reduce them without a transform, and nothing frames x
-    channels x bins is stored.
+    read: a `reader`'s `block` transforms a run of frames,
+    `weighted_cross_power` and `energy` reduce them without a transform,
+    and nothing frames x channels x bins is stored.
 
     The signal is checked once here, so every block is finite. Its
     samples are read when a block is, so it must not change after
@@ -67,14 +67,6 @@ class SpectrumTensor:
             raise ValueError(f"frames {start}:{stop}: not a run of 1 to "
                              f"{FRAME_BLOCK} of 0:{self.frames}")
 
-    def _windowed(self, start: int, stop: int, out) -> np.ndarray:
-        """Frames `start` to `stop` - 1 times the window, in the first rows
-        of `out` (a new array if None)."""
-        self._check_run(start, stop)
-        if out is not None:
-            out = out[:stop - start]
-        return np.multiply(self._view[start:stop], self._window, out=out)
-
     def _edge_bins(self, start: int, stop: int) -> np.ndarray:
         """The DC and Nyquist bins d, q of frames `start` to `stop` - 1:
         (frames, channels, 2), real."""
@@ -85,28 +77,37 @@ class SpectrumTensor:
         own (see `FrameReader`)."""
         return FrameReader(self, frames)
 
-    def cross_power(self, start: int, stop: int) -> np.ndarray:
-        """Re Σ_k conj(b_k) b_kᵀ over the one-sided bins k of each of
-        frames `start` to `stop` - 1: (frames, channels, channels). Like
-        `FrameReader.block`, it takes a run of 1 to `FRAME_BLOCK` frames.
+    def weighted_cross_power(self, weights) -> np.ndarray:
+        """Σ_u g_u Re Σ_k conj(b_uk) b_ukᵀ over the frames u and their
+        one-sided bins k, one weight g_u per frame: (channels, channels).
 
-        By Parseval the two-sided sum is N X Xᵀ for the windowed frame X
-        (channels x N). It counts each inner bin twice, its mirror adding
-        the same real part, and the DC and Nyquist bins, d and q, once, so
-        the one-sided sum is (N X Xᵀ + d dᵀ + q qᵀ) / 2 and needs no
-        transform.
-        """
-        x = self._windowed(start, stop, None)
-        edges = self._edge_bins(start, stop)
-        power = np.matmul(x, x.transpose(0, 2, 1))
-        power *= self.win_len
-        power += np.matmul(edges, edges.transpose(0, 2, 1))
-        power /= 2.0
-        return power
+        By Parseval, frame u's sum is (N X_u X_uᵀ + d_u d_uᵀ + q_u q_uᵀ) / 2
+        for its windowed samples X_u (channels x N) and its DC and Nyquist
+        bins d_u, q_u. Over the frames, the first term is N Σ_t c_t s_t s_tᵀ
+        over the samples, c_t = Σ_u g_u w²_{t-uH} over the 4 frames that
+        cover sample t: one product per run of frames, over the hops they
+        start (and the 3 that end the last frame), with no transform."""
+        if np.shape(weights) != (self.frames,):
+            raise ValueError(f"{np.shape(weights)} weights for "
+                             f"{self.frames} frames")
+        hop = self.win_len // 4
+        # row k: the weights of the frames k to k - 3 that cover hop k
+        hop_weights = sliding_window_view(np.pad(weights, 3), 4)[:, ::-1]
+        squares = (self.win_len * self._window ** 2).reshape(4, hop)
+        power = np.zeros((self.channels, self.channels))
+        for start, stop in frame_blocks(self.frames):
+            last = stop + 3 if stop == self.frames else stop
+            span = self.signal.channels[:, start * hop:last * hop]
+            c = np.matmul(hop_weights[start:last], squares).reshape(-1)
+            power += np.matmul(span * c, span.T)
+            d_q = self._edge_bins(start, stop)
+            power += np.tensordot(d_q * weights[start:stop, None, None], d_q,
+                                  ([0, 2], [0, 2]))
+        return power / 2.0
 
     def energy(self, start: int, stop: int) -> np.ndarray:
         """Σ_k |b_k|² over the channels and one-sided bins k of each of
-        frames `start` to `stop` - 1, the trace of `cross_power`:
+        frames `start` to `stop` - 1, the trace of its cross-power term:
         (N Σ_n w_n² s_n + |d|² + |q|²) / 2 with s the frame's squared
         samples summed over channels. It windows no frame and forms no
         channel x channel product."""
@@ -115,14 +116,10 @@ class SpectrumTensor:
         span = self.signal.channels[
             :, start * hop:(stop - 1) * hop + self.win_len]
         squares = np.einsum("ct,ct->t", span, span)
-        energy = np.matmul(
-            sliding_window_view(squares, self.win_len)[::hop],
-            self._window ** 2)
-        energy *= self.win_len
+        energy = np.matmul(sliding_window_view(squares, self.win_len)[::hop],
+                           self.win_len * self._window ** 2)
         edges = self._edge_bins(start, stop)
-        energy += np.einsum("fce,fce->f", edges, edges)
-        energy /= 2.0
-        return energy
+        return (energy + np.einsum("fce,fce->f", edges, edges)) / 2.0
 
 
 class FrameReader:
@@ -142,7 +139,10 @@ class FrameReader:
         `FRAME_BLOCK` frames and no more than the reader's: (frames,
         channels, bins) complex, a view of this reader's buffer. Each row
         is, bit for bit, the row of one batched transform of all frames."""
-        x = self._spec._windowed(start, stop, self._windowed)
+        spec = self._spec
+        spec._check_run(start, stop)
+        x = np.multiply(spec._view[start:stop], spec._window,
+                        out=self._windowed[:stop - start])
         return np.fft.rfft(x, axis=-1, out=self._spectra[:stop - start])
 
 

@@ -189,8 +189,8 @@ def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
 @dataclass(frozen=True)
 class SegmentStats:
     """One spectrum's omni pass in one segmentation, read-only: the omni
-    a1 and the reference-free phi, (segments, channels, bins) each, the
-    bin validity mask and r2 = Σ_segments phi, with the spectrum they
+    a1 (or None) and the reference-free phi, (segments, channels, bins),
+    the bin validity mask and r2 = Σ_segments phi, with the spectrum they
     were formed from and the frames of each segment."""
 
     a1: np.ndarray
@@ -227,8 +227,8 @@ def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig,
 
     `stats`, the `segment_stats` of `spec` in `cfg`'s segmentation, are
     formed here if None; those of another spectrum object or segmentation
-    raise ValueError. The omni estimate (reference None) reads its
-    cross-spectra from them; any other reference makes a pass for its own.
+    raise ValueError. The omni estimate (reference None) reads its a1 from
+    them, if any; any other reference makes a pass for its own.
 
     Bins with energy below floor are flagged invalid; a bin whose system is
     rank deficient despite carrying energy (stationary source) raises.
@@ -246,6 +246,8 @@ def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig,
         raise ValueError(f"statistics of {len(stats.phi)} x "
                          f"{stats.frames_per_seg} frames, not "
                          f"{cfg.seg_count} x {cfg.frames_per_seg}")
+    if w is None and stats.a1 is None:
+        raise ValueError("statistics without the omni a1")
     # time-averaged spectra per segment, (seg, ch, bins) each
     a1 = stats.a1 if w is None else _segment_means(spec, cfg, w, False)[0]
 

@@ -3,9 +3,9 @@ helpers that only the tests call.
 
 - `ArraySpectrum`, a spectrum given as an array with the read interface
   of `gtvv.spectral.SpectrumTensor` (`reader` and its `block`,
-  `cross_power`, `energy`): the fake through which tests inject exact
-  frequency-domain spectra, and the frequency-domain reference of
-  `cross_power` and `energy`;
+  `weighted_cross_power`, `energy`): the fake through which tests inject
+  exact frequency-domain spectra, and the frequency-domain reference of
+  `weighted_cross_power` and `energy`, formed from its frames;
 - `all_frames`, every frame of a spectrum as one array, read through
   the spectrum's readers;
 - `instantaneous_gfvv`, the noiseless one-frame GFVV b(f) / (w . b(f)),
@@ -33,7 +33,7 @@ _DENOM_FLOOR = 1e-9
 class ArraySpectrum:
     """STFT data[frame, channel, bin], read as `stft`'s lazy spectrum is:
     `frames`, `channels`, `bins`, `fs`, `reader` (and its `block`),
-    `cross_power` and `energy`.
+    `weighted_cross_power` and `energy`.
 
     `data` is a read-only C-contiguous copy of finite values: the
     estimator views each frame's channels x bins as floats.
@@ -60,14 +60,15 @@ class ArraySpectrum:
         """`FrameReader.block`: frames `start` to `stop` - 1."""
         return self.data[start:stop]
 
-    def cross_power(self, start, stop):
-        """Re Σ_k conj(b_k) b_kᵀ over the bins k of each frame."""
-        b = self.data[start:stop]
-        return np.matmul(b.conj(), b.transpose(0, 2, 1)).real
+    def weighted_cross_power(self, weights):
+        """Σ_u weights[u] Re Σ_k conj(b_uk) b_ukᵀ over the frames u and
+        bins k, from the spectra."""
+        powers = np.matmul(self.data.conj(), self.data.transpose(0, 2, 1))
+        return np.tensordot(weights, powers.real, 1)
 
     def energy(self, start, stop):
-        """The trace of each frame's `cross_power`."""
-        return np.trace(self.cross_power(start, stop), axis1=1, axis2=2)
+        """Σ_k |b_k|² over the channels and bins k of each frame."""
+        return np.sum(np.abs(self.data[start:stop]) ** 2, axis=(1, 2))
 
 
 def all_frames(spec):

@@ -178,6 +178,27 @@ class TestSrp:
                                    atol=1e-12 * np.max(want))
         assert np.argmax(got) == np.argmax(want)
 
+    @pytest.mark.parametrize("order", [1, 6])
+    def test_silent_stretches_match_the_spectra(self, order):
+        # stretches at 1e-6 of the level, whose frames fall below the
+        # energy floor and must weigh nothing, and samples after the last
+        # frame: the map from the samples against the map of the spectra
+        rng = np.random.default_rng(order)
+        x = rng.standard_normal(((order + 1) ** 2, 24 * 1024 + 200))
+        x *= np.exp(rng.standard_normal((x.shape[0], 1)))
+        for lo, hi in ((3000, 9000), (14000, 14500), (17000, 23000)):
+            x[:, lo:hi] *= 1e-6
+        spec = stft(AmbisonicSignal(FS, x), 1024)
+        frames = ArraySpectrum(all_frames(spec), FS)
+        energies = frames.energy(0, spec.frames)
+        assert np.sum(energies < 1e-9 * np.max(energies)) >= 20
+        dic = build_dictionary(200, order)
+        got = srp_map(spec, dic)
+        want = srp_map(frames, dic)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-13 * np.max(want))
+        assert np.argmax(got) == np.argmax(want)
+
     def test_clean_map_stable_under_rounding_perturbation(self):
         # a noise-free encode has silent frames whose energy is FFT
         # rounding; they must not steer the map

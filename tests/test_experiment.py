@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -381,6 +382,34 @@ class TestAnalyze:
         scaled = AmbisonicSignal(sig.fs, sig.channels * 2.0 ** k)
         assert analysis_bytes(scaled, cfg, dic, order) == want
 
+    def test_steered_pass_starts_without_the_omni_a1(self, monkeypatch):
+        # only the H-TDVV estimate reads the omni a1, segments x channels x
+        # bins complex (1.6 MB at order 4); the steered estimate is handed
+        # the statistics without it, so it starts from less traced memory
+        # than the H-TDVV estimate did, v_h and its S-OMP held since
+        cfg, sig, dic, _ = scale_cell(4)
+        spec = stft(sig, cfg.win_len)
+        starts = []
+
+        def at_start(fn):
+            def traced(spec, est_cfg, stats):
+                starts.append((tracemalloc.get_traced_memory()[0],
+                               stats.a1 is None))
+                return fn(spec, est_cfg, stats)
+            return traced
+        monkeypatch.setattr(baselines, "h_tdvv", at_start(baselines.h_tdvv))
+        monkeypatch.setattr(experiment, "estimate_gtvv",
+                            at_start(experiment.estimate_gtvv))
+        tracemalloc.start()
+        try:
+            analyze(spec, dic, cfg.iter_cap(4))
+        finally:
+            tracemalloc.stop()
+        (omni, omni_free), (steered, steered_free) = starts
+        assert (omni_free, steered_free) == (False, True)
+        a1_bytes = 8 * spec.channels * spec.bins * 16
+        assert steered < omni - a1_bytes / 2
+
 
 # `gtvv.somp` is the function the package re-exports, not the module
 GTVV_MODULES = [gtvv] + [importlib.import_module(f"gtvv.{name}") for name in (
@@ -595,8 +624,9 @@ class TestCli:
         # statistics along with the omni cross-spectra, `analyze` hands
         # them to both estimates and the steered one adds its own pass:
         # each of the estimator's 8 x 24 frames is transformed twice and no
-        # later frame at all; SRP reduces every frame once, with no
-        # transform
+        # later frame at all; SRP reduces every frame to its energy once,
+        # then forms one weighted cross-power over all frames from their
+        # samples, with no transform
         path = self._write_cfg(tmp_path, orders=(2,))
         sim = tmp_path / "sim"
         assert main(["simulate", "--config", path, "--out", str(sim)]) == 0
@@ -604,23 +634,31 @@ class TestCli:
         frames = frame_count(read_wav(wav).num_samples, 1024)
         assert frames > 192
         # the estimator's runs read through readers, perhaps on threads
-        reads = {"block": [], "cross_power": []}
-        for cls, name in ((FrameReader, "block"),
-                          (SpectrumTensor, "cross_power")):
+        reads = {"block": [], "energy": []}
+        for cls, name in ((FrameReader, "block"), (SpectrumTensor, "energy")):
             def counting(spec, start, stop, _read=getattr(cls, name),
                          _log=reads[name]):
                 _log.extend(range(start, stop))
                 return _read(spec, start, stop)
             monkeypatch.setattr(cls, name, counting)
+        weighted = []
+
+        def counting_weighted(spec, weights,
+                              _power=SpectrumTensor.weighted_cross_power):
+            weighted.append(len(weights))
+            return _power(spec, weights)
+        monkeypatch.setattr(SpectrumTensor, "weighted_cross_power",
+                            counting_weighted)
         assert main(["infer", "--config", path, "--out",
                      str(tmp_path / "est.json"), "--wav", str(wav)]) == 0
         twice = {u: 2 for u in range(192)}
         assert Counter(reads["block"]) == twice
-        assert reads["cross_power"] == []
+        assert (reads["energy"], weighted) == ([], [])
         reads["block"].clear()
         run_single(ExperimentConfig.from_json(path), 0, 0.16, 2)
         assert Counter(reads["block"]) == twice
-        assert reads["cross_power"] == list(range(frames))
+        assert reads["energy"] == list(range(frames))
+        assert weighted == [frames]
 
     # the estimator is no longer a config setting: each of these blocks,
     # once accepted, names a removed key

@@ -9,13 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
-from scipy.fft import next_fast_len
 from scipy.io import wavfile
 from scipy.signal import fftconvolve
 
 from gtvv.room import (FRAC_DELAY_TAPS, SPEED_OF_SOUND, AmbisonicSignal,
-                       GroundTruthScene, Wavefront, _next_fast_len,
-                       add_noise, encode_scene,
+                       GroundTruthScene, Wavefront, add_noise, encode_scene,
                        fractional_delay_kernel, image_source_scene,
                        make_burst_source, read_wav,
                        sabine_reflection_coefficient, write_wav)
@@ -41,6 +39,16 @@ def encode_scene_loop(scene, source, order):
         out[:, start:start + seg.size] += wave.gain * np.outer(
             sh_eval(wave.direction, order), seg)
     return out
+
+
+def block_step(scene):
+    """The source samples per block of `encode_scene`'s overlap-add for
+    `scene`: its transform length, the power of two of at least 4 x the
+    response's taps, less taps - 1."""
+    n0s = [fractional_delay_kernel(w.toa * scene.fs)[0]
+           for w in scene.wavefronts]
+    taps = max(n0s) - min(0, min(n0s)) + FRAC_DELAY_TAPS
+    return (1 << (4 * taps - 1).bit_length()) - taps + 1
 
 
 def image_source_scene_product(room, src, mic, rt60, max_order, fs):
@@ -332,6 +340,36 @@ class TestEncodeScene:
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-12 * np.max(np.abs(want)))
 
+    @settings(max_examples=40, deadline=None)
+    @given(order=st.integers(1, 4), latest=st.floats(0.0, 900.0),
+           middle=st.lists(st.floats(0.0, 1.0), max_size=3),
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_blocks_match_per_wavefront_loop(self, order, latest, middle,
+                                             seed, data):
+        # a wavefront at t = 0, whose kernel starts before the first
+        # sample, one at the latest delay and some between them; sources
+        # of 1 sample to a few blocks, exact multiples of the block step
+        # and one sample either side among them
+        rng = np.random.default_rng(seed)
+        toas = sorted([0.0, latest] + [f * latest for f in middle])
+        waves = tuple(
+            Wavefront(Direction(rng.uniform(-np.pi, np.pi),
+                                rng.uniform(-1.5, 1.5)),
+                      toa / 16000.0, rng.uniform(0.1, 1.0)) for toa in toas)
+        scene = GroundTruthScene(waves, (False,) * len(waves), ROOM, SRC,
+                                 MIC, 0.3, 16000.0)
+        step = block_step(scene)
+        size = data.draw(st.one_of(
+            st.integers(1, 3 * step),
+            st.builds(lambda k, d: k * step + d, st.integers(1, 3),
+                      st.integers(-1, 1))))
+        src = rng.standard_normal(size)
+        got = encode_scene(scene, src, order).channels
+        want = encode_scene_loop(scene, src, order)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)))
+
     @settings(max_examples=10, deadline=None)
     @given(order=st.integers(1, 3), rt60=st.sampled_from((0.16, 0.3, 0.44)),
            seed=st.integers(0, 2**16))
@@ -489,11 +527,6 @@ class TestWavRoundTrip:
         assert back.channels.shape == (4, 5)
         np.testing.assert_array_equal(
             back.channels, np.tile([-1.0, -0.5, 0.0, 0.5, 127 / 128], (4, 1)))
-
-
-def test_next_fast_len_matches_scipy():
-    assert ([_next_fast_len(n) for n in range(1, 20001)]
-            == [next_fast_len(n, real=True) for n in range(1, 20001)])
 
 
 def scipy_read_scaled(path):

@@ -152,8 +152,7 @@ class TestStft:
                                              (18, 22), (0, 9), (0, 21)])
     def test_block_outside_the_frames_rejected(self, start, stop):
         spec = stft(make_signal(np.ones((4, 1536))), 256)
-        for read in (spec.reader(FRAME_BLOCK).block, spec.cross_power,
-                     spec.energy):
+        for read in (spec.reader(FRAME_BLOCK).block, spec.energy):
             with pytest.raises(ValueError, match="1 to 8 of 0:21"):
                 read(start, stop)
 
@@ -194,36 +193,46 @@ class TestStft:
 
 
 class TestCrossPower:
-    """The Parseval cross-power of the windowed frames against the
+    """The frame-weighted Parseval cross-power of the samples against the
     frequency-domain one of their spectra."""
 
     @staticmethod
-    def assert_matches_spectra(spec):
-        want = ArraySpectrum(all_frames(spec), FS).cross_power(
-            0, spec.frames)
-        blocks = list(frame_blocks(spec.frames))
-        got = np.concatenate([spec.cross_power(*run) for run in blocks])
-        assert got.shape == (spec.frames, spec.channels, spec.channels)
+    def assert_matches_spectra(spec, weights):
+        frames = ArraySpectrum(all_frames(spec), FS)
+        want = frames.weighted_cross_power(weights)
+        got = spec.weighted_cross_power(weights)
+        assert got.shape == (spec.channels, spec.channels)
         np.testing.assert_allclose(got, want, rtol=0,
-                                   atol=1e-12 * np.max(np.abs(want)))
-        # the energies are the traces
-        energy = np.concatenate([spec.energy(*run) for run in blocks])
-        want_energy = np.trace(want, axis1=1, axis2=2)
+                                   atol=1e-13 * np.max(np.abs(want)))
+        # the energies are the traces of the frames' terms
+        energy = np.concatenate([spec.energy(*run)
+                                 for run in frame_blocks(spec.frames)])
+        want_energy = frames.energy(0, spec.frames)
         np.testing.assert_allclose(energy, want_energy, rtol=0,
                                    atol=1e-12 * np.max(want_energy))
+        for u in {0, spec.frames // 2, spec.frames - 1}:
+            one = np.zeros(spec.frames)
+            one[u] = 1.0
+            assert np.trace(spec.weighted_cross_power(one)) == pytest.approx(
+                want_energy[u], rel=1e-12)
 
-    # below one frame block, exactly one, and one frame past it
+    # below one frame block, exactly one, and one frame past it; with and
+    # without samples after the last frame, which no frame covers
     @pytest.mark.parametrize("frames", [1, 7, 8, 9])
     @pytest.mark.parametrize("order", [1, 6])
     def test_matches_frequency_domain(self, order, frames):
         win = 1024
-        samples = win + (frames - 1) * win // 4
         rng = np.random.default_rng(10 * order + frames)
-        x = rng.standard_normal(((order + 1) ** 2, samples))
-        x *= np.exp(rng.standard_normal((x.shape[0], 1)))
-        spec = stft(make_signal(x), win)
-        assert spec.frames == frames
-        self.assert_matches_spectra(spec)
+        for extra in (0, 1, win // 4 - 1):
+            samples = win + (frames - 1) * win // 4 + extra
+            x = rng.standard_normal(((order + 1) ** 2, samples))
+            x *= np.exp(rng.standard_normal((x.shape[0], 1)))
+            spec = stft(make_signal(x), win)
+            assert spec.frames == frames
+            # weights of many scales, some 0, as SRP's 1 / E_u
+            weights = np.exp(3.0 * rng.standard_normal(frames))
+            weights[rng.random(frames) < 0.3] = 0.0
+            self.assert_matches_spectra(spec, weights)
 
     # a constant puts the frame sum in the DC bin, a +-1 alternation puts
     # the alternating sum in the Nyquist bin: the correction terms
@@ -232,7 +241,14 @@ class TestCrossPower:
         t = np.arange(3 * 1024)
         x = np.ones(t.size) if pattern == "constant" else (-1.0) ** t
         spec = stft(make_signal(np.stack([x, 0.5 * x, -2.0 * x])), 1024)
-        self.assert_matches_spectra(spec)
+        self.assert_matches_spectra(spec, np.linspace(0.5, 2.0, spec.frames))
+
+    @pytest.mark.parametrize("count", [0, 20, 22])
+    def test_one_weight_per_frame(self, count):
+        spec = stft(make_signal(np.ones((4, 1536))), 256)
+        assert spec.frames == 21
+        with pytest.raises(ValueError, match="weights for 21 frames"):
+            spec.weighted_cross_power(np.ones(count))
 
 
 class TestSpectrumTensor:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import signal
@@ -342,6 +343,18 @@ class TestLsAccumulation:
             spec, EstimatorConfig(make_omni_beam(1), **seg), stats)
         with pytest.raises(ValueError):
             est.valid[0] = False
+
+    def test_statistics_without_a1(self):
+        # the steered estimate reads no a1 of the omni pass; the omni one
+        # cannot do without it
+        spec = sweep_cell_spectrum(1)
+        stats = segment_stats(spec, EstimatorConfig())
+        free = dataclasses.replace(stats, a1=None)
+        steered = EstimatorConfig(make_reference_beam(Direction(0.3, 0.2), 1))
+        np.testing.assert_array_equal(estimate_gtvv(spec, steered, free).data,
+                                      estimate_gtvv(spec, steered, stats).data)
+        with pytest.raises(ValueError, match="statistics without the omni"):
+            estimate_gfvv_ls(spec, EstimatorConfig(), free)
 
     def test_estimate_without_stats_makes_one_omni_pass(self, monkeypatch):
         spec = sweep_cell_spectrum(1)
