@@ -40,18 +40,22 @@ def srp_map(spec: SpectrumTensor, dictionary: Dictionary) -> np.ndarray:
     the floor and 0 at or below it, which it forms from the samples with
     no transform. The energies come first, in a pass that forms no
     channel x channel product, because the floor needs their maximum;
-    only they grow with the recording.
+    the DC and Nyquist bins that pass forms are kept for the covariance,
+    which needs them too. Only they grow with the recording: 1 + 2 x
+    channels floats per frame.
     """
     if spec.frames == 0:
         raise ValueError("empty spectrum")
     if dictionary.atoms.shape[0] != spec.channels:
         raise ValueError("dictionary order does not match the spectrum")
-    energies = np.concatenate([spec.energy(start, stop)
-                               for start, stop in frame_blocks(spec.frames)])
+    energies = np.empty(spec.frames)
+    edges = np.empty((spec.frames, spec.channels, 2))
+    for start, stop in frame_blocks(spec.frames):
+        energies[start:stop], edges[start:stop] = spec.energy(start, stop)
     floor = _ENERGY_FLOOR * float(np.max(energies))
     weights = np.divide(1.0, energies, out=np.zeros_like(energies),
                         where=energies > floor)
-    cov = spec.weighted_cross_power(weights)
+    cov = spec.weighted_cross_power(weights, edges)
     atoms = dictionary.atoms
     values = np.sum(atoms * (cov @ atoms), axis=0)
     # C is positive semi-definite: a negative value is rounding around 0

@@ -91,11 +91,18 @@ class GroundTruthScene:
 
 @dataclass(frozen=True)
 class AmbisonicSignal:
+    """Channels ((L+1)^2, num_samples) at `fs` Hz. Float32 and float64
+    channels are kept as given, any other dtype is cast to float64: a
+    recording is held at the precision its file stores, and every
+    transform and reduction of it computes in float64."""
+
     fs: float
     channels: np.ndarray  # ((L+1)^2, num_samples)
 
     def __post_init__(self):
-        ch = np.asarray(self.channels, dtype=float)
+        ch = np.asarray(self.channels)
+        if ch.dtype not in (np.float32, np.float64):
+            ch = ch.astype(float)
         if ch.ndim != 2:
             raise ValueError("channels must be a 2-D array")
         if not 0 < self.fs < math.inf:  # also rejects NaN
@@ -283,10 +290,17 @@ _WAVE_PCM, _WAVE_FLOAT, _WAVE_EXTENSIBLE = 1, 3, 0xFFFE
 # the bytes after the 2-byte format tag in a WAVE_FORMAT_EXTENSIBLE
 # subformat GUID
 _SUBFORMAT_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
-# the file's sample type; 24-bit samples are read as bytes and widened
-_WAV_DTYPES = {(_WAVE_PCM, 8): "u1", (_WAVE_PCM, 16): "<i2",
-               (_WAVE_PCM, 24): "u1", (_WAVE_PCM, 32): "<i4",
-               (_WAVE_FLOAT, 32): "<f4", (_WAVE_FLOAT, 64): "<f8"}
+# the file's sample type, and the type of the channels it is read into:
+# float32 holds u8, s16, s24 and float32 samples exactly, float64 holds
+# s32 and float64 ones; 24-bit samples are read as bytes and widened
+_WAV_DTYPES = {(_WAVE_PCM, 8): ("u1", np.float32),
+               (_WAVE_PCM, 16): ("<i2", np.float32),
+               (_WAVE_PCM, 24): ("u1", np.float32),
+               (_WAVE_PCM, 32): ("<i4", np.float64),
+               (_WAVE_FLOAT, 32): ("<f4", np.float32),
+               (_WAVE_FLOAT, 64): ("<f8", np.float64)}
+# frames read, converted and transposed at a time
+_WAV_BLOCK = 2048
 # the largest value of a header's 32-bit fields
 _UINT32_MAX = 2**32 - 1
 
@@ -336,10 +350,14 @@ def _wav_format(body: bytes):
 
 def read_wav(path) -> AmbisonicSignal:
     """Read a RIFF/WAVE file of PCM u8/s16/s24/s32 or IEEE float32/float64
-    samples (plain or WAVE_FORMAT_EXTENSIBLE) as float samples; integer PCM
-    is mapped to [-1, 1): unsigned 8-bit as (x - 128) / 128, signed n-bit
-    as x / 2^(n-1). Any other format, and a data chunk shorter than its
-    header declares, is a ValueError."""
+    samples (plain or WAVE_FORMAT_EXTENSIBLE) at the precision the file
+    stores: float32 channels for u8, s16, s24 and float32 files, float64
+    for s32 and float64 ones, both exact. Integer PCM is mapped to
+    [-1, 1): unsigned 8-bit as (x - 128) / 128, signed n-bit as
+    x / 2^(n-1). The data chunk is read `_WAV_BLOCK` frames at a time into
+    one channels-first array, so the interleaved samples are never held
+    whole. Any other format, and a data chunk shorter than its header
+    declares, is a ValueError."""
     with open(path, "rb") as fh:
         head = fh.read(12)
         if len(head) < 12 or head[:4] != b"RIFF" or head[8:] != b"WAVE":
@@ -360,25 +378,33 @@ def read_wav(path) -> AmbisonicSignal:
         if fmt is None:
             raise ValueError("no fmt chunk before the data chunk")
         tag, channels, rate, bits = fmt
-        frames = size // (channels * bits // 8)
-        data = np.fromfile(fh, _WAV_DTYPES[tag, bits],
-                           count=frames * channels * (3 if bits == 24 else 1))
-    if bits == 24:  # left-justify each 3-byte sample in an int32
-        wide = np.zeros((data.size // 3, 4), np.uint8)
-        wide[:, 1:] = data[:wide.shape[0] * 3].reshape(-1, 3)
-        data = wide.view("<i4")[:, 0]
-    got = data.size // channels
-    if got < frames:
-        raise ValueError(f"data chunk truncated: {got} of {frames} frames")
-    data = data.reshape(frames, channels)
-    # channels first, transposed 2048 frames at a time: a strided copy of
-    # the whole file reads memory in cache-hostile order
-    out = np.empty((channels, frames))
-    for start in range(0, frames, 2048):
-        out[:, start:start + 2048] = data[start:start + 2048].T
-    if data.dtype.kind == "u":
-        out -= 128.0
-        out /= 128.0
-    elif data.dtype.kind == "i":
-        out /= float(2 ** (8 * data.itemsize - 1))
+        stored, held = _WAV_DTYPES[tag, bits]
+        frame_bytes = channels * bits // 8
+        frames = size // frame_bytes
+        out = np.empty((channels, frames), held)
+        raw = np.empty((min(frames, _WAV_BLOCK), frame_bytes), np.uint8)
+        if bits == 24:  # each 3-byte sample left-justified in an int32
+            wide = np.zeros((raw.shape[0], channels, 4), np.uint8)
+        for start in range(0, frames, _WAV_BLOCK):
+            block = raw[:frames - start]
+            got = fh.readinto(block)
+            if got < block.nbytes:
+                raise ValueError("data chunk truncated: "
+                                 f"{start + got // frame_bytes} of {frames} "
+                                 "frames")
+            if bits == 24:
+                wide[:len(block), :, 1:] = block.reshape(len(block), channels,
+                                                         3)
+                samples = wide[:len(block)].view("<i4")[..., 0]
+            else:
+                samples = block.view(stored)
+            # channels first, a block at a time: a strided copy of the
+            # whole file reads memory in cache-hostile order
+            span = out[:, start:start + len(block)]
+            span[...] = samples.T
+            if samples.dtype.kind == "u":
+                span -= 128.0
+                span /= 128.0
+            elif samples.dtype.kind == "i":
+                span /= float(2 ** (8 * samples.itemsize - 1))
     return AmbisonicSignal(float(rate), out)

@@ -60,15 +60,18 @@ class ArraySpectrum:
         """`FrameReader.block`: frames `start` to `stop` - 1."""
         return self.data[start:stop]
 
-    def weighted_cross_power(self, weights):
+    def weighted_cross_power(self, weights, edges):
         """Σ_u weights[u] Re Σ_k conj(b_uk) b_ukᵀ over the frames u and
-        bins k, from the spectra."""
+        bins k, from the spectra; `edges` is not read."""
         powers = np.matmul(self.data.conj(), self.data.transpose(0, 2, 1))
         return np.tensordot(weights, powers.real, 1)
 
     def energy(self, start, stop):
-        """Σ_k |b_k|² over the channels and bins k of each frame."""
-        return np.sum(np.abs(self.data[start:stop]) ** 2, axis=(1, 2))
+        """Σ_k |b_k|² over the channels and bins k of each frame, and the
+        real parts of its DC and Nyquist bins."""
+        frames = self.data[start:stop]
+        return (np.sum(np.abs(frames) ** 2, axis=(1, 2)),
+                frames[..., [0, -1]].real)
 
 
 def all_frames(spec):

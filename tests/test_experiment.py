@@ -643,10 +643,10 @@ class TestCli:
             monkeypatch.setattr(cls, name, counting)
         weighted = []
 
-        def counting_weighted(spec, weights,
+        def counting_weighted(spec, weights, edges,
                               _power=SpectrumTensor.weighted_cross_power):
             weighted.append(len(weights))
-            return _power(spec, weights)
+            return _power(spec, weights, edges)
         monkeypatch.setattr(SpectrumTensor, "weighted_cross_power",
                             counting_weighted)
         assert main(["infer", "--config", path, "--out",

@@ -506,6 +506,17 @@ class TestWavRoundTrip:
         with pytest.raises(ValueError, match="positive and finite"):
             AmbisonicSignal(fs, np.ones((4, 10)))
 
+    @pytest.mark.parametrize("dtype, held", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.float16, np.float64), (np.int64, np.float64),
+        (">f4", np.float64)])
+    def test_channels_kept_at_float32_or_float64(self, dtype, held):
+        channels = np.arange(-20, 20).reshape(4, 10).astype(dtype)
+        sig = AmbisonicSignal(16000.0, channels)
+        assert sig.channels.dtype == held
+        assert (sig.channels is channels) == (np.dtype(dtype) == held)
+        np.testing.assert_array_equal(sig.channels, channels)
+
     @pytest.mark.parametrize("dtype", [np.int16, np.int32])
     def test_signed_pcm_scaled_by_full_scale(self, tmp_path, dtype):
         info = np.iinfo(dtype)
@@ -562,25 +573,38 @@ def int24_bytes(values):
                     for v in values)
 
 
+# the precision a file's samples are held at: float32 holds u8, s16, s24
+# and float32 samples exactly
+HELD = {"u1": np.float32, "i2": np.float32, "s24": np.float32,
+        "i4": np.float64, "f4": np.float32, "f8": np.float64}
+
+
 class TestWavReader:
-    @pytest.mark.parametrize("dtype", ["u1", "i2", "i4", "f4", "f8"])
+    @pytest.mark.parametrize("dtype", ["u1", "i2", "s24", "i4", "f4", "f8"])
     def test_matches_scipy(self, tmp_path, dtype):
         rng = np.random.default_rng(3)
-        if dtype[0] == "f":
-            data = rng.standard_normal((101, 3)).astype(dtype)
-        else:
-            info = np.iinfo(dtype)
-            data = rng.integers(info.min, info.max, (101, 3),
-                                endpoint=True, dtype=dtype)
         path = tmp_path / "x.wav"
-        wavfile.write(path, 22050, data)
+        if dtype == "s24":  # which scipy reads but does not write
+            values = rng.integers(-2 ** 23, 2 ** 23, 303)
+            path.write_bytes(wav_bytes(1, 3, 24, int24_bytes(values),
+                                       fs=22050))
+        else:
+            if dtype[0] == "f":
+                data = rng.standard_normal((101, 3)).astype(dtype)
+            else:
+                info = np.iinfo(dtype)
+                data = rng.integers(info.min, info.max, (101, 3),
+                                    endpoint=True, dtype=dtype)
+            wavfile.write(path, 22050, data)
         sig = read_wav(path)
         fs, want = scipy_read_scaled(path)
         assert sig.fs == fs == 22050.0
+        assert sig.channels.dtype == HELD[dtype]
         np.testing.assert_array_equal(sig.channels, want)
 
     @pytest.mark.parametrize("tag, dtype", [(1, "<i2"), (3, "<f4"),
-                                            (1, "u1")])
+                                            (1, "u1"), (1, "<i4"),
+                                            (3, "<f8")])
     def test_blocked_transpose_matches_one_strided_copy(self, tmp_path, tag,
                                                         dtype):
         # 4097 frames: two whole blocks of 2048 and a partial last one
@@ -601,6 +625,7 @@ class TestWavReader:
                 2 ** (8 * data.itemsize - 1))
         got = read_wav(path).channels
         assert got.flags.c_contiguous
+        assert got.dtype == HELD[dtype[-2:]]
         np.testing.assert_array_equal(
             got, np.ascontiguousarray(data.T, dtype=float))
 
@@ -620,6 +645,7 @@ class TestWavReader:
         path.write_bytes(wav_bytes(1, 2, 24, int24_bytes(values)))
         sig = read_wav(path)
         fs, want = scipy_read_scaled(path)
+        assert sig.channels.dtype == np.float32
         np.testing.assert_array_equal(sig.channels, want)
         np.testing.assert_array_equal(sig.channels,
                                       values.reshape(-1, 2).T / 2.0 ** 23)
@@ -690,12 +716,32 @@ class TestWavReader:
         with pytest.raises(ValueError, match=why):
             read_wav(path)
 
+    # inside the first block of 2048 frames, at its end, and inside the
+    # second and the third
     @pytest.mark.parametrize("bits, cut, frames", [
-        (16, 60, 15), (24, 60, 10), (32, 60, 7), (16, 399, 99)])
+        (16, 60, 15), (24, 60, 10), (32, 60, 7), (16, 399, 99),
+        (16, 4 * 2048, 2048), (16, 4 * 3000 + 3, 3000),
+        (24, 6 * 4500 + 5, 4500)])
     def test_truncated_data_chunk(self, tmp_path, bits, cut, frames):
-        full = wav_bytes(1, 2, bits, b"\1" * (2 * bits // 8 * 100))
+        full = wav_bytes(1, 2, bits, b"\1" * (2 * bits // 8 * 5000))
         path = tmp_path / "cut.wav"
         path.write_bytes(full[:full.index(b"data") + 8 + cut])
         with pytest.raises(ValueError, match=(
-                f"data chunk truncated: {frames} of 100 frames")):
+                f"data chunk truncated: {frames} of 5000 frames")):
             read_wav(path)
+
+    def test_recording_read_without_a_copy_of_the_file(self, tmp_path):
+        # an order-6 float32 recording is held once, channels first: no
+        # interleaved copy of the data chunk, no float64 copy
+        cfg = ExperimentConfig()
+        path = tmp_path / "o6.wav"
+        write_wav(path, AmbisonicSignal(cfg.fs, np.random.default_rng(
+            5).standard_normal((49, int(cfg.duration * cfg.fs)))))
+        tracemalloc.start()
+        try:
+            sig = cfg.read_recording(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sig.channels.dtype == np.float32
+        assert peak <= 1.1 * sig.channels.nbytes + 2048 * 49 * 4

@@ -12,6 +12,7 @@ from gtvv.sh import Direction, build_dictionary, sh_eval
 from gtvv.spectral import (FRAME_BLOCK, GtvvMatrix, SpectrumTensor,
                            frame_blocks, frame_count, gfvv_to_gtvv,
                            make_time_axis, stft)
+from gtvv.velocity import EstimatorConfig, segment_stats
 from oracles import ArraySpectrum, all_frames
 
 FS = 16000.0
@@ -199,22 +200,26 @@ class TestCrossPower:
     @staticmethod
     def assert_matches_spectra(spec, weights):
         frames = ArraySpectrum(all_frames(spec), FS)
-        want = frames.weighted_cross_power(weights)
-        got = spec.weighted_cross_power(weights)
+        runs = [spec.energy(*run) for run in frame_blocks(spec.frames)]
+        energy = np.concatenate([e for e, _ in runs])
+        edges = np.concatenate([d_q for _, d_q in runs])
+        want = frames.weighted_cross_power(weights, edges)
+        got = spec.weighted_cross_power(weights, edges)
         assert got.shape == (spec.channels, spec.channels)
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-13 * np.max(np.abs(want)))
-        # the energies are the traces of the frames' terms
-        energy = np.concatenate([spec.energy(*run)
-                                 for run in frame_blocks(spec.frames)])
-        want_energy = frames.energy(0, spec.frames)
+        # the energies are the traces of the frames' terms, and the edge
+        # bins the spectra's DC and Nyquist bins
+        want_energy, want_edges = frames.energy(0, spec.frames)
         np.testing.assert_allclose(energy, want_energy, rtol=0,
                                    atol=1e-12 * np.max(want_energy))
+        np.testing.assert_allclose(edges, want_edges, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want_edges)))
         for u in {0, spec.frames // 2, spec.frames - 1}:
             one = np.zeros(spec.frames)
             one[u] = 1.0
-            assert np.trace(spec.weighted_cross_power(one)) == pytest.approx(
-                want_energy[u], rel=1e-12)
+            assert np.trace(spec.weighted_cross_power(
+                one, edges)) == pytest.approx(want_energy[u], rel=1e-12)
 
     # below one frame block, exactly one, and one frame past it; with and
     # without samples after the last frame, which no frame covers
@@ -248,7 +253,76 @@ class TestCrossPower:
         spec = stft(make_signal(np.ones((4, 1536))), 256)
         assert spec.frames == 21
         with pytest.raises(ValueError, match="weights for 21 frames"):
-            spec.weighted_cross_power(np.ones(count))
+            spec.weighted_cross_power(np.ones(count), np.ones((21, 4, 2)))
+
+    @pytest.mark.parametrize("shape", [(20, 4, 2), (21, 3, 2), (21, 4, 1)])
+    def test_edge_bins_of_every_frame_and_channel(self, shape):
+        spec = stft(make_signal(np.ones((4, 1536))), 256)
+        with pytest.raises(ValueError, match="edge bins for 21 frames of 4"):
+            spec.weighted_cross_power(np.ones(21), np.ones(shape))
+
+
+class TestSamplePrecision:
+    """A recording held as float32 and the same samples held as float64
+    give the same numbers, bit for bit: every transform and reduction
+    computes in float64, whatever the samples' precision."""
+
+    @pytest.fixture(scope="class", params=[1, 4, 6])
+    def spectra(self, request):
+        """(float32 spectrum, float64 spectrum, dictionary) of one cell of
+        order `request.param`, rounded to float32 samples."""
+        cfg = ExperimentConfig()
+        _, sig = simulate_cell(cfg, 0, cfg.rt60[-1], request.param)
+        x = sig.channels.astype(np.float32)
+        specs = [stft(AmbisonicSignal(FS, x.astype(dtype)), cfg.win_len)
+                 for dtype in (np.float32, np.float64)]
+        assert [spec.signal.channels.dtype for spec in specs] == [
+            np.float32, np.float64]
+        return (*specs, build_dictionary(cfg.dict_size, request.param))
+
+    def test_block(self, spectra):
+        readers = [spec.reader(FRAME_BLOCK) for spec in spectra[:2]]
+        for run in frame_blocks(spectra[0].frames):
+            np.testing.assert_array_equal(*(r.block(*run) for r in readers))
+
+    def test_energy(self, spectra):
+        for run in frame_blocks(spectra[0].frames):
+            (e32, d32), (e64, d64) = (spec.energy(*run)
+                                      for spec in spectra[:2])
+            np.testing.assert_array_equal(e32, e64)
+            np.testing.assert_array_equal(d32, d64)
+
+    def test_weighted_cross_power(self, spectra):
+        spec = spectra[0]
+        rng = np.random.default_rng(spec.channels)
+        weights = np.exp(3.0 * rng.standard_normal(spec.frames))
+        weights[rng.random(spec.frames) < 0.3] = 0.0
+        edges = np.concatenate([spec.energy(*run)[1]
+                                for run in frame_blocks(spec.frames)])
+        np.testing.assert_array_equal(
+            *(s.weighted_cross_power(weights, edges) for s in spectra[:2]))
+
+    def test_srp_map(self, spectra):
+        dic = spectra[2]
+        np.testing.assert_array_equal(
+            *(srp_map(spec, dic) for spec in spectra[:2]))
+
+    def test_segment_stats(self, spectra):
+        s32, s64 = (segment_stats(spec, EstimatorConfig())
+                    for spec in spectra[:2])
+        for name in ("a1", "phi", "valid", "r2"):
+            np.testing.assert_array_equal(getattr(s32, name),
+                                          getattr(s64, name))
+
+    def test_analyze(self, spectra):
+        dic = spectra[2]
+        (vh32, est32, vg32), (vh64, est64, vg64) = (
+            analyze(spec, dic, ExperimentConfig.iter_cap(dic.order))
+            for spec in spectra[:2])
+        np.testing.assert_array_equal(vh32.data, vh64.data)
+        np.testing.assert_array_equal(vg32.data, vg64.data)
+        assert est32.to_json() == est64.to_json()
+        np.testing.assert_array_equal(est32.coeffs, est64.coeffs)
 
 
 class TestSpectrumTensor:
