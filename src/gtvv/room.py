@@ -241,22 +241,32 @@ def encode_scene(scene: GroundTruthScene, source, order: int) -> AmbisonicSignal
 
 
 def add_noise(sig: AmbisonicSignal, snr_db: float, seed: int) -> AmbisonicSignal:
-    """Add white Gaussian noise, equal variance on every channel.
+    """Add white Gaussian noise, equal variance on every channel, to
+    `sig`'s channels in place; returns `sig`.
 
-    The variance is set against the omnidirectional channel power so that
-    omni power / per-channel noise power = 10^(snr_db/10). The noise is
-    drawn, scaled and added in one signal-sized buffer, the returned
-    signal's; the input is not changed.
+    The variance is set against the omnidirectional channel power, measured
+    before any noise is added, so that omni power / per-channel noise power
+    = 10^(snr_db/10). Each channel's noise is drawn into one reused row,
+    scaled and added to it: the draws of one (channels, samples) array in
+    the same order, so the channels are, bit for bit, that array times the
+    scale plus the clean ones. Channels that are not float64 are a
+    ValueError, raised before any is changed.
     """
-    power = float(np.mean(sig.channels[0] ** 2))
+    channels = sig.channels
+    if channels.dtype != np.float64:
+        raise ValueError("noise is added in place to float64 channels, "
+                         f"not {channels.dtype}")
+    power = float(np.mean(channels[0] ** 2))
     if power == 0.0:
         raise ValueError("cannot calibrate noise against an all-zero signal")
-    variance = power / 10.0 ** (snr_db / 10.0)
+    scale = math.sqrt(power / 10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng(seed)
-    noisy = rng.standard_normal(sig.channels.shape)
-    noisy *= math.sqrt(variance)
-    noisy += sig.channels
-    return AmbisonicSignal(sig.fs, noisy)
+    row = np.empty(channels.shape[1])
+    for channel in channels:
+        rng.standard_normal(out=row)
+        row *= scale
+        channel += row
+    return sig
 
 
 def make_burst_source(duration: float, fs: float, seed: int) -> np.ndarray:
@@ -299,34 +309,43 @@ _WAV_DTYPES = {(_WAVE_PCM, 8): ("u1", np.float32),
                (_WAVE_PCM, 32): ("<i4", np.float64),
                (_WAVE_FLOAT, 32): ("<f4", np.float32),
                (_WAVE_FLOAT, 64): ("<f8", np.float64)}
-# frames read, converted and transposed at a time
+# frames read or written, converted and transposed at a time
 _WAV_BLOCK = 2048
 # the largest value of a header's 32-bit fields
 _UINT32_MAX = 2**32 - 1
 
 
 def write_wav(path, sig: AmbisonicSignal):
-    """Write an Ambisonic signal as a multichannel 32-bit float WAV. A WAV
-    stores its sampling rate and byte rate as whole numbers of Hz below
-    2^32, so any other rate is a ValueError, raised before the file is
-    opened."""
+    """Write an Ambisonic signal as a multichannel 32-bit float WAV, its
+    data chunk `_WAV_BLOCK` frames at a time through one float32 block. A
+    WAV stores its sampling rate, byte rate and size as whole numbers below
+    2^32, so any other rate, or a recording too long for the size, is a
+    ValueError, raised before the file is opened."""
     if not float(sig.fs).is_integer():
         raise ValueError("a WAV sampling rate is a whole number of Hz, "
                          f"not {sig.fs!r}")
-    data = np.ascontiguousarray(sig.channels.T, dtype="<f4")
-    channels, rate = data.shape[1], int(sig.fs)
+    channels, frames = sig.channels.shape
+    rate = int(sig.fs)
     if rate * 4 * channels > _UINT32_MAX:
         raise ValueError(f"a {channels}-channel float32 WAV at {rate} Hz "
                          "has a byte rate above the header's 2^32 - 1")
+    data_bytes = 4 * channels * frames
+    if 50 + data_bytes > _UINT32_MAX:
+        raise ValueError(f"a {channels}-channel float32 WAV of {frames} "
+                         "frames has a size above the header's 2^32 - 1")
     fmt = struct.pack("<HHIIHHH", _WAVE_FLOAT, channels, rate,
                       rate * 4 * channels, 4 * channels, 32, 0)
+    block = np.empty((min(frames, _WAV_BLOCK), channels), "<f4")
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sI4s4sI", b"RIFF", 50 + data.nbytes, b"WAVE",
+        fh.write(struct.pack("<4sI4s4sI", b"RIFF", 50 + data_bytes, b"WAVE",
                              b"fmt ", len(fmt)))
         fh.write(fmt)
-        fh.write(struct.pack("<4sII4sI", b"fact", 4, data.shape[0], b"data",
-                             data.nbytes))
-        data.tofile(fh)
+        fh.write(struct.pack("<4sII4sI", b"fact", 4, frames, b"data",
+                             data_bytes))
+        for start in range(0, frames, _WAV_BLOCK):
+            out = block[:frames - start]
+            out[...] = sig.channels[:, start:start + len(out)].T
+            fh.write(out)
 
 
 def _wav_format(body: bytes):

@@ -181,6 +181,8 @@ def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
     else:
         with ThreadPoolExecutor(runs) as pool:
             list(pool.map(accumulate, args))
+    # the readers' buffers go before phi is copied out of its mean
+    del args
     for mean in means:
         np.true_divide(mean, fps, out=mean)
     return means[0], np.ascontiguousarray(means[1].real) if with_phi else None

@@ -207,6 +207,19 @@ class TestRunExperiment:
             error = angular_distance(doa, scene.direct.direction)
             assert math.degrees(error) <= 4.5, method
 
+    @pytest.mark.parametrize("order", [4, 6])
+    def test_cell_simulated_in_one_recording(self, order):
+        # the noise is added to the encode in place, so no second
+        # recording-sized array is held
+        cfg = ExperimentConfig()
+        tracemalloc.start()
+        try:
+            _, sig = simulate_cell(cfg, 0, cfg.rt60[0], order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * sig.channels.nbytes
+
     def test_cell_cardinality(self):
         cfg = ExperimentConfig(num_scenes=1)
         table, records = run_experiment(cfg)

@@ -393,16 +393,18 @@ class TestAddNoise:
 
     def test_variance_calibration(self):
         sig = self._signal(1.0)
-        power = np.mean(sig.channels[0] ** 2)
+        clean = sig.channels.copy()
+        power = np.mean(clean[0] ** 2)
         noisy = add_noise(sig, 20.0, 0)
-        noise = noisy.channels - sig.channels
+        noise = noisy.channels - clean
         assert np.var(noise) == pytest.approx(power / 100.0, rel=0.05)
 
     def test_empirical_snr_within_half_db(self):
         sig = self._signal(10.0)
+        clean = sig.channels.copy()
         noisy = add_noise(sig, 20.0, 1)
-        noise = noisy.channels - sig.channels
-        p_sig = np.mean(sig.channels[0] ** 2)
+        noise = noisy.channels - clean
+        p_sig = np.mean(clean[0] ** 2)
         for c in range(4):
             snr = 10 * np.log10(p_sig / np.mean(noise[c] ** 2))
             assert abs(snr - 20.0) < 0.5
@@ -412,27 +414,36 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(sig, 20.0, 0)
 
-    def test_one_signal_sized_buffer(self):
+    def test_added_in_place_through_one_row(self):
         sig = self._signal(1.0)
-        before = sig.channels.copy()
+        clean = sig.channels.copy()
         tracemalloc.start()
         try:
             noisy = add_noise(sig, 20.0, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * sig.channels.nbytes
-        assert sig.channels.tobytes() == before.tobytes()
-        # the same bits as drawing, scaling and adding in three arrays
-        scale = math.sqrt(np.mean(before[0] ** 2) / 100.0)
-        noise = np.random.default_rng(3).standard_normal(before.shape) * scale
-        assert noisy.channels.tobytes() == (before + noise).tobytes()
+        assert noisy.channels is sig.channels
+        assert peak <= 1.05 * sig.channels[0].nbytes
+        # the same bits as one draw of every channel, scaled and added
+        scale = math.sqrt(np.mean(clean[0] ** 2) / 100.0)
+        noise = np.random.default_rng(3).standard_normal(clean.shape) * scale
+        assert noisy.channels.tobytes() == (noise + clean).tobytes()
+
+    def test_float32_channels_rejected_unchanged(self):
+        sig = AmbisonicSignal(16000.0, self._signal(0.1).channels.astype(
+            np.float32))
+        clean = sig.channels.copy()
+        with pytest.raises(ValueError, match="float64 channels, not float32"):
+            add_noise(sig, 20.0, 0)
+        assert sig.channels.tobytes() == clean.tobytes()
 
     def test_deterministic(self):
-        sig = self._signal(0.5)
-        a = add_noise(sig, 20.0, 7)
-        b = add_noise(sig, 20.0, 7)
+        clean = self._signal(0.5).channels
+        a = add_noise(AmbisonicSignal(16000.0, clean.copy()), 20.0, 7)
+        b = add_noise(AmbisonicSignal(16000.0, clean.copy()), 20.0, 7)
         np.testing.assert_array_equal(a.channels, b.channels)
+        assert not np.array_equal(a.channels, clean)
 
 
 class TestBurstSource:
@@ -495,6 +506,40 @@ class TestWavRoundTrip:
         with pytest.raises(ValueError, match="above the header's 2\\^32 - 1"):
             write_wav(path, AmbisonicSignal(fs, np.ones((channels, 10))))
         assert not path.exists()
+
+    def test_size_beyond_the_header_not_written(self, tmp_path,
+                                                monkeypatch):
+        # the RIFF size, 50 + 4 x channels x frames, is a 32-bit integer;
+        # a 4-channel 100 Hz WAV of 100 frames just fits a 1650 maximum
+        monkeypatch.setattr("gtvv.room._UINT32_MAX", 50 + 4 * 4 * 100)
+        path = tmp_path / "sig.wav"
+        write_wav(path, AmbisonicSignal(100.0, np.ones((4, 100))))
+        assert read_wav(path).num_samples == 100
+        path.unlink()
+        with pytest.raises(ValueError, match="size above the header's"):
+            write_wav(path, AmbisonicSignal(100.0, np.ones((4, 101))))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_written_by_blocks(self, tmp_path, dtype):
+        # 2 whole blocks of 2048 frames and a part of a third: the data
+        # chunk is the float32 frames of one interleaved copy, written
+        # through one block
+        sig = AmbisonicSignal(16000.0, np.random.default_rng(2).standard_normal(
+            (25, 2 * 2048 + 5)).astype(dtype))
+        path = tmp_path / "sig.wav"
+        tracemalloc.start()
+        try:
+            write_wav(path, sig)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        data = np.ascontiguousarray(sig.channels.T, dtype="<f4").tobytes()
+        raw = path.read_bytes()
+        assert raw[raw.index(b"data") + 4:] == struct.pack(
+            "<I", len(data)) + data
+        assert struct.unpack("<I", raw[4:8])[0] == len(raw) - 8
+        assert peak <= 1.1 * 2048 * 25 * 4
 
     def test_largest_byte_rate_written(self, tmp_path):
         path = tmp_path / "sig.wav"

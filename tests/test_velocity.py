@@ -5,6 +5,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from gtvv.room import (AmbisonicSignal, GroundTruthScene, Wavefront,
                        add_noise, encode_scene, image_source_scene,
                        make_burst_source)
 from gtvv.sh import Direction, make_omni_beam, make_reference_beam, sh_eval
-from gtvv.spectral import FrameReader, stft
+from gtvv.spectral import FRAME_BLOCK, FrameReader, stft
 from gtvv.velocity import (EstimatorConfig, GfvvEstimate, RelativeWavefront,
                            estimate_gfvv_ls, estimate_gtvv, gtvv_closed_form,
                            interpolate_invalid_bins,
@@ -526,6 +527,55 @@ class TestSegmentThreads:
         # the executor starts a thread only when none of its own is idle
         assert before < max(during) <= before + threads
         assert threading.active_count() == before
+
+    def test_runs_without_affinity(self, monkeypatch):
+        # where `os.sched_getaffinity` is missing, a pass makes one run per
+        # CPU that `os.cpu_count` reports (1 if unknown), and no more runs
+        # than segments
+        spec = random_strided_spectrum(1, frames=8 * 24)
+        w = make_omni_beam(1)
+        monkeypatch.setattr(velocity, "_THREADS", 1)
+        want = {seg: velocity._segment_means(
+            spec, EstimatorConfig(seg_count=seg), w, True) for seg in (2, 8)}
+        monkeypatch.setattr(velocity, "_THREADS", None)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        made, reader = [], spec.reader
+
+        def counting(frames):
+            made.append(frames)
+            return reader(frames)
+        monkeypatch.setattr(spec, "reader", counting)
+        for cpus, seg, runs in ((3, 8, 3), (3, 2, 2), (None, 8, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            made.clear()
+            a1, phi = velocity._segment_means(
+                spec, EstimatorConfig(seg_count=seg), w, True)
+            assert len(made) == runs
+            np.testing.assert_array_equal(a1, want[seg][0])
+            np.testing.assert_array_equal(phi, want[seg][1])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_phi_copied_once_the_readers_are_gone(self, thread_pool,
+                                                  threads):
+        # the omni pass peaks at its two accumulators and its runs' buffers:
+        # phi's real copy, half an accumulator, is made after the readers
+        # and their buffers are dropped
+        thread_pool(threads)
+        spec = sweep_cell_spectrum(4)
+        seg, ch, bins = 8, spec.channels, spec.bins
+        accumulators = 2 * seg * ch * bins * 16
+        frames = max(1, (FRAME_BLOCK + 1) // threads - 1)
+        # a reader's windowed frames and spectra, the conjugate, the
+        # product and the reference output
+        run = (frames * ch * spec.win_len * 8 + frames * ch * bins * 16
+               + 2 * ch * bins * 16 + frames * 2 * bins * 8)
+        tracemalloc.start()
+        try:
+            segment_stats(spec, EstimatorConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= accumulators + threads * run + seg * ch * bins * 4
 
     def test_run_error_raised_once_every_run_ends(self, thread_pool,
                                                   monkeypatch):
