@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from typing import ClassVar
@@ -354,6 +352,11 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
              for rt in cfg.rt60
              for o in cfg.orders]
     if cfg.workers > 1:
+        # Imported here: a serial sweep, and every other command, runs no
+        # process pool.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # Workers forked from this process would inherit its BLAS, with one
         # thread per core each. The fork server instead imports numpy (and
         # this module, so that workers start at once) with the thread

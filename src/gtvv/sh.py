@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -142,7 +143,7 @@ def angular_distance(a: Direction, b: Direction) -> float:
 @dataclass(frozen=True)
 class Dictionary:
     """Direction grid and the matrix of its SH atoms (one per column),
-    computed from the directions."""
+    computed from the directions; the atoms are read-only."""
 
     order: int
     directions: tuple
@@ -156,8 +157,10 @@ class Dictionary:
             [np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)])
         if _has_close_pair(vecs, _MIN_SEPARATION_RAD):
             raise ValueError("dictionary directions closer than 0.1 degrees")
+        atoms = sh_matrix(az, el, self.order)
+        atoms.flags.writeable = False
         object.__setattr__(self, "directions", tuple(self.directions))
-        object.__setattr__(self, "atoms", sh_matrix(az, el, self.order))
+        object.__setattr__(self, "atoms", atoms)
 
     def __len__(self):
         return len(self.directions)
@@ -223,7 +226,19 @@ def build_dictionary(count: int, order: int, directions=None) -> Dictionary:
     Without `directions` they are a deterministic Fibonacci spiral; given
     (e.g. a tabulated Lebedev grid parsed by `read_direction_file`), they
     must number `count`.
+
+    Dictionaries are immutable, so each process builds each one once: the
+    last few are kept, keyed by `(count, order, directions)`, a direction
+    list keyed as the equal tuple.
     """
+    if directions is not None:
+        directions = tuple(directions)
+    return _dictionary(count, order, directions)
+
+
+# A sweep's orders and its order-0 `dict_file` check, with room to spare.
+@lru_cache(maxsize=8)
+def _dictionary(count: int, order: int, directions) -> Dictionary:
     if count < num_channels(order):
         raise ValueError("dictionary smaller than the SH channel count")
     dirs = fibonacci_directions(count) if directions is None else directions

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,9 +116,9 @@ def use_one_thread():
 def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
                    with_phi: bool):
     """a1 = E[(w.b) B*] per segment, channel and bin, w the reference
-    weights, and with `with_phi` the auto-spectra phi = E[B B*] (real, in
-    a buffer of its own), from one pass over the blocks of the segments'
-    frames: returns (a1, phi or None).
+    weights, and with `with_phi` the auto-spectra phi = E[B B*], from one
+    pass over the blocks of the segments' frames: returns (a1, phi or
+    None), a1 complex and phi real, each (segments, channels, bins).
 
     The segments are split into contiguous runs, one per CPU that the
     process may run on (one in all after `use_one_thread`). Of two or
@@ -128,14 +128,18 @@ def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
     its frames through a reader of its own and adds them one at a time in
     order, as `np.mean` over the frame axis adds them, so the means equal
     the `np.mean` of the full frames x channels x bins products bit for
-    bit, at any thread count, without building them.
+    bit, at any thread count, without building them. phi sums the real
+    parts of the complex products b conj(b), which are the real parts of
+    their complex sums, and scales them by 1 / frames as the complex
+    division by the frame count does.
     """
     fps = cfg.frames_per_seg
     need = cfg.seg_count * fps
     if spec.frames < need:
         raise ValueError(f"need at least {need} frames, have {spec.frames}")
     shape = (cfg.seg_count, spec.channels, spec.bins)
-    means = [np.empty(shape, dtype=complex) for _ in range(1 + with_phi)]
+    a1 = np.empty(shape, dtype=complex)
+    phi = np.empty(shape) if with_phi else None
     threads = _THREADS
     if threads is None:
         try:
@@ -148,10 +152,7 @@ def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
     # over blocks of FRAME_BLOCK frames.
     frames = max(1, (FRAME_BLOCK + 1) // runs - 1)
 
-    def accumulate(run):
-        lo, hi, reader, conj_u, term, ref_out = run
-        # the last product may overwrite the conjugate: nothing reads it after
-        products = (term, conj_u)[-len(means):]
+    def accumulate(lo, hi, reader, conj_u, term, ref_out):
         for start in range(lo, hi, frames):
             stop = min(start + frames, hi)
             b = reader.block(start, stop)
@@ -163,37 +164,61 @@ def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
             for i in range(stop - start):
                 seg, pos = divmod(start + i, fps)
                 np.conjugate(b[i], out=conj_u)
-                for mean, left, out in zip(means, (ref[i], b[i]), products):
+                if pos == 0:
+                    np.multiply(ref[i], conj_u, out=a1[seg])
+                else:
+                    a1[seg] += np.multiply(ref[i], conj_u, out=term)
+                if phi is not None:
+                    # the last product overwrites the conjugate: nothing
+                    # reads it after
+                    power = np.multiply(b[i], conj_u, out=conj_u).real
                     if pos == 0:
-                        np.multiply(left, conj_u, out=mean[seg])
+                        phi[seg] = power
                     else:
-                        mean[seg] += np.multiply(left, conj_u, out=out)
+                        phi[seg] += power
 
     # Every buffer is allocated here, on the calling thread: memory that a
     # run's thread allocated and freed would stay in its own malloc arena.
+    # Without phi, a1's product overwrites the conjugate.
     edges = [cfg.seg_count * r // runs * fps for r in range(runs + 1)]
-    args = [(lo, hi, spec.reader(frames), np.empty(shape[1:], dtype=complex),
-             np.empty(shape[1:], dtype=complex) if with_phi else None,
-             np.empty((frames, 2 * spec.bins)))
-            for lo, hi in zip(edges, edges[1:])]
+    args = []
+    for lo, hi in zip(edges, edges[1:]):
+        conj_u = np.empty(shape[1:], dtype=complex)
+        term = np.empty(shape[1:], dtype=complex) if with_phi else conj_u
+        args.append((lo, hi, spec.reader(frames), conj_u, term,
+                     np.empty((frames, 2 * spec.bins))))
     if runs == 1:
-        accumulate(args[0])
+        accumulate(*args[0])
     else:
-        with ThreadPoolExecutor(runs) as pool:
-            list(pool.map(accumulate, args))
-    # the readers' buffers go before phi is copied out of its mean
-    del args
-    for mean in means:
-        np.true_divide(mean, fps, out=mean)
-    return means[0], np.ascontiguousarray(means[1].real) if with_phi else None
+        errors = [None] * runs
+
+        def run(r):
+            try:
+                accumulate(*args[r])
+            except BaseException as exc:  # raised again once all are joined
+                errors[r] = exc
+        workers = [threading.Thread(target=run, args=(r,))
+                   for r in range(runs)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join()
+        for exc in errors:
+            if exc is not None:
+                raise exc
+    np.true_divide(a1, fps, out=a1)
+    if with_phi:
+        np.multiply(phi, 1.0 / fps, out=phi)
+    return a1, phi
 
 
 @dataclass(frozen=True)
 class SegmentStats:
     """One spectrum's omni pass in one segmentation, read-only: the omni
-    a1 (or None) and the reference-free phi, (segments, channels, bins),
-    the bin validity mask and r2 = Σ_segments phi, with the spectrum they
-    were formed from and the frames of each segment."""
+    a1 (or None, complex) and the reference-free phi (float64, accumulated
+    as reals), (segments, channels, bins) and C-contiguous each, the bin
+    validity mask and r2 = Σ_segments phi, with the spectrum they were
+    formed from and the frames of each segment."""
 
     a1: np.ndarray
     phi: np.ndarray

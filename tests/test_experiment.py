@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import importlib
 import json
@@ -306,6 +307,17 @@ class TestRunExperiment:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "1"
 
+    def test_importing_loads_no_process_pool(self):
+        # only a sweep with workers > 1 imports the pool's modules
+        code = ("import sys, gtvv.cli; "
+                "from gtvv.experiment import ExperimentConfig; "
+                "ExperimentConfig(); "
+                "print(sorted({'multiprocessing', 'concurrent.futures'} "
+                "& set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_sweep_worker_estimates_on_one_thread(self, monkeypatch):
         # each worker owns one CPU, so its estimator passes read every
         # frame on the calling thread (on more than one CPU, a process
@@ -317,7 +329,9 @@ class TestRunExperiment:
                 readers.append(self.submit(estimate_readers).result(
                     timeout=120))
                 return super().map(fn, *iterables, **kwargs)
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", Probing)
+        # `run_experiment` imports the pool from its package as it starts
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Probing)
         _, records = run_experiment(small_config(workers=2))
         assert not any(r.error for r in records)
         assert readers == [{"caller"}]

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import lpmv
 
+from gtvv import experiment
+from gtvv.experiment import ExperimentConfig
 from gtvv.sh import (Dictionary, Direction, angular_distance,
                      build_dictionary, fibonacci_directions, make_omni_beam,
                      make_reference_beam, read_direction_file, sh_eval,
@@ -289,6 +291,40 @@ class TestDictionary:
         d = build_dictionary(770, 1)
         target = d.directions[123]
         assert nearest(d, target) == 123
+
+    def test_built_once_per_process(self):
+        assert build_dictionary(770, 4) is build_dictionary(770, 4)
+
+    def test_atoms_are_read_only(self):
+        d = build_dictionary(770, 4)
+        assert not d.atoms.flags.writeable
+        with pytest.raises(ValueError):
+            d.atoms[0, 0] = 0.0
+
+    def test_direction_list_keyed_as_its_tuple(self):
+        dirs = fibonacci_directions(100)
+        d = build_dictionary(100, 2, dirs)
+        assert build_dictionary(100, 2, tuple(dirs)) is d
+        assert build_dictionary(100, 2, list(dirs)) is d
+
+    def test_configs_share_the_validation_dictionary(self, tmp_path,
+                                                     monkeypatch):
+        # each config parses the file into directions of its own, equal to
+        # the other's: both validate against one order-0 dictionary
+        path = tmp_path / "dirs.txt"
+        path.write_text("".join(f"{d.azimuth!r} {d.elevation!r}\n"
+                                for d in fibonacci_directions(300)))
+        built = []
+
+        def recording(*args):
+            built.append(build_dictionary(*args))
+            return built[-1]
+        monkeypatch.setattr(experiment, "build_dictionary", recording)
+        first = ExperimentConfig(dict_size=300, dict_file=str(path))
+        second = ExperimentConfig(dict_size=300, dict_file=str(path))
+        assert first.dict_directions is not second.dict_directions
+        assert [d.order for d in built] == [0, 0]
+        assert built[0] is built[1]
 
 
 def gram_too_close(dirs) -> bool:

@@ -555,27 +555,42 @@ class TestSegmentThreads:
             np.testing.assert_array_equal(phi, want[seg][1])
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_phi_copied_once_the_readers_are_gone(self, thread_pool,
-                                                  threads):
-        # the omni pass peaks at its two accumulators and its runs' buffers:
-        # phi's real copy, half an accumulator, is made after the readers
-        # and their buffers are dropped
+    @pytest.mark.parametrize("order", [1, 4, 6])
+    def test_phi_is_the_real_part_of_the_complex_mean(self, thread_pool,
+                                                     order, threads):
+        thread_pool(threads)
+        spec = sweep_cell_spectrum(order)
+        cfg = EstimatorConfig()
+        phi = segment_stats(spec, cfg).phi
+        assert phi.dtype == np.float64
+        assert phi.flags.c_contiguous and not phi.flags.writeable
+        np.testing.assert_array_equal(
+            phi, segment_spectra_vectorised(spec, cfg)[0])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_omni_pass_peaks_at_its_means_and_runs(self, thread_pool,
+                                                   threads):
+        # the omni pass holds a complex a1, a real phi and its runs'
+        # buffers, and copies neither mean; 64 KiB cover the interpreter's
+        # own objects, such as the threads and their frames
         thread_pool(threads)
         spec = sweep_cell_spectrum(4)
         seg, ch, bins = 8, spec.channels, spec.bins
-        accumulators = 2 * seg * ch * bins * 16
+        means = seg * ch * bins * (16 + 8)
         frames = max(1, (FRAME_BLOCK + 1) // threads - 1)
         # a reader's windowed frames and spectra, the conjugate, the
-        # product and the reference output
+        # product, the reference output and the complex buffer that numpy
+        # iterates a broadcast product through
         run = (frames * ch * spec.win_len * 8 + frames * ch * bins * 16
-               + 2 * ch * bins * 16 + frames * 2 * bins * 8)
+               + 2 * ch * bins * 16 + frames * 2 * bins * 8
+               + np.getbufsize() * 16)
         tracemalloc.start()
         try:
             segment_stats(spec, EstimatorConfig())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= accumulators + threads * run + seg * ch * bins * 4
+        assert peak <= means + threads * run + 2 ** 16
 
     def test_run_error_raised_once_every_run_ends(self, thread_pool,
                                                   monkeypatch):
