@@ -23,8 +23,8 @@ from .sh import (MAX_ORDER, Dictionary, angular_distance, build_dictionary,
                  make_reference_beam, num_channels, read_direction_file)
 from .somp import MatchReport, match_to_truth, somp
 from .spectral import GtvvMatrix, frame_count, stft
-from .velocity import (EstimatorConfig, estimate_gtvv, segment_stats,
-                       use_one_thread)
+from .velocity import (EstimatorConfig, SharedOmni, estimate_gtvv,
+                       segment_stats, use_one_thread)
 
 METHODS = ("srp", "htdvv", "gtvv")
 
@@ -255,6 +255,11 @@ def simulate_cell(cfg: ExperimentConfig, scene_idx: int, rt60: float,
     """The ground truth and the noisy order-`order` recording of one
     (scene, rt60, order) cell: returns (GroundTruthScene, AmbisonicSignal).
 
+    The noise is seeded per (scene, rt60) group, `[seed, scene, rt_idx,
+    13]`, not per order. The encode's rows are the channels' own, and the
+    normal draw fills its rows in order, so an order's recording is the
+    first (L+1)^2 channels of any higher order's, bit for bit.
+
     `rt60` must be one of `cfg.rt60`: its index seeds the noise, so an
     unknown value raises `ConfigError` instead of sharing another cell's
     seed.
@@ -269,21 +274,30 @@ def simulate_cell(cfg: ExperimentConfig, scene_idx: int, rt60: float,
     sig = room.encode_scene(scene, source, order)
     sig = room.add_noise(sig, cfg.snr_db,
                          np.random.SeedSequence(
-                             [cfg.seed, scene_idx, rt_idx, order, 13]))
+                             [cfg.seed, scene_idx, rt_idx, 13]))
     return scene, sig
 
 
-def analyze(spec, dictionary: Dictionary, h_iters: int) -> tuple:
+def analyze(spec, dictionary: Dictionary, h_iters: int,
+            shared: SharedOmni = None) -> tuple:
     """H-TDVV, its S-OMP and the GTVV steered at that S-OMP's first atom:
     returns (v_h, est_h, v_g).
 
     Both estimates share one omni pass (`segment_stats`); the steered one
-    adds a pass for its own cross-spectra.
+    adds a pass for its own cross-spectra. With `shared` holding a higher
+    order's pass of the same recording, the omni statistics are its
+    channel slices and no omni pass is made; an empty `shared` keeps this
+    pass for the lower orders.
 
     `est_h` runs `h_iters` iterations. S-OMP is greedy, so one iteration
     picks the atom that a full run picks first, and steers alike.
     """
-    stats = segment_stats(spec, EstimatorConfig())
+    if shared is not None and shared.a1 is not None:
+        stats = shared.stats(spec, EstimatorConfig())
+    else:
+        stats = segment_stats(spec, EstimatorConfig())
+        if shared is not None:
+            shared.keep(stats)
     v_h = baselines.h_tdvv(spec, EstimatorConfig(), stats)
     stats = replace(stats, a1=None)  # only the omni estimate reads a1
     est_h = somp(v_h, dictionary, h_iters)
@@ -293,9 +307,11 @@ def analyze(spec, dictionary: Dictionary, h_iters: int) -> tuple:
 
 
 def run_single(cfg: ExperimentConfig, scene_idx: int, rt60: float,
-               order: int) -> RunRecord:
+               order: int, shared: SharedOmni = None) -> RunRecord:
     """One (scene, rt60, order) cell: simulate (see `simulate_cell`),
-    estimate with all methods, match against ground truth."""
+    estimate with all methods, match against ground truth. `shared`, the
+    group's omni pass, goes to `analyze`; the record is the same without
+    it."""
     scene, sig = simulate_cell(cfg, scene_idx, rt60, order)
     dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_directions)
     spec = stft(sig, cfg.win_len)
@@ -313,7 +329,7 @@ def run_single(cfg: ExperimentConfig, scene_idx: int, rt60: float,
         math.nan, math.nan, math.nan)
 
     # H-TDVV (omni reference), and GTVV steered at its DoA estimate
-    _, est_h, v_g = analyze(spec, dictionary, iters)
+    _, est_h, v_g = analyze(spec, dictionary, iters, shared)
     rep_h = match_to_truth(est_h, scene, gate)
     metrics["htdvv"] = _to_metrics(rep_h)
     estimates["htdvv"] = est_h.to_json()
@@ -331,26 +347,40 @@ def _to_metrics(rep: MatchReport) -> MethodMetrics:
                          float(rep.detections), rep.delay_error_mean)
 
 
-def _execute_run(args):
-    cfg, scene_idx, rt60, order = args
+def _execute_run(cfg, scene_idx, rt60, order, shared):
     try:
-        return run_single(cfg, scene_idx, rt60, order)
+        return run_single(cfg, scene_idx, rt60, order, shared)
     except (GtvvError, np.linalg.LinAlgError) as exc:
         return RunRecord(scene_idx, rt60, order, {}, {},
                          error=f"{type(exc).__name__}: {exc}")
 
 
+def _execute_group(args) -> list:
+    """The records of one (scene, rt60) group, in `cfg.orders` order. The
+    top order runs first and keeps its omni pass for the lower orders,
+    which read it as channel slices; if it fails, each makes its own."""
+    cfg, scene_idx, rt60 = args
+    top = max(cfg.orders)
+    lower = [o for o in cfg.orders if o != top]
+    shared = SharedOmni(num_channels(max(lower))) if lower else None
+    records = {top: _execute_run(cfg, scene_idx, rt60, top, shared)}
+    if records[top].error:
+        shared = None
+    for order in lower:
+        records[order] = _execute_run(cfg, scene_idx, rt60, order, shared)
+    return [records[o] for o in cfg.orders]
+
+
 def run_experiment(cfg: ExperimentConfig) -> tuple:
     """Run the full sweep; returns (ResultsTable, list of RunRecord).
 
-    With `cfg.workers > 1` the cells run on worker processes that do not
+    The cells run in (scene, rt60) groups that share one omni pass (see
+    `_execute_group`); the records come in (scene, rt60, order) order.
+    With `cfg.workers > 1` the groups run on worker processes that do not
     fork from the caller, so a calling script must guard its top-level
     code with `if __name__ == "__main__":`.
     """
-    tasks = [(cfg, s, rt, o)
-             for s in range(cfg.num_scenes)
-             for rt in cfg.rt60
-             for o in cfg.orders]
+    groups = [(cfg, s, rt) for s in range(cfg.num_scenes) for rt in cfg.rt60]
     if cfg.workers > 1:
         # Imported here: a serial sweep, and every other command, runs no
         # process pool.
@@ -369,7 +399,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
         try:
             with ProcessPoolExecutor(max_workers=cfg.workers, mp_context=ctx,
                                      initializer=use_one_thread) as pool:
-                records = list(pool.map(_execute_run, tasks))
+                records = list(pool.map(_execute_group, groups))
         finally:
             for var, value in saved.items():
                 if value is None:
@@ -377,7 +407,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
                 else:
                     os.environ[var] = value
     else:
-        records = [_execute_run(t) for t in tasks]
+        records = [_execute_group(g) for g in groups]
+    records = [r for group in records for r in group]
     return aggregate(cfg, records), records
 
 

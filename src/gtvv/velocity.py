@@ -148,9 +148,9 @@ def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
             threads = os.cpu_count() or 1
     runs = min(threads, cfg.seg_count)
     # A run holds its reader's windowed frames and spectra and a frame of
-    # scratch per mean; up to 4 runs hold no more together than one run
-    # over blocks of FRAME_BLOCK frames.
-    frames = max(1, (FRAME_BLOCK + 1) // runs - 1)
+    # scratch per mean; the runs together read at most half of FRAME_BLOCK
+    # frames at a time, as fast as whole blocks (one frame a run is not).
+    frames = max(1, FRAME_BLOCK // (2 * runs))
 
     def accumulate(lo, hi, reader, conj_u, term, ref_out):
         for start in range(lo, hi, frames):
@@ -216,9 +216,10 @@ def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
 class SegmentStats:
     """One spectrum's omni pass in one segmentation, read-only: the omni
     a1 (or None, complex) and the reference-free phi (float64, accumulated
-    as reals), (segments, channels, bins) and C-contiguous each, the bin
-    validity mask and r2 = Σ_segments phi, with the spectrum they were
-    formed from and the frames of each segment."""
+    as reals), (segments, channels, bins) each, the bin validity mask and
+    r2 = Σ_segments phi, with the spectrum they were formed from and the
+    frames of each segment. `segment_stats` forms a1 and phi C-contiguous;
+    `SharedOmni.stats` reads them as channel slices of a higher order's."""
 
     a1: np.ndarray
     phi: np.ndarray
@@ -228,18 +229,71 @@ class SegmentStats:
     frames_per_seg: int
 
 
-def segment_stats(spec: SpectrumTensor, cfg: EstimatorConfig) -> SegmentStats:
-    """One omni pass: the `SegmentStats` of `spec` in `cfg`'s segmentation."""
-    omni = make_omni_beam(order_from_channels(spec.channels))
-    a1, phi = _segment_means(spec, cfg, omni, True)
+def _bound_stats(a1, phi, spec: SpectrumTensor,
+                 frames_per_seg: int) -> SegmentStats:
+    """The read-only `SegmentStats` of `spec` with these means: the
+    validity mask and r2 formed from phi."""
     energy = np.mean(np.abs(phi), axis=0)  # (ch, bins)
     bin_energy = np.mean(energy, axis=0)   # (bins,)
     valid = bin_energy > _ENERGY_FLOOR * float(np.max(bin_energy))
     stats = SegmentStats(a1, phi, valid, np.sum(phi, axis=0), spec,
-                         cfg.frames_per_seg)
+                         frames_per_seg)
     for arr in (a1, phi, valid, stats.r2):
         arr.flags.writeable = False
     return stats
+
+
+def segment_stats(spec: SpectrumTensor, cfg: EstimatorConfig) -> SegmentStats:
+    """One omni pass: the `SegmentStats` of `spec` in `cfg`'s segmentation."""
+    omni = make_omni_beam(order_from_channels(spec.channels))
+    a1, phi = _segment_means(spec, cfg, omni, True)
+    return _bound_stats(a1, phi, spec, cfg.frames_per_seg)
+
+
+class SharedOmni:
+    """One omni pass shared with the lower orders of the same recording.
+
+    The omni beam of order L weights channel 0 alone, and each channel's
+    spectrum depends on that channel alone, so the omni a1 and phi of the
+    recording's first (L+1)^2 channels are the first channels of a higher
+    order's, bit for bit. `keep` holds a pass's first `channels` channels
+    of a1, copied contiguous, and its phi; it holds no `SegmentStats`,
+    whose spectrum would keep the higher order's recording alive. `stats`
+    reads them back as the statistics of a lower order's own spectrum.
+    """
+
+    def __init__(self, channels: int):
+        self.channels = channels  # the most channels that `stats` reads
+        self.a1 = self.phi = self.frames_per_seg = None
+
+    def keep(self, stats: SegmentStats):
+        """Hold the a1 of the first `channels` channels and the phi of
+        `stats`, before a1 is dropped."""
+        a1 = stats.a1[:, :self.channels].copy()
+        a1.flags.writeable = False
+        self.a1, self.phi = a1, stats.phi
+        self.frames_per_seg = stats.frames_per_seg
+
+    def stats(self, spec: SpectrumTensor,
+              cfg: EstimatorConfig) -> SegmentStats:
+        """The `SegmentStats` of `spec`, the spectrum of the first
+        `spec.channels` channels of the kept pass's recording, in `cfg`'s
+        segmentation: views of the first channels of a1 and phi, with the
+        validity mask and r2 formed from that phi, bound to `spec`; bit for
+        bit `segment_stats(spec, cfg)`. More channels than are held, or
+        another segmentation, is a ValueError."""
+        held = self.a1.shape[1]
+        if spec.channels > held:
+            raise ValueError(f"statistics of {held} channels, the spectrum "
+                             f"has {spec.channels}")
+        if (len(self.phi), self.frames_per_seg) != (cfg.seg_count,
+                                                    cfg.frames_per_seg):
+            raise ValueError(f"statistics of {len(self.phi)} x "
+                             f"{self.frames_per_seg} frames, not "
+                             f"{cfg.seg_count} x {cfg.frames_per_seg}")
+        n = spec.channels
+        return _bound_stats(self.a1[:, :n], self.phi[:, :n], spec,
+                            cfg.frames_per_seg)
 
 
 def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig,

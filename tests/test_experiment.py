@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gtvv
-from gtvv import baselines, cli, experiment, room, sh
+from gtvv import baselines, cli, experiment, room, sh, velocity
 from gtvv.cli import main
 from gtvv.errors import ConfigError, EstimatorDegenerateError
 from gtvv.experiment import (ExperimentConfig, aggregate, analyze,
@@ -220,6 +220,87 @@ class TestRunExperiment:
         finally:
             tracemalloc.stop()
         assert peak < 1.4 * sig.channels.nbytes
+
+    @pytest.mark.parametrize("scene", [0, 3])
+    def test_order_recording_is_the_top_recording_s_first_channels(self,
+                                                                   scene):
+        # the noise is seeded per (scene, rt60), not per order
+        cfg = ExperimentConfig()
+        for rt in cfg.rt60:
+            _, top = simulate_cell(cfg, scene, rt, 4)
+            for order in (1, 2, 3):
+                _, sig = simulate_cell(cfg, scene, rt, order)
+                np.testing.assert_array_equal(
+                    sig.channels, top.channels[:sh.num_channels(order)])
+
+    def test_grouped_records_equal_standalone_cells(self):
+        cfg = small_config(rt60=(0.16, 0.44), orders=(1, 3, 4))
+        _, records = run_experiment(cfg)
+        assert [(r.rt60, r.order) for r in records] == [
+            (rt, o) for rt in cfg.rt60 for o in cfg.orders]
+        assert not any(r.error for r in records)
+        for r in records:
+            assert repr(r) == repr(run_single(cfg, 0, r.rt60, r.order))
+
+    def test_failed_top_cell_leaves_lower_cells_their_own_pass(
+            self, monkeypatch):
+        # the order-4 cell fails after its omni pass; the lower cells are
+        # handed no statistics and equal their standalone records
+        cfg = small_config(orders=(2, 4, 1))
+        want = {o: repr(run_single(cfg, 0, 0.16, o)) for o in (1, 2)}
+        h_tdvv, cell = baselines.h_tdvv, experiment.run_single
+        shared = []
+
+        def failing(spec, *args):
+            if spec.channels == 25:
+                raise EstimatorDegenerateError(7)
+            return h_tdvv(spec, *args)
+
+        def noting(cfg, scene, rt60, order, omni=None):
+            shared.append((order, omni is None))
+            return cell(cfg, scene, rt60, order, omni)
+        monkeypatch.setattr(baselines, "h_tdvv", failing)
+        monkeypatch.setattr(experiment, "run_single", noting)
+        _, records = run_experiment(cfg)
+        assert shared == [(4, False), (2, True), (1, True)]
+        assert [r.order for r in records] == [2, 4, 1]
+        assert records[1].error == ("EstimatorDegenerateError: degenerate "
+                                    "estimator system at bin 7")
+        assert [repr(records[0]), repr(records[2])] == [want[2], want[1]]
+
+    def test_group_makes_one_omni_pass(self, monkeypatch):
+        # the top order's omni pass serves every order; each cell makes
+        # its own steered pass
+        passes, means = [], velocity._segment_means
+
+        def counting(spec, cfg, w, with_phi):
+            passes.append((spec.channels, with_phi))
+            return means(spec, cfg, w, with_phi)
+        monkeypatch.setattr(velocity, "_segment_means", counting)
+        run_experiment(small_config(orders=(1, 2, 3)))
+        assert passes == [(16, True), (16, False), (4, False), (9, False)]
+
+    def test_lower_cell_holds_no_top_recording(self, monkeypatch):
+        # the group holds the top pass's a1 slice and phi, not its
+        # statistics, whose spectrum would keep the order-4 recording
+        cfg = small_config(orders=(3, 4))
+        run_experiment(cfg)  # builds and keeps both dictionaries
+        cell, peaks = experiment.run_single, {}
+
+        def measured(cfg, scene, rt60, order, omni=None):
+            tracemalloc.reset_peak()
+            record = cell(cfg, scene, rt60, order, omni)
+            peaks[order, omni is not None] = tracemalloc.get_traced_memory()[1]
+            return record
+        monkeypatch.setattr(experiment, "run_single", measured)
+        tracemalloc.start()
+        try:
+            measured(cfg, 0, 0.16, 3)
+            run_experiment(cfg)
+        finally:
+            tracemalloc.stop()
+        top = sh.num_channels(4) * cfg.duration * cfg.fs * 8
+        assert peaks[3, True] < peaks[3, False] + top / 2
 
     def test_cell_cardinality(self):
         cfg = ExperimentConfig(num_scenes=1)

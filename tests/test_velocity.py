@@ -19,8 +19,8 @@ from gtvv.room import (AmbisonicSignal, GroundTruthScene, Wavefront,
 from gtvv.sh import Direction, make_omni_beam, make_reference_beam, sh_eval
 from gtvv.spectral import FRAME_BLOCK, FrameReader, stft
 from gtvv.velocity import (EstimatorConfig, GfvvEstimate, RelativeWavefront,
-                           estimate_gfvv_ls, estimate_gtvv, gtvv_closed_form,
-                           interpolate_invalid_bins,
+                           SharedOmni, estimate_gfvv_ls, estimate_gtvv,
+                           gtvv_closed_form, interpolate_invalid_bins,
                            negative_lag_energy_fraction, relative_wavefronts,
                            segment_stats)
 from oracles import (ArraySpectrum, SilentFrameError, all_frames,
@@ -426,6 +426,37 @@ class TestLsAccumulation:
                 with pytest.raises(ValueError, match=message):
                     estimate_gfvv_ls(spec, EstimatorConfig(beam), stats)
 
+    @pytest.mark.parametrize("top, lower", [(4, 1), (4, 2), (4, 3), (6, 4)])
+    def test_channel_slices_equal_fresh_statistics(self, top, lower):
+        # the noise is seeded per (scene, rt60), so a lower order's
+        # recording is the first channels of the top order's, and so are
+        # its omni statistics
+        shared = SharedOmni((lower + 1) ** 2)
+        shared.keep(segment_stats(sweep_cell_spectrum(top), EstimatorConfig()))
+        spec = sweep_cell_spectrum(lower)
+        got = shared.stats(spec, EstimatorConfig())
+        want = segment_stats(spec, EstimatorConfig())
+        for name in ("a1", "phi", "valid", "r2"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+            assert not getattr(got, name).flags.writeable
+        assert got.spectrum is spec and got.frames_per_seg == 24
+        # the estimates read the slices as their own statistics
+        np.testing.assert_array_equal(
+            estimate_gtvv(spec, EstimatorConfig(), got).data,
+            estimate_gtvv(spec, EstimatorConfig(), want).data)
+
+    def test_channel_slices_checked(self):
+        shared = SharedOmni(4)
+        shared.keep(segment_stats(sweep_cell_spectrum(2), EstimatorConfig()))
+        # the kept a1 is a copy of the channels that `stats` reads
+        assert shared.a1.shape[1] == 4 and shared.a1.flags.c_contiguous
+        with pytest.raises(ValueError, match="statistics of 4 channels"):
+            shared.stats(sweep_cell_spectrum(2), EstimatorConfig())
+        for seg in (dict(frames_per_seg=12), dict(seg_count=4)):
+            with pytest.raises(ValueError, match="statistics of 8 x 24"):
+                shared.stats(sweep_cell_spectrum(1), EstimatorConfig(**seg))
+
     def test_near_singular_bin_reported(self):
         spec = random_strided_spectrum(1, frames=32, win=64, seed=3)
         data = spec.data.copy()
@@ -465,7 +496,7 @@ def thread_pool(monkeypatch):
 class TestSegmentThreads:
     """The segment runs of the estimator's passes on 1 to 8 threads."""
 
-    # 8 x 24: 3 frames a reader at 2 threads, 1 at 8; 4 x 12 and 5 x 13:
+    # 8 x 24: 2 frames a reader at 2 threads, 1 at 8; 4 x 12 and 5 x 13:
     # runs that do not start on a multiple of 8 frames
     @pytest.mark.parametrize("seg, fps", [(8, 24), (4, 12), (5, 13)])
     @pytest.mark.parametrize("threads", [1, 2, 3, 8])
@@ -577,7 +608,7 @@ class TestSegmentThreads:
         spec = sweep_cell_spectrum(4)
         seg, ch, bins = 8, spec.channels, spec.bins
         means = seg * ch * bins * (16 + 8)
-        frames = max(1, (FRAME_BLOCK + 1) // threads - 1)
+        frames = max(1, FRAME_BLOCK // (2 * threads))
         # a reader's windowed frames and spectra, the conjugate, the
         # product, the reference output and the complex buffer that numpy
         # iterates a broadcast product through
