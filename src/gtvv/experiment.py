@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import ClassVar
 
@@ -122,6 +122,14 @@ class ExperimentConfig:
         if sig.fs != self.fs:
             raise ConfigError(f"{path} is sampled at {sig.fs:g} Hz, "
                               f"the config's fs is {self.fs:g} Hz")
+        # first, so that the checks below see samples: np.max has no value
+        # to give of none; below one window frame_count is negative
+        est = EstimatorConfig()
+        need = est.seg_count * est.frames_per_seg
+        have = max(0, frame_count(sig.num_samples, self.win_len))
+        if have < need:
+            raise ConfigError(
+                f"{path} yields {have} frames, estimator needs {need}")
         # np.max and np.min make no temporary; a NaN reaches both, an
         # infinity one of them
         if not (math.isfinite(np.max(sig.channels))
@@ -129,12 +137,6 @@ class ExperimentConfig:
             raise ConfigError(f"{path} holds non-finite samples")
         if not np.any(sig.channels[0]):
             raise ConfigError(f"{path} is silent")
-        est = EstimatorConfig()
-        need = est.seg_count * est.frames_per_seg
-        have = frame_count(sig.num_samples, self.win_len)
-        if have < need:
-            raise ConfigError(
-                f"{path} yields {have} frames, estimator needs {need}")
         return sig
 
     @cached_property
@@ -292,14 +294,13 @@ def analyze(spec, dictionary: Dictionary, h_iters: int,
     `est_h` runs `h_iters` iterations. S-OMP is greedy, so one iteration
     picks the atom that a full run picks first, and steers alike.
     """
-    if shared is not None and shared.a1 is not None:
+    if shared is not None and shared.phi is not None:
         stats = shared.stats(spec, EstimatorConfig())
     else:
         stats = segment_stats(spec, EstimatorConfig())
         if shared is not None:
             shared.keep(stats)
     v_h = baselines.h_tdvv(spec, EstimatorConfig(), stats)
-    stats = replace(stats, a1=None)  # only the omni estimate reads a1
     est_h = somp(v_h, dictionary, h_iters)
     steered = make_reference_beam(est_h.directions[0], dictionary.order)
     v_g = estimate_gtvv(spec, EstimatorConfig(steered), stats)
@@ -461,17 +462,21 @@ def dump_traces(v: GtvvMatrix, path):
 
 def write_results(table: ResultsTable, records, cfg: ExperimentConfig,
                   out_dir):
-    """Write results.csv/results.json and per-run estimate JSONs."""
+    """Write results.csv, results.json (strict JSON, a NaN cell null) and
+    per-run estimate JSONs."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "results.csv"), "w",
               encoding="utf-8") as fh:
         fh.write(table.to_csv())
-    payload = {"rows": table.rows, "failures": table.failures,
+    # a NaN cell (a mean over no value) is null: JSON has no NaN
+    rows = [{key: None if isinstance(value, float) and math.isnan(value)
+             else value for key, value in row.items()} for row in table.rows]
+    payload = {"rows": rows, "failures": table.failures,
                "config": asdict(cfg),
                "sh_convention": "real SN3D, ACN ordering"}
     with open(os.path.join(out_dir, "results.json"), "w",
               encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
     for rec in records:
         for method, est_json in rec.estimates.items():
             name = (f"estimate_scene{rec.scene}_rt{rec.rt60:g}"

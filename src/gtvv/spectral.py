@@ -144,8 +144,9 @@ class FrameReader:
     def block(self, start: int, stop: int) -> np.ndarray:
         """The spectra of frames `start` to `stop` - 1, a run of 1 to
         `FRAME_BLOCK` frames and no more than the reader's: (frames,
-        channels, bins) complex, a view of this reader's buffer. Each row
-        is, bit for bit, the row of one batched transform of all frames."""
+        channels, bins) complex, a view of this reader's buffer, which the
+        caller may overwrite. Each row is, bit for bit, the row of one
+        batched transform of all frames."""
         spec = self._spec
         spec._check_run(start, stop)
         # the frames copied into the float64 buffer, an exact cast of

@@ -14,6 +14,7 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,9 @@ _ENERGY_FLOOR = 1e-9
 _COLLINEAR_TOL = 1e-9
 # Relative diagonal load of near-singular normal equations.
 _DIAGONAL_LOAD = 1e-6
+# The complex zero that adds as nothing does: x + (-0 - 0j) is x, bit for
+# bit, the sign of a zero included.
+_MINUS_ZERO = complex(-0.0, -0.0)
 
 
 @dataclass(frozen=True)
@@ -113,22 +117,46 @@ def use_one_thread():
     _THREADS = 1
 
 
-def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
-                   with_phi: bool):
-    """a1 = E[(w.b) B*] per segment, channel and bin, w the reference
-    weights, and with `with_phi` the auto-spectra phi = E[B B*], from one
-    pass over the blocks of the segments' frames: returns (a1, phi or
-    None), a1 complex and phi real, each (segments, channels, bins).
+class NormalSums(NamedTuple):
+    """What the least-squares systems of one pass read of its segment
+    means a1, each (channels, bins): the normal equations' g11 = Σ|a1|²,
+    g12 = Σ conj(a1) and r1 = Σ conj(a1) φ over the segments, and the
+    spread of a1 over the segments, its standard deviation over its mean
+    magnitude, for the degeneracy test."""
 
-    The segments are split into contiguous runs, one per CPU that the
-    process may run on (one in all after `use_one_thread`). Of two or
-    more runs, each runs on a thread of its own, which the pass starts and
-    joins before it returns, then raises the error of the earliest run
-    that failed; a single run runs on the calling thread. Each run reads
+    g11: np.ndarray
+    g12: np.ndarray
+    r1: np.ndarray
+    spread: np.ndarray
+
+
+def _segment_sums(spec: SpectrumTensor, cfg: EstimatorConfig, w,
+                  phi: np.ndarray, r2: np.ndarray = None) -> NormalSums:
+    """The `NormalSums` of a1 = E[(w.b) B*] per segment, channel and bin,
+    w the reference weights, from one pass over the blocks of the
+    segments' frames. phi is (segments, channels, bins) float64: given r2,
+    a (channels, bins) buffer, the pass forms each segment's auto-spectra
+    phi = E[B B*] into it and their sum into r2 (the omni pass); without,
+    it reads the omni pass's phi (a steered pass).
+
+    Each segment is added to the sums when it is finished, in segment
+    order, as `np.sum` over a segment axis adds them, so the sums equal
+    those of the (segments, channels, bins) means bit for bit, at any
+    thread count; the spread is Welford's (Technometrics 1962): each a1
+    adds its squared deviation from the mean of the segments before it,
+    as that mean moves, which keeps the precision that E|a1|² − |E a1|²
+    loses. The pass makes one run per CPU that the process may run on (one
+    in all after `use_one_thread`), and no more than segments. One run
+    reads the segments on the calling thread. More read waves of `runs`
+    consecutive segments, run r segment r of each wave, each run on a
+    thread of its own into a mean of its own: the caller adds the segments
+    in order as they are finished, and a run starts its next segment once
+    the caller has added its last, so the pass holds O(runs × channels ×
+    bins) whatever the segment count. The threads start and end within
+    the pass; at a run's error the caller stops every run, joins them and
+    raises the error of the earliest segment that failed. Each run reads
     its frames through a reader of its own and adds them one at a time in
-    order, as `np.mean` over the frame axis adds them, so the means equal
-    the `np.mean` of the full frames x channels x bins products bit for
-    bit, at any thread count, without building them. phi sums the real
+    order, as `np.mean` over the frame axis adds them. phi sums the real
     parts of the complex products b conj(b), which are the real parts of
     their complex sums, and scales them by 1 / frames as the complex
     division by the frame count does.
@@ -137,9 +165,7 @@ def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
     need = cfg.seg_count * fps
     if spec.frames < need:
         raise ValueError(f"need at least {need} frames, have {spec.frames}")
-    shape = (cfg.seg_count, spec.channels, spec.bins)
-    a1 = np.empty(shape, dtype=complex)
-    phi = np.empty(shape) if with_phi else None
+    shape = (spec.channels, spec.bins)
     threads = _THREADS
     if threads is None:
         try:
@@ -147,14 +173,21 @@ def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
         except AttributeError:  # no affinity on this platform
             threads = os.cpu_count() or 1
     runs = min(threads, cfg.seg_count)
-    # A run holds its reader's windowed frames and spectra and a frame of
-    # scratch per mean; the runs together read at most half of FRAME_BLOCK
-    # frames at a time, as fast as whole blocks (one frame a run is not).
+    # A run holds its reader's windowed frames and spectra, its segment's
+    # mean and, in the omni pass, a frame of scratch; the runs together
+    # read at most half of FRAME_BLOCK frames at a time, as fast as whole
+    # blocks (one frame a run is not).
     frames = max(1, FRAME_BLOCK // (2 * runs))
 
-    def accumulate(lo, hi, reader, conj_u, term, ref_out):
-        for start in range(lo, hi, frames):
-            stop = min(start + frames, hi)
+    def mean(seg, a1, reader, conj_u, ref_out):
+        # the means start at -0, which adds as nothing does: their bits are
+        # those of np.mean's sums, which start at the first frame
+        a1.fill(_MINUS_ZERO)
+        if r2 is not None:
+            seg_phi = phi[seg]
+            seg_phi.fill(-0.0)
+        for start in range(seg * fps, (seg + 1) * fps, frames):
+            stop = min(start + frames, (seg + 1) * fps)
             b = reader.block(start, stop)
             # The real weights times the interleaved real and imaginary
             # parts of each frame: a product whose summation order does not
@@ -162,66 +195,105 @@ def _segment_means(spec: SpectrumTensor, cfg: EstimatorConfig, w,
             ref = np.matmul(w, b.view(np.float64),
                             out=ref_out[:stop - start]).view(complex)
             for i in range(stop - start):
-                seg, pos = divmod(start + i, fps)
-                np.conjugate(b[i], out=conj_u)
-                if pos == 0:
-                    np.multiply(ref[i], conj_u, out=a1[seg])
+                # each product overwrites an operand that nothing reads
+                # after it: the frame, or its conjugate
+                if r2 is None:
+                    u = np.conjugate(b[i], out=b[i])
                 else:
-                    a1[seg] += np.multiply(ref[i], conj_u, out=term)
-                if phi is not None:
-                    # the last product overwrites the conjugate: nothing
-                    # reads it after
-                    power = np.multiply(b[i], conj_u, out=conj_u).real
-                    if pos == 0:
-                        phi[seg] = power
-                    else:
-                        phi[seg] += power
+                    u = np.conjugate(b[i], out=conj_u)
+                    seg_phi += np.multiply(b[i], u, out=b[i]).real
+                a1 += np.multiply(ref[i], u, out=u)
+        a1 /= fps
+        if r2 is not None:
+            seg_phi *= 1.0 / fps
 
     # Every buffer is allocated here, on the calling thread: memory that a
     # run's thread allocated and freed would stay in its own malloc arena.
-    # Without phi, a1's product overwrites the conjugate.
-    edges = [cfg.seg_count * r // runs * fps for r in range(runs + 1)]
-    args = []
-    for lo, hi in zip(edges, edges[1:]):
-        conj_u = np.empty(shape[1:], dtype=complex)
-        term = np.empty(shape[1:], dtype=complex) if with_phi else conj_u
-        args.append((lo, hi, spec.reader(frames), conj_u, term,
-                     np.empty((frames, 2 * spec.bins))))
+    # A steered pass conjugates each frame in place; the omni pass needs the
+    # frame too, for phi.
+    args = [(np.empty(shape, dtype=complex), spec.reader(frames),
+             None if r2 is None else np.empty(shape, dtype=complex),
+             np.empty((frames, 2 * spec.bins))) for _ in range(runs)]
+    # The sums start at -0 too, as np.sum's start at the first segment.
+    g11, abs_sum, m2, t_r = (np.full(shape, -0.0) for _ in range(4))
+    a1_sum, r1, t_c = (np.full(shape, _MINUS_ZERO) for _ in range(3))
+    if r2 is not None:
+        r2.fill(-0.0)
+
+    def add(seg):
+        a1 = args[seg % runs][0]
+        if seg:  # Welford: the deviation from the mean of segments 0 to seg-1
+            np.subtract(a1, np.true_divide(a1_sum, seg, out=t_c), out=t_c)
+            np.square(np.abs(t_c, out=t_r), out=t_r)
+            np.add(m2, np.multiply(t_r, seg / (seg + 1), out=t_r), out=m2)
+        np.add(a1_sum, a1, out=a1_sum)
+        np.add(abs_sum, np.abs(a1, out=t_r), out=abs_sum)
+        np.add(g11, np.square(t_r, out=t_r), out=g11)
+        np.conjugate(a1, out=t_c)
+        np.add(r1, np.multiply(t_c, phi[seg], out=t_c), out=r1)
+        if r2 is not None:
+            np.add(r2, phi[seg], out=r2)
+
     if runs == 1:
-        accumulate(*args[0])
+        for seg in range(cfg.seg_count):
+            mean(seg, *args[0])
+            add(seg)
     else:
+        # run r reads segments r, r + runs, ..., each once the caller has
+        # added its last from its mean
+        free = [threading.Semaphore(1) for _ in range(runs)]
+        done = [threading.Semaphore(0) for _ in range(runs)]
         errors = [None] * runs
+        stop = threading.Event()
 
         def run(r):
-            try:
-                accumulate(*args[r])
-            except BaseException as exc:  # raised again once all are joined
-                errors[r] = exc
+            for seg in range(r, cfg.seg_count, runs):
+                free[r].acquire()
+                if stop.is_set():
+                    return
+                try:
+                    mean(seg, *args[r])
+                except BaseException as exc:  # raised by the caller
+                    errors[r] = exc
+                    return
+                finally:
+                    done[r].release()
         workers = [threading.Thread(target=run, args=(r,))
                    for r in range(runs)]
         for t in workers:
             t.start()
-        for t in workers:
-            t.join()
-        for exc in errors:
-            if exc is not None:
-                raise exc
-    np.true_divide(a1, fps, out=a1)
-    if with_phi:
-        np.multiply(phi, 1.0 / fps, out=phi)
-    return a1, phi
+        try:
+            for seg in range(cfg.seg_count):
+                done[seg % runs].acquire()
+                if errors[seg % runs] is not None:
+                    raise errors[seg % runs]
+                add(seg)
+                free[seg % runs].release()
+        finally:
+            stop.set()
+            for sem in free:
+                sem.release()
+            for t in workers:
+                t.join()
+    # spread = sqrt(m2 / n) / (mean |a1| + tiny), in m2's buffer
+    n = cfg.seg_count
+    np.sqrt(np.true_divide(m2, n, out=m2), out=m2)
+    m2 /= np.add(np.true_divide(abs_sum, n, out=abs_sum), 1e-300,
+                 out=abs_sum)
+    return NormalSums(g11, np.conjugate(a1_sum, out=a1_sum), r1, m2)
 
 
 @dataclass(frozen=True)
 class SegmentStats:
     """One spectrum's omni pass in one segmentation, read-only: the omni
-    a1 (or None, complex) and the reference-free phi (float64, accumulated
-    as reals), (segments, channels, bins) each, the bin validity mask and
-    r2 = Σ_segments phi, with the spectrum they were formed from and the
-    frames of each segment. `segment_stats` forms a1 and phi C-contiguous;
-    `SharedOmni.stats` reads them as channel slices of a higher order's."""
+    beam's `NormalSums`, the reference-free phi (float64, accumulated as
+    reals) of each segment, channel and bin, which a steered pass reads,
+    the bin validity mask and r2 = Σ_segments phi, with the spectrum they
+    were formed from and the frames of each segment. `segment_stats` forms
+    them C-contiguous; `SharedOmni.stats` reads them as channel slices of
+    a higher order's."""
 
-    a1: np.ndarray
+    omni: NormalSums
     phi: np.ndarray
     valid: np.ndarray
     r2: np.ndarray
@@ -229,70 +301,74 @@ class SegmentStats:
     frames_per_seg: int
 
 
-def _bound_stats(a1, phi, spec: SpectrumTensor,
+def _bound_stats(omni: NormalSums, phi, r2, spec: SpectrumTensor,
                  frames_per_seg: int) -> SegmentStats:
-    """The read-only `SegmentStats` of `spec` with these means: the
-    validity mask and r2 formed from phi."""
-    energy = np.mean(np.abs(phi), axis=0)  # (ch, bins)
-    bin_energy = np.mean(energy, axis=0)   # (bins,)
+    """The read-only `SegmentStats` of `spec` with this pass: the validity
+    mask formed from r2. phi >= 0, so the mean of |phi| over the segments
+    is r2 over their count, bit for bit."""
+    bin_energy = np.mean(r2 / len(phi), axis=0)  # (bins,)
     valid = bin_energy > _ENERGY_FLOOR * float(np.max(bin_energy))
-    stats = SegmentStats(a1, phi, valid, np.sum(phi, axis=0), spec,
-                         frames_per_seg)
-    for arr in (a1, phi, valid, stats.r2):
+    for arr in (*omni, phi, r2, valid):
         arr.flags.writeable = False
-    return stats
+    return SegmentStats(omni, phi, valid, r2, spec, frames_per_seg)
 
 
 def segment_stats(spec: SpectrumTensor, cfg: EstimatorConfig) -> SegmentStats:
     """One omni pass: the `SegmentStats` of `spec` in `cfg`'s segmentation."""
     omni = make_omni_beam(order_from_channels(spec.channels))
-    a1, phi = _segment_means(spec, cfg, omni, True)
-    return _bound_stats(a1, phi, spec, cfg.frames_per_seg)
+    phi = np.empty((cfg.seg_count, spec.channels, spec.bins))
+    r2 = np.empty((spec.channels, spec.bins))
+    sums = _segment_sums(spec, cfg, omni, phi, r2)
+    return _bound_stats(sums, phi, r2, spec, cfg.frames_per_seg)
+
+
+def _check_segmentation(phi, frames_per_seg, cfg: EstimatorConfig):
+    if (len(phi), frames_per_seg) != (cfg.seg_count, cfg.frames_per_seg):
+        raise ValueError(f"statistics of {len(phi)} x {frames_per_seg} "
+                         f"frames, not {cfg.seg_count} x "
+                         f"{cfg.frames_per_seg}")
 
 
 class SharedOmni:
     """One omni pass shared with the lower orders of the same recording.
 
     The omni beam of order L weights channel 0 alone, and each channel's
-    spectrum depends on that channel alone, so the omni a1 and phi of the
-    recording's first (L+1)^2 channels are the first channels of a higher
-    order's, bit for bit. `keep` holds a pass's first `channels` channels
-    of a1, copied contiguous, and its phi; it holds no `SegmentStats`,
-    whose spectrum would keep the higher order's recording alive. `stats`
-    reads them back as the statistics of a lower order's own spectrum.
+    spectrum depends on that channel alone, so the omni sums, phi and r2
+    of the recording's first (L+1)^2 channels are the first channels of a
+    higher order's, bit for bit. `keep` holds views of a pass's first
+    `channels` channels of them; it holds no `SegmentStats`, whose
+    spectrum would keep the higher order's recording alive. `stats` reads
+    them back as the statistics of a lower order's own spectrum.
     """
 
     def __init__(self, channels: int):
         self.channels = channels  # the most channels that `stats` reads
-        self.a1 = self.phi = self.frames_per_seg = None
+        self.omni = self.phi = self.r2 = self.frames_per_seg = None
 
     def keep(self, stats: SegmentStats):
-        """Hold the a1 of the first `channels` channels and the phi of
-        `stats`, before a1 is dropped."""
-        a1 = stats.a1[:, :self.channels].copy()
-        a1.flags.writeable = False
-        self.a1, self.phi = a1, stats.phi
+        """Hold views of the first `channels` channels of the omni sums,
+        phi and r2 of `stats`."""
+        n = self.channels
+        self.omni = NormalSums(*(a[:n] for a in stats.omni))
+        self.phi, self.r2 = stats.phi[:, :n], stats.r2[:n]
         self.frames_per_seg = stats.frames_per_seg
 
     def stats(self, spec: SpectrumTensor,
               cfg: EstimatorConfig) -> SegmentStats:
         """The `SegmentStats` of `spec`, the spectrum of the first
         `spec.channels` channels of the kept pass's recording, in `cfg`'s
-        segmentation: views of the first channels of a1 and phi, with the
-        validity mask and r2 formed from that phi, bound to `spec`; bit for
+        segmentation: views of the first channels of the kept arrays, with
+        the validity mask formed from that r2, bound to `spec`; bit for
         bit `segment_stats(spec, cfg)`. More channels than are held, or
         another segmentation, is a ValueError."""
-        held = self.a1.shape[1]
+        held = self.r2.shape[0]
         if spec.channels > held:
             raise ValueError(f"statistics of {held} channels, the spectrum "
                              f"has {spec.channels}")
-        if (len(self.phi), self.frames_per_seg) != (cfg.seg_count,
-                                                    cfg.frames_per_seg):
-            raise ValueError(f"statistics of {len(self.phi)} x "
-                             f"{self.frames_per_seg} frames, not "
-                             f"{cfg.seg_count} x {cfg.frames_per_seg}")
+        _check_segmentation(self.phi, self.frames_per_seg, cfg)
         n = spec.channels
-        return _bound_stats(self.a1[:, :n], self.phi[:, :n], spec,
+        return _bound_stats(NormalSums(*(a[:n] for a in self.omni)),
+                            self.phi[:, :n], self.r2[:n], spec,
                             cfg.frames_per_seg)
 
 
@@ -304,12 +380,12 @@ def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig,
     frames. Per segment, channel and bin, the auto-spectrum of the channel
     and its cross-spectrum with the reference output are time-averaged; the
     stacked 2-unknown system (channel ratio, stationary residual spectrum)
-    is solved in the least-squares sense.
+    is solved in the least-squares sense from its sums over the segments.
 
     `stats`, the `segment_stats` of `spec` in `cfg`'s segmentation, are
     formed here if None; those of another spectrum object or segmentation
-    raise ValueError. The omni estimate (reference None) reads its a1 from
-    them, if any; any other reference makes a pass for its own.
+    raise ValueError. The omni estimate (reference None) reads its sums
+    from them; any other reference makes a pass for its own.
 
     Bins with energy below floor are flagged invalid; a bin whose system is
     rank deficient despite carrying energy (stationary source) raises.
@@ -322,27 +398,17 @@ def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig,
         stats = segment_stats(spec, cfg)
     elif stats.spectrum is not spec:
         raise ValueError("statistics of another spectrum")
-    elif (len(stats.phi), stats.frames_per_seg) != (cfg.seg_count,
-                                                    cfg.frames_per_seg):
-        raise ValueError(f"statistics of {len(stats.phi)} x "
-                         f"{stats.frames_per_seg} frames, not "
-                         f"{cfg.seg_count} x {cfg.frames_per_seg}")
-    if w is None and stats.a1 is None:
-        raise ValueError("statistics without the omni a1")
-    # time-averaged spectra per segment, (seg, ch, bins) each
-    a1 = stats.a1 if w is None else _segment_means(spec, cfg, w, False)[0]
-
-    a1_spread = np.std(a1, axis=0) / (np.mean(np.abs(a1), axis=0) + 1e-300)
-    degenerate = np.all(a1_spread < _COLLINEAR_TOL, axis=0) & stats.valid
+    else:
+        _check_segmentation(stats.phi, stats.frames_per_seg, cfg)
+    sums = stats.omni if w is None else _segment_sums(spec, cfg, w,
+                                                      stats.phi)
+    degenerate = np.all(sums.spread < _COLLINEAR_TOL, axis=0) & stats.valid
     if np.any(degenerate):
         raise EstimatorDegenerateError(int(np.nonzero(degenerate)[0][0]))
 
     # normal equations of [a1 1] [v, phi_U]^T = phi, per (channel, bin)
-    g11 = np.sum(np.abs(a1) ** 2, axis=0)
-    g12 = np.sum(np.conj(a1), axis=0)
-    g22 = float(cfg.seg_count)
-    r1 = np.sum(np.conj(a1) * stats.phi, axis=0)
-    values, near_singular = _solve_loaded_2x2(g11, g12, g22, r1, stats.r2)
+    values, near_singular = _solve_loaded_2x2(
+        sums.g11, sums.g12, float(cfg.seg_count), sums.r1, stats.r2)
     values[:, ~stats.valid] = np.nan
     return GfvvEstimate(values, stats.valid, near_singular)
 

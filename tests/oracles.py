@@ -52,13 +52,9 @@ class ArraySpectrum:
         self.frames, self.channels, self.bins = data.shape
 
     def reader(self, frames):
-        """Itself: its blocks are read-only slices, which any number of
-        threads may read at once."""
-        return self
-
-    def block(self, start, stop):
-        """`FrameReader.block`: frames `start` to `stop` - 1."""
-        return self.data[start:stop]
+        """A reader of runs of up to `frames` frames into a buffer of its
+        own, as `FrameReader` reads them."""
+        return ArrayReader(self, frames)
 
     def weighted_cross_power(self, weights, edges):
         """Σ_u weights[u] Re Σ_k conj(b_uk) b_ukᵀ over the frames u and
@@ -72,6 +68,22 @@ class ArraySpectrum:
         frames = self.data[start:stop]
         return (np.sum(np.abs(frames) ** 2, axis=(1, 2)),
                 frames[..., [0, -1]].real)
+
+
+class ArrayReader:
+    """`FrameReader` of an `ArraySpectrum`: each block copies the frames
+    into the reader's buffer, which the caller may overwrite."""
+
+    def __init__(self, spec, frames):
+        self._data = spec.data
+        self._buffer = np.empty((frames, spec.channels, spec.bins),
+                                dtype=complex)
+
+    def block(self, start, stop):
+        """`FrameReader.block`: frames `start` to `stop` - 1."""
+        out = self._buffer[:stop - start]
+        out[...] = self._data[start:stop]
+        return out
 
 
 def all_frames(spec):

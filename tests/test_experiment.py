@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pickle
+import struct
 import subprocess
 import sys
 import threading
@@ -271,17 +272,17 @@ class TestRunExperiment:
     def test_group_makes_one_omni_pass(self, monkeypatch):
         # the top order's omni pass serves every order; each cell makes
         # its own steered pass
-        passes, means = [], velocity._segment_means
+        passes, sums = [], velocity._segment_sums
 
-        def counting(spec, cfg, w, with_phi):
-            passes.append((spec.channels, with_phi))
-            return means(spec, cfg, w, with_phi)
-        monkeypatch.setattr(velocity, "_segment_means", counting)
+        def counting(spec, cfg, w, phi, r2=None):  # r2: forms phi
+            passes.append((spec.channels, r2 is not None))
+            return sums(spec, cfg, w, phi, r2)
+        monkeypatch.setattr(velocity, "_segment_sums", counting)
         run_experiment(small_config(orders=(1, 2, 3)))
         assert passes == [(16, True), (16, False), (4, False), (9, False)]
 
     def test_lower_cell_holds_no_top_recording(self, monkeypatch):
-        # the group holds the top pass's a1 slice and phi, not its
+        # the group holds views of the top pass's phi and sums, not its
         # statistics, whose spectrum would keep the order-4 recording
         cfg = small_config(orders=(3, 4))
         run_experiment(cfg)  # builds and keeps both dictionaries
@@ -299,8 +300,11 @@ class TestRunExperiment:
             run_experiment(cfg)
         finally:
             tracemalloc.stop()
-        top = sh.num_channels(4) * cfg.duration * cfg.fs * 8
-        assert peaks[3, True] < peaks[3, False] + top / 2
+        # the order-4 phi per segment; the real g11, spread and r2 and the
+        # complex g12 and r1: views keep the whole arrays; 64 KiB for the
+        # group's own objects, such as the top cell's record
+        held = sh.num_channels(4) * (cfg.win_len // 2 + 1) * (8 * 8 + 7 * 8)
+        assert peaks[3, True] < peaks[3, False] + held + 2 ** 16
 
     def test_cell_cardinality(self):
         cfg = ExperimentConfig(num_scenes=1)
@@ -474,6 +478,11 @@ def scale_cell(order):
     return _SCALE_BASE[order]
 
 
+def v_h_bytes(spec):
+    """The bytes of a GTVV matrix of `spec`: channels x lags floats."""
+    return spec.channels * spec.win_len * 8
+
+
 def analysis_bytes(sig, cfg, dic, order):
     v_h, est_h, v_g = analyze(stft(sig, cfg.win_len), dic,
                               cfg.iter_cap(order))
@@ -491,18 +500,17 @@ class TestAnalyze:
         assert analysis_bytes(scaled, cfg, dic, order) == want
 
     def test_steered_pass_starts_without_the_omni_a1(self, monkeypatch):
-        # only the H-TDVV estimate reads the omni a1, segments x channels x
-        # bins complex (1.6 MB at order 4); the steered estimate is handed
-        # the statistics without it, so it starts from less traced memory
-        # than the H-TDVV estimate did, v_h and its S-OMP held since
+        # no estimate is handed an omni a1 per segment, segments x channels
+        # x bins complex (1.6 MB at order 4): both start from the omni
+        # pass's phi and its channels x bins sums, the steered one with
+        # v_h and its S-OMP held since
         cfg, sig, dic, _ = scale_cell(4)
         spec = stft(sig, cfg.win_len)
         starts = []
 
         def at_start(fn):
             def traced(spec, est_cfg, stats):
-                starts.append((tracemalloc.get_traced_memory()[0],
-                               stats.a1 is None))
+                starts.append((tracemalloc.get_traced_memory()[0], stats))
                 return fn(spec, est_cfg, stats)
             return traced
         monkeypatch.setattr(baselines, "h_tdvv", at_start(baselines.h_tdvv))
@@ -513,10 +521,13 @@ class TestAnalyze:
             analyze(spec, dic, cfg.iter_cap(4))
         finally:
             tracemalloc.stop()
-        (omni, omni_free), (steered, steered_free) = starts
-        assert (omni_free, steered_free) == (False, True)
-        a1_bytes = 8 * spec.channels * spec.bins * 16
-        assert steered < omni - a1_bytes / 2
+        (omni, omni_stats), (steered, steered_stats) = starts
+        assert steered_stats is omni_stats
+        # phi per segment; the real g11, spread and r2, the complex g12
+        # and r1; 64 KiB for the bin mask and the interpreter's objects
+        held = spec.channels * spec.bins * (8 * 8 + 7 * 8)
+        assert omni <= held + 2 ** 16
+        assert steered <= omni + v_h_bytes(spec) + 2 ** 16
 
 
 # `gtvv.somp` is the function the package re-exports, not the module
@@ -646,6 +657,26 @@ class TestCli:
             (tmp_path / "results" / "results.json").read_text())
         assert payload["sh_convention"] == "real SN3D, ACN ordering"
         assert payload["config"]["seed"] == 1
+
+    def test_results_json_is_strict_json(self, tmp_path, capsys):
+        # SRP estimates no reflection: its NaN cells are null, not the
+        # bare NaN tokens that JSON does not allow
+        out = tmp_path / "results"
+        assert main(["evaluate", "--config", self._write_cfg(tmp_path),
+                     "--out", str(out)]) == 0
+
+        def no_constant(token):
+            raise ValueError(f"{token} is not JSON")
+        rows = json.loads((out / "results.json").read_text(),
+                          parse_constant=no_constant)["rows"]
+        srp = [row for row in rows if row["method"] == "srp"]
+        assert srp and all(
+            row[key] is None for row in srp
+            for key in ("refl_angular_error_deg", "detections",
+                        "delay_error_s"))
+        assert all(isinstance(row["doa_error_deg"], float) for row in rows)
+        # results.csv keeps its nan cells
+        assert ",nan,nan,nan,1\n" in (out / "results.csv").read_text()
 
     def test_simulate_then_infer(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)
@@ -1024,6 +1055,25 @@ class TestCli:
                          "--out", str(out)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error:") and why in err
+            assert not out.exists()
+
+    def test_wav_of_no_frames_exit_2(self, tmp_path, capsys):
+        # a 4-channel float32 WAV whose data chunk is empty is too short,
+        # as a short recording is, before any check reads its samples
+        fmt = struct.pack("<HHIIHH", 3, 4, int(FS), int(FS) * 16, 16, 32)
+        body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt \
+            + b"data" + struct.pack("<I", 0)
+        wav = tmp_path / "empty.wav"
+        wav.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        assert read_wav(wav).channels.shape == (4, 0)
+        cfg = self._write_cfg(tmp_path)
+        for sub in ("infer", "estimate"):
+            out = tmp_path / f"{sub}.out"
+            assert main([sub, "--config", cfg, "--wav", str(wav),
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:")
+            assert "yields 0 frames, estimator needs 192" in err
             assert not out.exists()
 
     def test_runs_without_scipy(self, tmp_path, capsys):

@@ -310,9 +310,9 @@ class TestSamplePrecision:
     def test_segment_stats(self, spectra):
         s32, s64 = (segment_stats(spec, EstimatorConfig())
                     for spec in spectra[:2])
-        for name in ("a1", "phi", "valid", "r2"):
-            np.testing.assert_array_equal(getattr(s32, name),
-                                          getattr(s64, name))
+        for got, want in zip((*s32.omni, s32.phi, s32.valid, s32.r2),
+                             (*s64.omni, s64.phi, s64.valid, s64.r2)):
+            np.testing.assert_array_equal(got, want)
 
     def test_analyze(self, spectra):
         dic = spectra[2]

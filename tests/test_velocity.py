@@ -86,15 +86,29 @@ def segment_spectra_vectorised(spec, cfg):
     return phi, a1
 
 
+def normal_sums_vectorised(phi, a1):
+    """Reference `NormalSums` of the segment statistics, reduced over the
+    segment axis, the spread by `np.std`."""
+    return velocity.NormalSums(
+        np.sum(np.abs(a1) ** 2, axis=0), np.sum(np.conj(a1), axis=0),
+        np.sum(np.conj(a1) * phi, axis=0),
+        np.std(a1, axis=0) / (np.mean(np.abs(a1), axis=0) + 1e-300))
+
+
+def omni_pass(spec, cfg, w):
+    """`velocity._segment_sums` forming phi and r2: (sums, phi, r2)."""
+    phi = np.empty((cfg.seg_count, spec.channels, spec.bins))
+    r2 = np.empty(phi.shape[1:])
+    return velocity._segment_sums(spec, cfg, w, phi, r2), phi, r2
+
+
 def estimate_gfvv_ls_vectorised(spec, cfg):
     """Reference estimator on `segment_spectra_vectorised`: (values, valid,
     near-singular mask)."""
     phi, a1 = segment_spectra_vectorised(spec, cfg)
     bin_energy = np.mean(np.mean(np.abs(phi), axis=0), axis=0)
     valid = bin_energy > 1e-9 * float(np.max(bin_energy))
-    g11 = np.sum(np.abs(a1) ** 2, axis=0)
-    g12 = np.sum(np.conj(a1), axis=0)
-    r1 = np.sum(np.conj(a1) * phi, axis=0)
+    g11, g12, r1, _ = normal_sums_vectorised(phi, a1)
     r2 = np.sum(phi, axis=0)
     values, near_singular = velocity._solve_loaded_2x2(
         g11, g12, float(cfg.seg_count), r1, r2)
@@ -246,6 +260,29 @@ class TestLsEstimator:
             estimate_gfvv_ls(spec, cfg)
         assert exc.value.bin_index == 12
 
+    @pytest.mark.parametrize("step, raises", [(2e-12, True), (1e-10, True),
+                                             (3e-9, False)])
+    def test_nearly_collinear_segments(self, step, raises):
+        # segment s scales the tone by 1 + s * step, so its a1 spreads by
+        # about 2 * step relative to its mean: below the 1e-9 tolerance the
+        # system is degenerate. E|a1|² - |E a1|² would round the spread to
+        # about 1e-8 at the two smaller steps, and miss them
+        win = 64
+        y = sh_eval(Direction(0.3, 0.0), 1)
+        frame = np.zeros((4, win // 2 + 1), dtype=complex)
+        frame[:, 12] = (2.0 + 1.0j) * y
+        data = np.tile(frame[None], (16, 1, 1))
+        data *= np.repeat(1.0 + step * np.arange(4), 4)[:, None, None]
+        spec = ArraySpectrum(data, FS)
+        cfg = EstimatorConfig(make_omni_beam(1), seg_count=4,
+                              frames_per_seg=4)
+        if raises:
+            with pytest.raises(EstimatorDegenerateError) as exc:
+                estimate_gfvv_ls(spec, cfg)
+            assert exc.value.bin_index == 12
+        else:
+            assert estimate_gfvv_ls(spec, cfg).valid[12]
+
     def test_too_few_frames(self):
         spec = plane_wave_spectrum(Direction(0, 0), 1, frames=4)
         cfg = EstimatorConfig(make_omni_beam(1), seg_count=8,
@@ -301,11 +338,19 @@ class TestLsAccumulation:
             cfg = EstimatorConfig(beam, **seg)
             phi, a1 = segment_spectra_vectorised(spec, cfg)
             w = make_omni_beam(order) if beam is None else beam
-            got_a1, got_phi = velocity._segment_means(spec, cfg, w, True)
+            sums, got_phi, r2 = omni_pass(spec, cfg, w)
             np.testing.assert_array_equal(got_phi, phi)
-            np.testing.assert_array_equal(got_a1, a1)
-            np.testing.assert_array_equal(
-                velocity._segment_means(spec, cfg, w, False)[0], a1)
+            np.testing.assert_array_equal(r2, np.sum(phi, axis=0))
+            # the sums equal the segment axis's reductions bit for bit,
+            # formed with phi or reading it; Welford's spread is as exact
+            # as the two-pass `np.std`
+            want = normal_sums_vectorised(phi, a1)
+            for got in (sums, velocity._segment_sums(spec, cfg, w, phi)):
+                for name in ("g11", "g12", "r1"):
+                    np.testing.assert_array_equal(getattr(got, name),
+                                                  getattr(want, name))
+                np.testing.assert_allclose(got.spread, want.spread,
+                                           rtol=1e-12)
             est = estimate_gfvv_ls(spec, cfg)
             values, valid, near_singular = estimate_gfvv_ls_vectorised(
                 spec, cfg)
@@ -333,8 +378,7 @@ class TestLsAccumulation:
         spec = random_strided_spectrum(1)
         seg = dict(seg_count=6, frames_per_seg=16)
         stats = segment_stats(spec, EstimatorConfig(**seg))
-        for name in ("a1", "phi", "valid", "r2"):
-            arr = getattr(stats, name)
+        for arr in (*stats.omni, stats.phi, stats.valid, stats.r2):
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 0
         # phi is real, in a buffer of its own rather than a view of a
@@ -346,21 +390,26 @@ class TestLsAccumulation:
             est.valid[0] = False
 
     def test_statistics_without_a1(self):
-        # the steered estimate reads no a1 of the omni pass; the omni one
-        # cannot do without it
+        # the statistics hold no per-segment a1: the omni sums and r2 are
+        # channels x bins, phi alone has a segment axis, and it is real;
+        # a steered estimate reads phi, r2 and valid, not the omni sums
         spec = sweep_cell_spectrum(1)
         stats = segment_stats(spec, EstimatorConfig())
-        free = dataclasses.replace(stats, a1=None)
+        assert {a.shape for a in (*stats.omni, stats.r2)} == {
+            (spec.channels, spec.bins)}
+        assert stats.phi.shape == (8, spec.channels, spec.bins)
+        assert stats.phi.dtype == float
+        unread = velocity.NormalSums(*(np.full_like(a, np.nan)
+                                       for a in stats.omni))
+        free = dataclasses.replace(stats, omni=unread)
         steered = EstimatorConfig(make_reference_beam(Direction(0.3, 0.2), 1))
         np.testing.assert_array_equal(estimate_gtvv(spec, steered, free).data,
                                       estimate_gtvv(spec, steered, stats).data)
-        with pytest.raises(ValueError, match="statistics without the omni"):
-            estimate_gfvv_ls(spec, EstimatorConfig(), free)
 
     def test_estimate_without_stats_makes_one_omni_pass(self, monkeypatch):
         spec = sweep_cell_spectrum(1)
         frames_read, passes = [], []
-        block, means = FrameReader.block, velocity._segment_means
+        block, sums = FrameReader.block, velocity._segment_sums
 
         # the segment runs read through readers of their own, perhaps on
         # threads of their own
@@ -369,11 +418,11 @@ class TestLsAccumulation:
                 frames_read.extend(range(start, stop))
             return block(self, start, stop)
 
-        def counting_means(*args):  # (spec, cfg, w, with_phi)
-            passes.append((args[2].tolist(), args[3]))
-            return means(*args)
+        def counting_sums(*args):  # (spec, cfg, w, phi[, r2]): r2 forms phi
+            passes.append((args[2].tolist(), len(args) == 5))
+            return sums(*args)
         monkeypatch.setattr(FrameReader, "block", counting_block)
-        monkeypatch.setattr(velocity, "_segment_means", counting_means)
+        monkeypatch.setattr(velocity, "_segment_sums", counting_sums)
         omni = make_omni_beam(1).tolist()
         steered = make_reference_beam(Direction(0.3, 0.2), 1)
         for seg, fps in ((8, 24), (4, 24), (8, 12)):
@@ -436,10 +485,11 @@ class TestLsAccumulation:
         spec = sweep_cell_spectrum(lower)
         got = shared.stats(spec, EstimatorConfig())
         want = segment_stats(spec, EstimatorConfig())
-        for name in ("a1", "phi", "valid", "r2"):
-            np.testing.assert_array_equal(getattr(got, name),
-                                          getattr(want, name))
-            assert not getattr(got, name).flags.writeable
+        for got_arr, want_arr in zip(
+                (*got.omni, got.phi, got.valid, got.r2),
+                (*want.omni, want.phi, want.valid, want.r2)):
+            np.testing.assert_array_equal(got_arr, want_arr)
+            assert not got_arr.flags.writeable
         assert got.spectrum is spec and got.frames_per_seg == 24
         # the estimates read the slices as their own statistics
         np.testing.assert_array_equal(
@@ -448,9 +498,13 @@ class TestLsAccumulation:
 
     def test_channel_slices_checked(self):
         shared = SharedOmni(4)
-        shared.keep(segment_stats(sweep_cell_spectrum(2), EstimatorConfig()))
-        # the kept a1 is a copy of the channels that `stats` reads
-        assert shared.a1.shape[1] == 4 and shared.a1.flags.c_contiguous
+        stats = segment_stats(sweep_cell_spectrum(2), EstimatorConfig())
+        shared.keep(stats)
+        # the kept arrays are views of the pass's, not copies, of the
+        # channels that `stats` reads
+        for kept, full in zip((*shared.omni, shared.phi, shared.r2),
+                              (*stats.omni, stats.phi, stats.r2)):
+            assert kept.base is full and kept.shape[-2] == 4
         with pytest.raises(ValueError, match="statistics of 4 channels"):
             shared.stats(sweep_cell_spectrum(2), EstimatorConfig())
         for seg in (dict(frames_per_seg=12), dict(seg_count=4)):
@@ -566,8 +620,8 @@ class TestSegmentThreads:
         spec = random_strided_spectrum(1, frames=8 * 24)
         w = make_omni_beam(1)
         monkeypatch.setattr(velocity, "_THREADS", 1)
-        want = {seg: velocity._segment_means(
-            spec, EstimatorConfig(seg_count=seg), w, True) for seg in (2, 8)}
+        want = {seg: omni_pass(spec, EstimatorConfig(seg_count=seg), w)
+                for seg in (2, 8)}
         monkeypatch.setattr(velocity, "_THREADS", None)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         made, reader = [], spec.reader
@@ -579,11 +633,11 @@ class TestSegmentThreads:
         for cpus, seg, runs in ((3, 8, 3), (3, 2, 2), (None, 8, 1)):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             made.clear()
-            a1, phi = velocity._segment_means(
-                spec, EstimatorConfig(seg_count=seg), w, True)
+            sums, phi, r2 = omni_pass(spec, EstimatorConfig(seg_count=seg), w)
             assert len(made) == runs
-            np.testing.assert_array_equal(a1, want[seg][0])
-            np.testing.assert_array_equal(phi, want[seg][1])
+            for got, wanted in zip((*sums, phi, r2), (*want[seg][0],
+                                                      *want[seg][1:])):
+                np.testing.assert_array_equal(got, wanted)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("order", [1, 4, 6])
@@ -601,17 +655,22 @@ class TestSegmentThreads:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_omni_pass_peaks_at_its_means_and_runs(self, thread_pool,
                                                    threads):
-        # the omni pass holds a complex a1, a real phi and its runs'
-        # buffers, and copies neither mean; 64 KiB cover the interpreter's
-        # own objects, such as the threads and their frames
+        # the omni pass holds a real phi per segment, and channels x bins
+        # sums and its runs' buffers: no a1 per segment, and no copy of
+        # phi; 64 KiB cover the interpreter's own objects, such as the
+        # threads and their frames
         thread_pool(threads)
         spec = sweep_cell_spectrum(4)
         seg, ch, bins = 8, spec.channels, spec.bins
-        means = seg * ch * bins * (16 + 8)
+        # r2, g11, Σ|a1|, m2 and a real scratch; Σa1, r1 and a complex
+        # scratch; the complex buffer through which numpy casts phi to
+        # form r1
+        means = (seg * ch * bins * 8 + ch * bins * (5 * 8 + 3 * 16)
+                 + np.getbufsize() * 16)
         frames = max(1, FRAME_BLOCK // (2 * threads))
-        # a reader's windowed frames and spectra, the conjugate, the
-        # product, the reference output and the complex buffer that numpy
-        # iterates a broadcast product through
+        # a reader's windowed frames and spectra, the segment's a1, the
+        # conjugate, the reference output and the complex buffer that
+        # numpy iterates a broadcast product through
         run = (frames * ch * spec.win_len * 8 + frames * ch * bins * 16
                + 2 * ch * bins * 16 + frames * 2 * bins * 8
                + np.getbufsize() * 16)
@@ -622,6 +681,45 @@ class TestSegmentThreads:
         finally:
             tracemalloc.stop()
         assert peak <= means + threads * run + 2 ** 16
+
+    @pytest.mark.parametrize("steered", [False, True])
+    def test_estimate_from_stats_peaks_at_channels_by_bins(self, thread_pool,
+                                                           steered):
+        # given the stats, the omni estimate solves from the channels x
+        # bins sums, and a steered one adds a pass that forms only such
+        # sums, on top of its reader: no array has a segment axis, so the
+        # peak does not grow with the segment count
+        thread_pool(1)
+        spec = sweep_cell_spectrum(4)
+        ch, bins, frames = spec.channels, spec.bins, FRAME_BLOCK // 2
+        beam = make_reference_beam(Direction(1.0, -0.4), 4) if steered \
+            else None
+        peaks = []
+        for seg, fps in ((8, 24), (16, 12)):
+            cfg = EstimatorConfig(beam, seg_count=seg, frames_per_seg=fps)
+            stats = segment_stats(spec, cfg)
+            tracemalloc.start()
+            try:
+                estimate_gfvv_ls(spec, cfg, stats)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        unit = ch * bins * 8  # a channels x bins float array
+        if steered:
+            # the pass: the reader's windowed frames and spectra, in which
+            # it conjugates each frame; the segment's a1, g11, Σ|a1|, m2,
+            # Σa1, r1 and two scratch arrays; the buffers through which
+            # numpy iterates the broadcast product and casts phi. The
+            # solve holds less.
+            bound = (frames * ch * spec.win_len * 8 + frames * ch * bins * 16
+                     + 12 * unit + 2 * np.getbufsize() * 16)
+        else:
+            # the solve: det, the loaded diagonal, detl and the masks, v's
+            # two complex products, and the buffer through which numpy
+            # casts r2 against g12
+            bound = 9 * unit + np.getbufsize() * 16
+        assert peaks[0] <= bound + 2 ** 16
+        assert abs(peaks[1] - peaks[0]) <= 2 ** 16
 
     def test_run_error_raised_once_every_run_ends(self, thread_pool,
                                                   monkeypatch):
@@ -635,7 +733,7 @@ class TestSegmentThreads:
 
         class Failing:
             """Run 0's reader raises at its first block, once every run has
-            started; the others read slowly to the end."""
+            started; the others read slowly."""
 
             made = 0
 
@@ -658,8 +756,9 @@ class TestSegmentThreads:
         with pytest.raises(ReadError) as raised:
             estimate_gfvv_ls(spec, EstimatorConfig())
         assert raised.value.args == (0,)
-        # runs 1 to 3, of 2 segments each, had read all their frames
-        assert sorted(read) == list(range(2 * 24, 8 * 24))
+        # runs 1 to 3 had read their first segments, 1 to 3, to the end,
+        # and none started its second once segment 0 had failed
+        assert sorted(read) == list(range(24, 4 * 24))
         assert threading.active_count() == before
 
     def test_forked_child_estimates_alone(self, thread_pool):
