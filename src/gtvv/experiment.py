@@ -22,7 +22,7 @@ from .errors import ConfigError, GtvvError
 from .sh import (MAX_ORDER, Dictionary, angular_distance, build_dictionary,
                  make_reference_beam, num_channels, read_direction_file)
 from .somp import MatchReport, match_to_truth, somp
-from .spectral import GtvvMatrix, frame_count, stft
+from .spectral import GtvvMatrix, SpectrumTensor, frame_count, stft
 from .velocity import (EstimatorConfig, SharedOmni, estimate_gtvv,
                        segment_stats, use_one_thread)
 
@@ -82,6 +82,12 @@ class ExperimentConfig:
         if (not self.rt60 or len(set(self.rt60)) < len(self.rt60)
                 or any(isinstance(v, bool) or not v > 0 for v in self.rt60)):
             raise ConfigError("rt60 list must hold distinct positive values")
+        # the output files are named after each value as `:g` prints it
+        names = [f"{v:g}" for v in self.rt60]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"rt60 values {self.rt60} do not print as "
+                              f"distinct names {names}: their output files "
+                              "would overwrite each other")
         if (not self.orders or len(set(self.orders)) < len(self.orders)
                 or any(not _is_count(o, 1) or o > MAX_ORDER
                        for o in self.orders)):
@@ -286,25 +292,55 @@ def analyze(spec, dictionary: Dictionary, h_iters: int,
     returns (v_h, est_h, v_g).
 
     Both estimates share one omni pass (`segment_stats`); the steered one
-    adds a pass for its own cross-spectra. With `shared` holding a higher
-    order's pass of the same recording, the omni statistics are its
-    channel slices and no omni pass is made; an empty `shared` keeps this
-    pass for the lower orders.
+    adds a pass for its own cross-spectra. `shared`, a group's (see
+    `_execute_group`), shares both passes with the group's lower orders.
+    Empty, it is the top cell's: it keeps this omni pass, and this
+    steered pass also forms the sums of the lower orders' beams, each
+    formed as that order's cell forms it (`_lower_beams`). Filled, it
+    gives the omni statistics as channel slices, and the kept steered
+    sums if they were formed for this beam: then no pass is made.
 
     `est_h` runs `h_iters` iterations. S-OMP is greedy, so one iteration
     picks the atom that a full run picks first, and steers alike.
     """
-    if shared is not None and shared.phi is not None:
-        stats = shared.stats(spec, EstimatorConfig())
+    cfg = EstimatorConfig()
+    top = shared is not None and shared.phi is None
+    if shared is not None and not top:
+        stats = shared.stats(spec, cfg)
     else:
-        stats = segment_stats(spec, EstimatorConfig())
-        if shared is not None:
+        stats = segment_stats(spec, cfg)
+        if top:
             shared.keep(stats)
-    v_h = baselines.h_tdvv(spec, EstimatorConfig(), stats)
+    v_h = baselines.h_tdvv(spec, cfg, stats)
     est_h = somp(v_h, dictionary, h_iters)
     steered = make_reference_beam(est_h.directions[0], dictionary.order)
-    v_g = estimate_gtvv(spec, EstimatorConfig(steered), stats)
+    sums = None
+    if top:
+        sums = shared.steer(stats, cfg, steered, _lower_beams(spec, shared))
+    elif shared is not None:
+        sums = shared.sums(steered)
+    v_g = estimate_gtvv(spec, EstimatorConfig(steered), stats, sums)
     return v_h, est_h, v_g
+
+
+def _lower_beams(spec, shared: SharedOmni) -> list:
+    """The steered beam of each of `shared`'s orders, as `analyze` forms
+    it in that order's cell: H-TDVV on the spectrum of `spec`'s first
+    (L+1)^2 channels, which is that cell's, with the kept omni statistics,
+    then the first atom of S-OMP on its dictionary. An order whose chain
+    fails is left out, and its cell makes its own pass."""
+    cfg, beams = EstimatorConfig(), []
+    for order in shared.orders:
+        sig = room.AmbisonicSignal(
+            spec.fs, spec.signal.channels[:num_channels(order)])
+        sub = SpectrumTensor(sig, spec.win_len)
+        try:
+            v_h = baselines.h_tdvv(sub, cfg, shared.stats(sub, cfg))
+            first = somp(v_h, shared.dictionary(order), 1).directions[0]
+        except (GtvvError, np.linalg.LinAlgError):
+            continue
+        beams.append(make_reference_beam(first, order))
+    return beams
 
 
 def run_single(cfg: ExperimentConfig, scene_idx: int, rt60: float,
@@ -359,11 +395,14 @@ def _execute_run(cfg, scene_idx, rt60, order, shared):
 def _execute_group(args) -> list:
     """The records of one (scene, rt60) group, in `cfg.orders` order. The
     top order runs first and keeps its omni pass for the lower orders,
-    which read it as channel slices; if it fails, each makes its own."""
+    which read it as channel slices, and forms their steered sums in its
+    own steered pass (see `analyze`); if it fails, each makes its own
+    passes."""
     cfg, scene_idx, rt60 = args
     top = max(cfg.orders)
     lower = [o for o in cfg.orders if o != top]
-    shared = SharedOmni(num_channels(max(lower))) if lower else None
+    shared = SharedOmni(lower, lambda order: build_dictionary(
+        cfg.dict_size, order, cfg.dict_directions)) if lower else None
     records = {top: _execute_run(cfg, scene_idx, rt60, top, shared)}
     if records[top].error:
         shared = None

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import EstimatorDegenerateError, ExpansionInvalidError
 from .room import GroundTruthScene, fractional_delay_kernel
-from .sh import Direction, make_omni_beam, order_from_channels, sh_eval
+from .sh import (Direction, make_omni_beam, num_channels, order_from_channels,
+                 sh_eval)
 from .spectral import FRAME_BLOCK, GtvvMatrix, SpectrumTensor, gfvv_to_gtvv
 
 _ENERGY_FLOOR = 1e-9
@@ -130,14 +131,23 @@ class NormalSums(NamedTuple):
     spread: np.ndarray
 
 
-def _segment_sums(spec: SpectrumTensor, cfg: EstimatorConfig, w,
-                  phi: np.ndarray, r2: np.ndarray = None) -> NormalSums:
-    """The `NormalSums` of a1 = E[(w.b) B*] per segment, channel and bin,
-    w the reference weights, from one pass over the blocks of the
-    segments' frames. phi is (segments, channels, bins) float64: given r2,
-    a (channels, bins) buffer, the pass forms each segment's auto-spectra
-    phi = E[B B*] into it and their sum into r2 (the omni pass); without,
-    it reads the omni pass's phi (a steered pass).
+def _segment_sums(spec: SpectrumTensor, cfg: EstimatorConfig, beams,
+                  phi: np.ndarray, r2: np.ndarray = None) -> list:
+    """The `NormalSums` of a1 = E[(w.b) B*] per segment, channel and bin
+    of each reference beam w in `beams`, over the first w.size channels
+    of each frame, from one pass over the blocks of the segments' frames:
+    one `NormalSums` per beam, in the order of `beams`. The widest beam
+    weights every channel. phi is (segments, channels, bins) float64:
+    given r2, a (channels, bins) buffer, the pass forms each segment's
+    auto-spectra phi = E[B B*] into it and their sum into r2 (the omni
+    pass); without, it reads the omni pass's phi (a steered pass). A beam
+    reads the first channels of phi that it weights.
+
+    Each frame is conjugated once; the widest beam's product overwrites
+    that conjugate, the others' share one scratch buffer. Each product is
+    formed as a pass over the beam's own spectrum would form it, from the
+    same first channels of the frame, so each beam's sums are those of its
+    own pass, bit for bit.
 
     Each segment is added to the sums when it is finished, in segment
     order, as `np.sum` over a segment axis adds them, so the sums equal
@@ -145,15 +155,16 @@ def _segment_sums(spec: SpectrumTensor, cfg: EstimatorConfig, w,
     thread count; the spread is Welford's (Technometrics 1962): each a1
     adds its squared deviation from the mean of the segments before it,
     as that mean moves, which keeps the precision that E|a1|² − |E a1|²
-    loses. The pass makes one run per CPU that the process may run on (one
-    in all after `use_one_thread`), and no more than segments. One run
-    reads the segments on the calling thread. More read waves of `runs`
-    consecutive segments, run r segment r of each wave, each run on a
-    thread of its own into a mean of its own: the caller adds the segments
-    in order as they are finished, and a run starts its next segment once
-    the caller has added its last, so the pass holds O(runs × channels ×
-    bins) whatever the segment count. The threads start and end within
-    the pass; at a run's error the caller stops every run, joins them and
+    loses. The beams' folds share their temporaries. The pass makes one
+    run per CPU that the process may run on (one in all after
+    `use_one_thread`), and no more than segments. One run reads the
+    segments on the calling thread. More read waves of `runs` consecutive
+    segments, run r segment r of each wave, each run on a thread of its
+    own into means of its own: the caller adds the segments in order as
+    they are finished, and a run starts its next segment once the caller
+    has added its last, so the pass holds O(runs × channels × bins)
+    whatever the segment count. The threads start and end within the
+    pass; at a run's error the caller stops every run, joins them and
     raises the error of the earliest segment that failed. Each run reads
     its frames through a reader of its own and adds them one at a time in
     order, as `np.mean` over the frame axis adds them. phi sums the real
@@ -165,6 +176,12 @@ def _segment_sums(spec: SpectrumTensor, cfg: EstimatorConfig, w,
     need = cfg.seg_count * fps
     if spec.frames < need:
         raise ValueError(f"need at least {need} frames, have {spec.frames}")
+    widths = [w.size for w in beams]
+    if max(widths) != spec.channels:
+        raise ValueError(f"the widest beam has {max(widths)} weights, the "
+                         f"spectrum {spec.channels} channels")
+    # the beams by width, the widest last: its product is formed in place
+    fold = sorted(range(len(beams)), key=widths.__getitem__)
     shape = (spec.channels, spec.bins)
     threads = _THREADS
     if threads is None:
@@ -174,36 +191,44 @@ def _segment_sums(spec: SpectrumTensor, cfg: EstimatorConfig, w,
             threads = os.cpu_count() or 1
     runs = min(threads, cfg.seg_count)
     # A run holds its reader's windowed frames and spectra, its segment's
-    # mean and, in the omni pass, a frame of scratch; the runs together
+    # means and, in the omni pass, a frame of scratch; the runs together
     # read at most half of FRAME_BLOCK frames at a time, as fast as whole
     # blocks (one frame a run is not).
     frames = max(1, FRAME_BLOCK // (2 * runs))
 
-    def mean(seg, a1, reader, conj_u, ref_out):
+    def mean(seg, a1s, reader, conj_u, ref_outs, scratch):
         # the means start at -0, which adds as nothing does: their bits are
         # those of np.mean's sums, which start at the first frame
-        a1.fill(_MINUS_ZERO)
+        for a1 in a1s:
+            a1.fill(_MINUS_ZERO)
         if r2 is not None:
             seg_phi = phi[seg]
             seg_phi.fill(-0.0)
+        refs = [out.view(complex) for out in ref_outs]
+        lower = [(a1s[k], refs[k], widths[k]) for k in fold[:-1]]
+        a1, ref = a1s[fold[-1]], refs[fold[-1]]
         for start in range(seg * fps, (seg + 1) * fps, frames):
             stop = min(start + frames, (seg + 1) * fps)
             b = reader.block(start, stop)
             # The real weights times the interleaved real and imaginary
-            # parts of each frame: a product whose summation order does not
-            # depend on the BLAS thread count.
-            ref = np.matmul(w, b.view(np.float64),
-                            out=ref_out[:stop - start]).view(complex)
+            # parts of each frame's first channels: a product whose
+            # summation order does not depend on the BLAS thread count.
+            for w, out in zip(beams, ref_outs):
+                np.matmul(w, b[:, :w.size].view(np.float64),
+                          out=out[:stop - start])
             for i in range(stop - start):
-                # each product overwrites an operand that nothing reads
-                # after it: the frame, or its conjugate
+                # the widest product overwrites an operand that nothing
+                # reads after it: the frame, or its conjugate
                 if r2 is None:
                     u = np.conjugate(b[i], out=b[i])
                 else:
                     u = np.conjugate(b[i], out=conj_u)
                     seg_phi += np.multiply(b[i], u, out=b[i]).real
+                for a1_n, ref_n, n in lower:
+                    a1_n += np.multiply(ref_n[i], u[:n], out=scratch[:n])
                 a1 += np.multiply(ref[i], u, out=u)
-        a1 /= fps
+        for a1 in a1s:
+            a1 /= fps
         if r2 is not None:
             seg_phi *= 1.0 / fps
 
@@ -211,26 +236,36 @@ def _segment_sums(spec: SpectrumTensor, cfg: EstimatorConfig, w,
     # run's thread allocated and freed would stay in its own malloc arena.
     # A steered pass conjugates each frame in place; the omni pass needs the
     # frame too, for phi.
-    args = [(np.empty(shape, dtype=complex), spec.reader(frames),
+    args = [([np.empty((n, spec.bins), dtype=complex) for n in widths],
+             spec.reader(frames),
              None if r2 is None else np.empty(shape, dtype=complex),
-             np.empty((frames, 2 * spec.bins))) for _ in range(runs)]
+             [np.empty((frames, 2 * spec.bins)) for _ in beams],
+             None if len(beams) == 1 else np.empty(
+                 (widths[fold[-2]], spec.bins), dtype=complex))
+            for _ in range(runs)]
     # The sums start at -0 too, as np.sum's start at the first segment.
-    g11, abs_sum, m2, t_r = (np.full(shape, -0.0) for _ in range(4))
-    a1_sum, r1, t_c = (np.full(shape, _MINUS_ZERO) for _ in range(3))
+    sums = [([np.full((n, spec.bins), -0.0) for _ in range(3)]
+             + [np.full((n, spec.bins), _MINUS_ZERO) for _ in range(2)])
+            for n in widths]
+    t_r, t_c = np.empty(shape), np.empty(shape, dtype=complex)
     if r2 is not None:
         r2.fill(-0.0)
 
     def add(seg):
-        a1 = args[seg % runs][0]
-        if seg:  # Welford: the deviation from the mean of segments 0 to seg-1
-            np.subtract(a1, np.true_divide(a1_sum, seg, out=t_c), out=t_c)
-            np.square(np.abs(t_c, out=t_r), out=t_r)
-            np.add(m2, np.multiply(t_r, seg / (seg + 1), out=t_r), out=m2)
-        np.add(a1_sum, a1, out=a1_sum)
-        np.add(abs_sum, np.abs(a1, out=t_r), out=abs_sum)
-        np.add(g11, np.square(t_r, out=t_r), out=g11)
-        np.conjugate(a1, out=t_c)
-        np.add(r1, np.multiply(t_c, phi[seg], out=t_c), out=r1)
+        for k in fold:
+            g11, abs_sum, m2, a1_sum, r1 = sums[k]
+            n = widths[k]
+            a1, tr, tc = args[seg % runs][0][k], t_r[:n], t_c[:n]
+            # Welford: the deviation from the mean of segments 0 to seg-1
+            if seg:
+                np.subtract(a1, np.true_divide(a1_sum, seg, out=tc), out=tc)
+                np.square(np.abs(tc, out=tr), out=tr)
+                np.add(m2, np.multiply(tr, seg / (seg + 1), out=tr), out=m2)
+            np.add(a1_sum, a1, out=a1_sum)
+            np.add(abs_sum, np.abs(a1, out=tr), out=abs_sum)
+            np.add(g11, np.square(tr, out=tr), out=g11)
+            np.conjugate(a1, out=tc)
+            np.add(r1, np.multiply(tc, phi[seg, :n], out=tc), out=r1)
         if r2 is not None:
             np.add(r2, phi[seg], out=r2)
 
@@ -277,10 +312,13 @@ def _segment_sums(spec: SpectrumTensor, cfg: EstimatorConfig, w,
                 t.join()
     # spread = sqrt(m2 / n) / (mean |a1| + tiny), in m2's buffer
     n = cfg.seg_count
-    np.sqrt(np.true_divide(m2, n, out=m2), out=m2)
-    m2 /= np.add(np.true_divide(abs_sum, n, out=abs_sum), 1e-300,
-                 out=abs_sum)
-    return NormalSums(g11, np.conjugate(a1_sum, out=a1_sum), r1, m2)
+    out = []
+    for g11, abs_sum, m2, a1_sum, r1 in sums:
+        np.sqrt(np.true_divide(m2, n, out=m2), out=m2)
+        m2 /= np.add(np.true_divide(abs_sum, n, out=abs_sum), 1e-300,
+                     out=abs_sum)
+        out.append(NormalSums(g11, np.conjugate(a1_sum, out=a1_sum), r1, m2))
+    return out
 
 
 @dataclass(frozen=True)
@@ -318,7 +356,7 @@ def segment_stats(spec: SpectrumTensor, cfg: EstimatorConfig) -> SegmentStats:
     omni = make_omni_beam(order_from_channels(spec.channels))
     phi = np.empty((cfg.seg_count, spec.channels, spec.bins))
     r2 = np.empty((spec.channels, spec.bins))
-    sums = _segment_sums(spec, cfg, omni, phi, r2)
+    sums, = _segment_sums(spec, cfg, [omni], phi, r2)
     return _bound_stats(sums, phi, r2, spec, cfg.frames_per_seg)
 
 
@@ -330,7 +368,9 @@ def _check_segmentation(phi, frames_per_seg, cfg: EstimatorConfig):
 
 
 class SharedOmni:
-    """One omni pass shared with the lower orders of the same recording.
+    """The passes of a recording's top order, shared with its lower
+    orders: `orders`, each of whose recordings is the top's first (L+1)^2
+    channels, and `dictionary(order)`, each one's dictionary.
 
     The omni beam of order L weights channel 0 alone, and each channel's
     spectrum depends on that channel alone, so the omni sums, phi and r2
@@ -339,11 +379,19 @@ class SharedOmni:
     `channels` channels of them; it holds no `SegmentStats`, whose
     spectrum would keep the higher order's recording alive. `stats` reads
     them back as the statistics of a lower order's own spectrum.
+
+    The top order's steered pass also forms the sums of the lower orders'
+    beams (`steer`); each lower order reads its own back (`sums`) if its
+    beam is the one they were formed for.
     """
 
-    def __init__(self, channels: int):
-        self.channels = channels  # the most channels that `stats` reads
+    def __init__(self, orders, dictionary):
+        self.orders = tuple(orders)
+        self.dictionary = dictionary
+        # the most channels that `stats` reads
+        self.channels = num_channels(max(self.orders))
         self.omni = self.phi = self.r2 = self.frames_per_seg = None
+        self.steered = {}  # channels -> (beam bytes, NormalSums)
 
     def keep(self, stats: SegmentStats):
         """Hold views of the first `channels` channels of the omni sums,
@@ -371,9 +419,32 @@ class SharedOmni:
                             self.phi[:, :n], self.r2[:n], spec,
                             cfg.frames_per_seg)
 
+    def steer(self, stats: SegmentStats, cfg: EstimatorConfig, beam,
+              lower) -> NormalSums:
+        """One steered pass over the frames of `stats`' spectrum, with its
+        phi, for `beam` and the `lower` beams, which read the first
+        channels of each frame: keeps each lower beam's sums, by its
+        channel count, and returns `beam`'s."""
+        _check_segmentation(stats.phi, stats.frames_per_seg, cfg)
+        got = _segment_sums(stats.spectrum, cfg, [beam, *lower], stats.phi)
+        for w, sums in zip(lower, got[1:]):
+            for arr in sums:
+                arr.flags.writeable = False
+            self.steered[w.size] = (w.tobytes(), sums)
+        return got[0]
+
+    def sums(self, beam) -> NormalSums:
+        """Release the sums kept for `beam`'s channel count and return
+        them if they were formed for these very weights (their bytes), so
+        that they are, bit for bit, those of a pass over the lower order's
+        own spectrum; None otherwise."""
+        formed, sums = self.steered.pop(beam.size, (None, None))
+        return sums if formed == beam.tobytes() else None
+
 
 def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig,
-                     stats: SegmentStats = None) -> GfvvEstimate:
+                     stats: SegmentStats = None,
+                     sums: NormalSums = None) -> GfvvEstimate:
     """Nonstationarity-based least-squares GFVV estimator.
 
     Frames are split into cfg.seg_count sub-segments of cfg.frames_per_seg
@@ -385,7 +456,9 @@ def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig,
     `stats`, the `segment_stats` of `spec` in `cfg`'s segmentation, are
     formed here if None; those of another spectrum object or segmentation
     raise ValueError. The omni estimate (reference None) reads its sums
-    from them; any other reference makes a pass for its own.
+    from them; any other reference makes a pass for its own, unless
+    `sums`, its `NormalSums` from a pass over `spec`'s frames with those
+    statistics' phi (`SharedOmni.steer`), are given.
 
     Bins with energy below floor are flagged invalid; a bin whose system is
     rank deficient despite carrying energy (stationary source) raises.
@@ -400,8 +473,12 @@ def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig,
         raise ValueError("statistics of another spectrum")
     else:
         _check_segmentation(stats.phi, stats.frames_per_seg, cfg)
-    sums = stats.omni if w is None else _segment_sums(spec, cfg, w,
-                                                      stats.phi)
+    if sums is not None and (w is None or sums.g11.shape != stats.r2.shape):
+        raise ValueError("steered sums of another reference")
+    if w is None:
+        sums = stats.omni
+    elif sums is None:
+        sums, = _segment_sums(spec, cfg, [w], stats.phi)
     degenerate = np.all(sums.spread < _COLLINEAR_TOL, axis=0) & stats.valid
     if np.any(degenerate):
         raise EstimatorDegenerateError(int(np.nonzero(degenerate)[0][0]))
@@ -435,9 +512,11 @@ def interpolate_invalid_bins(est: GfvvEstimate) -> np.ndarray:
 
 
 def estimate_gtvv(spec: SpectrumTensor, cfg: EstimatorConfig,
-                  stats: SegmentStats = None) -> GtvvMatrix:
-    """Least-squares GFVV followed by the inverse transform to the lag domain."""
-    v_f = interpolate_invalid_bins(estimate_gfvv_ls(spec, cfg, stats))
+                  stats: SegmentStats = None,
+                  sums: NormalSums = None) -> GtvvMatrix:
+    """Least-squares GFVV (`stats` and `sums` as in `estimate_gfvv_ls`)
+    followed by the inverse transform to the lag domain."""
+    v_f = interpolate_invalid_bins(estimate_gfvv_ls(spec, cfg, stats, sums))
     return gfvv_to_gtvv(v_f, spec.fs)
 
 

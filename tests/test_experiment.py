@@ -116,6 +116,8 @@ class TestConfig:
         {"seed": True},
         {"orders": (True,)},
         {"rt60": (True,)},
+        # both print as 0.4, the name of their output files
+        {"rt60": (0.4, 0.4000001)},
         # `open` would take these as file descriptors
         {"dict_file": 0},
         {"source_wav": 1},
@@ -269,17 +271,55 @@ class TestRunExperiment:
                                     "estimator system at bin 7")
         assert [repr(records[0]), repr(records[2])] == [want[2], want[1]]
 
-    def test_group_makes_one_omni_pass(self, monkeypatch):
-        # the top order's omni pass serves every order; each cell makes
-        # its own steered pass
+    @staticmethod
+    def counted_passes(monkeypatch) -> list:
+        """The (channels, beam widths, forms phi) of each estimator pass
+        from here on."""
         passes, sums = [], velocity._segment_sums
 
-        def counting(spec, cfg, w, phi, r2=None):  # r2: forms phi
-            passes.append((spec.channels, r2 is not None))
-            return sums(spec, cfg, w, phi, r2)
+        def counting(spec, cfg, beams, phi, r2=None):  # r2: forms phi
+            passes.append((spec.channels, [w.size for w in beams],
+                           r2 is not None))
+            return sums(spec, cfg, beams, phi, r2)
         monkeypatch.setattr(velocity, "_segment_sums", counting)
-        run_experiment(small_config(orders=(1, 2, 3)))
-        assert passes == [(16, True), (16, False), (4, False), (9, False)]
+        return passes
+
+    def test_group_makes_one_omni_pass(self, monkeypatch):
+        # the top order's omni pass serves every order, and its steered
+        # pass forms every lower order's steered sums: a group makes two
+        # passes, and the lower cells none
+        passes = self.counted_passes(monkeypatch)
+        run_experiment(small_config(orders=(1, 2, 3, 4)))
+        assert passes == [(25, [25], True), (25, [25, 4, 9, 16], False)]
+
+    @pytest.mark.parametrize("fails", ["always", "look-ahead"])
+    def test_failed_look_ahead_leaves_its_cell_its_own_pass(
+            self, monkeypatch, fails):
+        # H-TDVV fails on order 2's spectrum: in the top cell's look-ahead
+        # alone, or in order 2's own cell too. Order 2's beam is left out
+        # of the top cell's steered pass; the other records are unchanged
+        cfg = small_config(orders=(1, 2, 4))
+        want = {o: repr(run_single(cfg, 0, 0.16, o)) for o in (1, 2, 4)}
+        h_tdvv, failed = baselines.h_tdvv, []
+
+        def failing(spec, *args):
+            if spec.channels == 9 and (fails == "always" or not failed):
+                failed.append(spec)
+                raise EstimatorDegenerateError(7)
+            return h_tdvv(spec, *args)
+        monkeypatch.setattr(baselines, "h_tdvv", failing)
+        passes = self.counted_passes(monkeypatch)
+        _, records = run_experiment(cfg)
+        assert repr(records[0]) == want[1] and repr(records[2]) == want[4]
+        top = [(25, [25], True), (25, [25, 4], False)]
+        if fails == "always":
+            assert records[1].error == ("EstimatorDegenerateError: "
+                                        "degenerate estimator system at "
+                                        "bin 7")
+            assert passes == top
+        else:
+            assert len(failed) == 1 and repr(records[1]) == want[2]
+            assert passes == top + [(9, [9], False)]
 
     def test_lower_cell_holds_no_top_recording(self, monkeypatch):
         # the group holds views of the top pass's phi and sums, not its
@@ -301,9 +341,13 @@ class TestRunExperiment:
         finally:
             tracemalloc.stop()
         # the order-4 phi per segment; the real g11, spread and r2 and the
-        # complex g12 and r1: views keep the whole arrays; 64 KiB for the
-        # group's own objects, such as the top cell's record
-        held = sh.num_channels(4) * (cfg.win_len // 2 + 1) * (8 * 8 + 7 * 8)
+        # complex g12 and r1: views keep the whole arrays; the order-3
+        # steered sums that the top cell's pass formed, real g11 and
+        # spread and complex g12 and r1; 64 KiB for the group's own
+        # objects, such as the top cell's record
+        bins = cfg.win_len // 2 + 1
+        held = (sh.num_channels(4) * bins * (8 * 8 + 7 * 8)
+                + sh.num_channels(3) * bins * (2 * 8 + 2 * 16))
         assert peaks[3, True] < peaks[3, False] + held + 2 ** 16
 
     def test_cell_cardinality(self):
@@ -509,9 +553,9 @@ class TestAnalyze:
         starts = []
 
         def at_start(fn):
-            def traced(spec, est_cfg, stats):
+            def traced(spec, est_cfg, stats, *sums):
                 starts.append((tracemalloc.get_traced_memory()[0], stats))
-                return fn(spec, est_cfg, stats)
+                return fn(spec, est_cfg, stats, *sums)
             return traced
         monkeypatch.setattr(baselines, "h_tdvv", at_start(baselines.h_tdvv))
         monkeypatch.setattr(experiment, "estimate_gtvv",
@@ -996,6 +1040,20 @@ class TestCli:
         assert main(["evaluate", "--config", str(bad),
                      "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+        assert not os.path.exists(tmp_path / "x")
+
+    @pytest.mark.parametrize("sub", ["simulate", "evaluate"])
+    def test_rt60_names_that_collide_exit_2(self, tmp_path, capsys, sub):
+        # 0.4 and 0.4000001 both name their files `rt0.4`: one would
+        # overwrite the other's WAV, truth and estimate JSONs
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"rt60": [0.4, 0.4000001], "num_scenes": 1, '
+                       '"orders": [1]}')
+        assert main([sub, "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: rt60 values")
+        assert "['0.4', '0.4']" in err
         assert not os.path.exists(tmp_path / "x")
 
     def test_runtime_error_exit_code(self, tmp_path, capsys, monkeypatch,

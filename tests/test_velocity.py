@@ -96,10 +96,12 @@ def normal_sums_vectorised(phi, a1):
 
 
 def omni_pass(spec, cfg, w):
-    """`velocity._segment_sums` forming phi and r2: (sums, phi, r2)."""
+    """`velocity._segment_sums` of the one beam `w` forming phi and r2:
+    (sums, phi, r2)."""
     phi = np.empty((cfg.seg_count, spec.channels, spec.bins))
     r2 = np.empty(phi.shape[1:])
-    return velocity._segment_sums(spec, cfg, w, phi, r2), phi, r2
+    sums, = velocity._segment_sums(spec, cfg, [w], phi, r2)
+    return sums, phi, r2
 
 
 def estimate_gfvv_ls_vectorised(spec, cfg):
@@ -345,7 +347,7 @@ class TestLsAccumulation:
             # formed with phi or reading it; Welford's spread is as exact
             # as the two-pass `np.std`
             want = normal_sums_vectorised(phi, a1)
-            for got in (sums, velocity._segment_sums(spec, cfg, w, phi)):
+            for got in (sums, *velocity._segment_sums(spec, cfg, [w], phi)):
                 for name in ("g11", "g12", "r1"):
                     np.testing.assert_array_equal(getattr(got, name),
                                                   getattr(want, name))
@@ -418,17 +420,18 @@ class TestLsAccumulation:
                 frames_read.extend(range(start, stop))
             return block(self, start, stop)
 
-        def counting_sums(*args):  # (spec, cfg, w, phi[, r2]): r2 forms phi
-            passes.append((args[2].tolist(), len(args) == 5))
+        # (spec, cfg, beams, phi[, r2]): r2 forms phi
+        def counting_sums(*args):
+            passes.append(([w.tolist() for w in args[2]], len(args) == 5))
             return sums(*args)
         monkeypatch.setattr(FrameReader, "block", counting_block)
         monkeypatch.setattr(velocity, "_segment_sums", counting_sums)
-        omni = make_omni_beam(1).tolist()
+        omni = [make_omni_beam(1).tolist()]
         steered = make_reference_beam(Direction(0.3, 0.2), 1)
         for seg, fps in ((8, 24), (4, 24), (8, 12)):
             for beam, want in ((None, [(omni, True)]),
                                (steered, [(omni, True),
-                                          (steered.tolist(), False)])):
+                                          ([steered.tolist()], False)])):
                 cfg = EstimatorConfig(beam, seg_count=seg, frames_per_seg=fps)
                 frames_read.clear()
                 passes.clear()
@@ -480,7 +483,7 @@ class TestLsAccumulation:
         # the noise is seeded per (scene, rt60), so a lower order's
         # recording is the first channels of the top order's, and so are
         # its omni statistics
-        shared = SharedOmni((lower + 1) ** 2)
+        shared = SharedOmni([lower], None)
         shared.keep(segment_stats(sweep_cell_spectrum(top), EstimatorConfig()))
         spec = sweep_cell_spectrum(lower)
         got = shared.stats(spec, EstimatorConfig())
@@ -497,7 +500,7 @@ class TestLsAccumulation:
             estimate_gtvv(spec, EstimatorConfig(), want).data)
 
     def test_channel_slices_checked(self):
-        shared = SharedOmni(4)
+        shared = SharedOmni([1], None)
         stats = segment_stats(sweep_cell_spectrum(2), EstimatorConfig())
         shared.keep(stats)
         # the kept arrays are views of the pass's, not copies, of the
@@ -510,6 +513,72 @@ class TestLsAccumulation:
         for seg in (dict(frames_per_seg=12), dict(seg_count=4)):
             with pytest.raises(ValueError, match="statistics of 8 x 24"):
                 shared.stats(sweep_cell_spectrum(1), EstimatorConfig(**seg))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("top", [4, 6])
+    def test_beams_of_one_pass_equal_their_own_passes(self, thread_pool,
+                                                      top, threads):
+        # one steered pass over the top order's frames forms each lower
+        # order's sums as a pass over that order's own spectrum does, bit
+        # for bit, zero signs included; the beams come in any order
+        thread_pool(threads)
+        spec = sweep_cell_spectrum(top)
+        cfg = EstimatorConfig()
+        orders = range(1, top + 1)
+        beams = [make_reference_beam(Direction(0.5 * o, 0.3 - 0.1 * o), o)
+                 for o in orders]
+        got = velocity._segment_sums(spec, cfg, beams[::-1],
+                                     segment_stats(spec, cfg).phi)[::-1]
+        for order, w, sums in zip(orders, beams, got):
+            own = sweep_cell_spectrum(order)
+            want, = velocity._segment_sums(own, cfg, [w],
+                                           segment_stats(own, cfg).phi)
+            for got_arr, want_arr in zip(sums, want):
+                assert got_arr.shape == (own.channels, own.bins)
+                assert got_arr.tobytes() == want_arr.tobytes()
+
+    def test_widest_beam_weights_every_channel(self):
+        spec = sweep_cell_spectrum(2)
+        stats = segment_stats(spec, EstimatorConfig())
+        beams = [make_reference_beam(Direction(0.3, 0.2), 1)]
+        with pytest.raises(ValueError, match="widest beam has 4 weights"):
+            velocity._segment_sums(spec, EstimatorConfig(), beams, stats.phi)
+
+    def test_kept_sums_read_back_for_their_own_beam(self):
+        # the top order's steered pass keeps the lower beams' sums; a lower
+        # order reads them once, and only for the beam they were formed
+        # for, bit for bit, and its estimate is that of its own pass
+        cfg = EstimatorConfig()
+        spec = sweep_cell_spectrum(4)
+        stats = segment_stats(spec, cfg)
+        shared = SharedOmni([1, 2], None)
+        shared.keep(stats)
+        beam = make_reference_beam(Direction(1.0, -0.4), 4)
+        lower = [make_reference_beam(Direction(0.2 * o, 0.1), o)
+                 for o in (1, 2)]
+        top_sums = shared.steer(stats, cfg, beam, lower)
+        np.testing.assert_array_equal(
+            estimate_gtvv(spec, EstimatorConfig(beam), stats, top_sums).data,
+            estimate_gtvv(spec, EstimatorConfig(beam), stats).data)
+        own = sweep_cell_spectrum(1)
+        near = lower[0].copy()
+        near[1] = np.nextafter(near[1], np.inf)
+        assert shared.sums(near) is None  # and released
+        assert shared.sums(lower[0]) is None
+        own2 = sweep_cell_spectrum(2)
+        kept = shared.sums(lower[1])
+        assert all(not a.flags.writeable for a in kept)
+        assert shared.sums(lower[1]) is None and not shared.steered
+        cfg2 = EstimatorConfig(lower[1])
+        np.testing.assert_array_equal(
+            estimate_gtvv(own2, cfg2, shared.stats(own2, cfg), kept).data,
+            estimate_gtvv(own2, cfg2).data)
+        # sums of another channel count, or with no reference, raise
+        with pytest.raises(ValueError, match="sums of another reference"):
+            estimate_gfvv_ls(own, EstimatorConfig(lower[0]),
+                             shared.stats(own, cfg), kept)
+        with pytest.raises(ValueError, match="sums of another reference"):
+            estimate_gfvv_ls(own2, cfg, shared.stats(own2, cfg), kept)
 
     def test_near_singular_bin_reported(self):
         spec = random_strided_spectrum(1, frames=32, win=64, seed=3)
