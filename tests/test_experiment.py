@@ -116,12 +116,12 @@ class TestConfig:
         {"seed": True},
         {"orders": (True,)},
         {"rt60": (True,)},
-        # both print as 0.4, the name of their output files
-        {"rt60": (0.4, 0.4000001)},
         # `open` would take these as file descriptors
         {"dict_file": 0},
         {"source_wav": 1},
         {"dict_file": True},
+        # both print as 0.4, the name of their output files
+        {"rt60": (0.4, 0.4000001)},
     ])
     def test_invalid_configs_rejected(self, tmp_path, overrides):
         with pytest.raises(ConfigError):
