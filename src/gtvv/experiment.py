@@ -21,10 +21,11 @@ from . import baselines, room
 from .errors import ConfigError, GtvvError
 from .sh import (MAX_ORDER, Dictionary, angular_distance, build_dictionary,
                  make_reference_beam, num_channels, read_direction_file)
-from .somp import MatchReport, match_to_truth, somp
-from .spectral import GtvvMatrix, SpectrumTensor, frame_count, stft
-from .velocity import (EstimatorConfig, SharedOmni, estimate_gtvv,
-                       segment_stats, use_one_thread)
+from .somp import MatchReport, first_atom, match_to_truth, somp
+from .spectral import GtvvMatrix, frame_count, gfvv_to_gtvv, stft
+from .velocity import (EstimatorConfig, SharedOmni, estimate_gfvv_ls,
+                       estimate_gtvv, interpolate_invalid_bins, segment_stats,
+                       use_one_thread)
 
 METHODS = ("srp", "htdvv", "gtvv")
 
@@ -287,13 +288,13 @@ def simulate_cell(cfg: ExperimentConfig, scene_idx: int, rt60: float,
 
 
 def analyze(spec, dictionary: Dictionary, h_iters: int,
-            shared: SharedOmni = None) -> tuple:
+            shared: SharedOmni = None, lower=()) -> tuple:
     """H-TDVV, its S-OMP and the GTVV steered at that S-OMP's first atom:
     returns (v_h, est_h, v_g).
 
     Both estimates share one omni pass (`segment_stats`); the steered one
     adds a pass for its own cross-spectra. `shared`, a group's (see
-    `_execute_group`), shares both passes with the group's lower orders.
+    `_execute_group`), shares both passes with the group's `lower` orders.
     Empty, it is the top cell's: it keeps this omni pass, and this
     steered pass also forms the sums of the lower orders' beams, each
     formed as that order's cell forms it (`_lower_beams`). Filled, it
@@ -316,30 +317,38 @@ def analyze(spec, dictionary: Dictionary, h_iters: int,
     steered = make_reference_beam(est_h.directions[0], dictionary.order)
     sums = None
     if top:
-        sums = shared.steer(stats, cfg, steered, _lower_beams(spec, shared))
+        sums = shared.steer(stats, cfg, steered,
+                            _lower_beams(spec, dictionary, shared, lower))
     elif shared is not None:
         sums = shared.sums(steered)
     v_g = estimate_gtvv(spec, EstimatorConfig(steered), stats, sums)
     return v_h, est_h, v_g
 
 
-def _lower_beams(spec, shared: SharedOmni) -> list:
-    """The steered beam of each of `shared`'s orders, as `analyze` forms
-    it in that order's cell: H-TDVV on the spectrum of `spec`'s first
-    (L+1)^2 channels, which is that cell's, with the kept omni statistics,
-    then the first atom of S-OMP on its dictionary. An order whose chain
-    fails is left out, and its cell makes its own pass."""
+def _lower_beams(spec, dictionary: Dictionary, shared: SharedOmni,
+                 orders) -> list:
+    """The steered beam of each of `orders`, as `analyze` forms it in that
+    order's cell: H-TDVV on the spectrum of `spec`'s first (L+1)^2
+    channels, which is that cell's, with the kept omni statistics, then
+    the atom that S-OMP picks first over that order's dictionary, whose
+    atoms are the first (L+1)^2 rows of `dictionary`'s, bit for bit. An
+    order whose H-TDVV fails is left out, and its cell makes its own
+    pass.
+
+    The chain calls the steps of `baselines.h_tdvv` and `somp` rather
+    than those functions, so that each is called once per cell, by its
+    cell, as perfbench's per-order spans count them."""
     cfg, beams = EstimatorConfig(), []
-    for order in shared.orders:
-        sig = room.AmbisonicSignal(
-            spec.fs, spec.signal.channels[:num_channels(order)])
-        sub = SpectrumTensor(sig, spec.win_len)
+    for order in orders:
+        n = num_channels(order)
+        sub = spec.first_channels(n)
         try:
-            v_h = baselines.h_tdvv(sub, cfg, shared.stats(sub, cfg))
-            first = somp(v_h, shared.dictionary(order), 1).directions[0]
+            v_h = gfvv_to_gtvv(interpolate_invalid_bins(estimate_gfvv_ls(
+                sub, cfg, shared.stats(sub, cfg))), sub.fs)
         except (GtvvError, np.linalg.LinAlgError):
             continue
-        beams.append(make_reference_beam(first, order))
+        first = first_atom(v_h, dictionary.atoms[:n])
+        beams.append(make_reference_beam(dictionary.directions[first], order))
     return beams
 
 
@@ -347,8 +356,8 @@ def run_single(cfg: ExperimentConfig, scene_idx: int, rt60: float,
                order: int, shared: SharedOmni = None) -> RunRecord:
     """One (scene, rt60, order) cell: simulate (see `simulate_cell`),
     estimate with all methods, match against ground truth. `shared`, the
-    group's omni pass, goes to `analyze`; the record is the same without
-    it."""
+    group's passes, goes to `analyze` with the config's orders below this
+    one; the record is the same without it."""
     scene, sig = simulate_cell(cfg, scene_idx, rt60, order)
     dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_directions)
     spec = stft(sig, cfg.win_len)
@@ -366,7 +375,8 @@ def run_single(cfg: ExperimentConfig, scene_idx: int, rt60: float,
         math.nan, math.nan, math.nan)
 
     # H-TDVV (omni reference), and GTVV steered at its DoA estimate
-    _, est_h, v_g = analyze(spec, dictionary, iters, shared)
+    _, est_h, v_g = analyze(spec, dictionary, iters, shared,
+                            [o for o in cfg.orders if o < order])
     rep_h = match_to_truth(est_h, scene, gate)
     metrics["htdvv"] = _to_metrics(rep_h)
     estimates["htdvv"] = est_h.to_json()
@@ -401,8 +411,7 @@ def _execute_group(args) -> list:
     cfg, scene_idx, rt60 = args
     top = max(cfg.orders)
     lower = [o for o in cfg.orders if o != top]
-    shared = SharedOmni(lower, lambda order: build_dictionary(
-        cfg.dict_size, order, cfg.dict_directions)) if lower else None
+    shared = SharedOmni(num_channels(max(lower))) if lower else None
     records = {top: _execute_run(cfg, scene_idx, rt60, top, shared)}
     if records[top].error:
         shared = None

@@ -84,6 +84,27 @@ def candidate_lags(atoms: np.ndarray, amax: float,
     return np.flatnonzero(amax * norms * (1.0 + _BOUND_SLACK) >= peak_floor)
 
 
+def _largest_norm(atoms: np.ndarray) -> float:
+    return float(np.linalg.norm(atoms, axis=0).max())
+
+
+def _peak_atom(atoms: np.ndarray, amax: float, residual: np.ndarray) -> int:
+    """The index of the atom with the largest peak correlation against
+    `residual` over the `candidate_lags`, the lowest on a tie."""
+    lags = candidate_lags(atoms, amax, residual)
+    corr = np.abs(atoms.T @ residual[:, lags])  # (atoms, candidates)
+    return int(np.argmax(corr.max(axis=1)))
+
+
+def first_atom(v: GtvvMatrix, atoms: np.ndarray) -> int:
+    """The index of the atom that `somp` picks first from `v` over a
+    dictionary of these atoms, computed as `somp` computes it, with no
+    projection, delay or residual norm."""
+    if atoms.shape[0] != v.data.shape[0]:
+        raise ValueError("atoms do not match the GTVV channels")
+    return _peak_atom(atoms, _largest_norm(atoms), -v.data)
+
+
 def somp(v: GtvvMatrix, dictionary: Dictionary, iters: int) -> EstimateSet:
     """Algorithm: per iteration, pick the atom with the largest peak
     correlation against the residual, read its delay at the correlation
@@ -115,7 +136,7 @@ def somp(v: GtvvMatrix, dictionary: Dictionary, iters: int) -> EstimateSet:
     if not 1 <= iters <= channels:
         raise ValueError("iteration count must lie in [1, channel count]")
     atoms = dictionary.atoms
-    amax = float(np.linalg.norm(atoms, axis=0).max())
+    amax = _largest_norm(atoms)
     zero = v.zero_index
     time_axis = v.time_axis
 
@@ -126,9 +147,7 @@ def somp(v: GtvvMatrix, dictionary: Dictionary, iters: int) -> EstimateSet:
     coeffs = np.zeros((0, v.win_len))
     terminated = False
     for _ in range(iters):
-        lags = candidate_lags(atoms, amax, residual)
-        corr = np.abs(atoms.T @ residual[:, lags])  # (atoms, candidates)
-        s = int(np.argmax(corr.max(axis=1)))
+        s = _peak_atom(atoms, amax, residual)
         if s in selected:
             terminated = True
             break

@@ -8,6 +8,7 @@ off `time_axis`, never off raw column indices.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,18 @@ class SpectrumTensor:
         # alternating sum, as products of the frame with these columns
         self._window_edges = np.stack([self._window, self._window], axis=1)
         self._window_edges[1::2, 1] *= -1.0
+
+    def first_channels(self, channels: int) -> "SpectrumTensor":
+        """The spectrum of the first `channels` channels of the signal:
+        bit for bit a new `SpectrumTensor` of them, without the check of
+        samples that this one's has passed."""
+        if not 0 < channels <= self.channels:
+            raise ValueError(f"{channels} of {self.channels} channels")
+        sub = copy.copy(self)
+        sub.signal = AmbisonicSignal(self.fs, self.signal.channels[:channels])
+        sub.channels = channels
+        sub._view = self._view[:, :channels]
+        return sub
 
     def _check_run(self, start: int, stop: int):
         if not 0 <= start < stop <= min(self.frames, start + FRAME_BLOCK):
@@ -156,6 +169,17 @@ class FrameReader:
         x[...] = spec._view[start:stop]
         x *= spec._window
         return np.fft.rfft(x, axis=-1, out=self._spectra[:stop - start])
+
+    def spare(self, rows: int) -> np.ndarray:
+        """A (rows, bins) complex buffer for the caller's use between
+        blocks, which the next block overwrites: the memory where blocks
+        window their frames, which no block reads once it has returned,
+        if it is large enough, else a buffer of its own."""
+        size = rows * self._spectra.shape[-1]
+        if 2 * size > self._windowed.size:
+            return np.empty((rows, self._spectra.shape[-1]), dtype=complex)
+        return self._windowed.reshape(-1)[:2 * size].view(complex).reshape(
+            rows, -1)
 
 
 def frame_blocks(stop: int):

@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import EstimatorDegenerateError, ExpansionInvalidError
 from .room import GroundTruthScene, fractional_delay_kernel
-from .sh import (Direction, make_omni_beam, num_channels, order_from_channels,
-                 sh_eval)
+from .sh import Direction, make_omni_beam, order_from_channels, sh_eval
 from .spectral import FRAME_BLOCK, GtvvMatrix, SpectrumTensor, gfvv_to_gtvv
 
 _ENERGY_FLOOR = 1e-9
@@ -144,7 +143,8 @@ def _segment_sums(spec: SpectrumTensor, cfg: EstimatorConfig, beams,
     reads the first channels of phi that it weights.
 
     Each frame is conjugated once; the widest beam's product overwrites
-    that conjugate, the others' share one scratch buffer. Each product is
+    that conjugate, the others' go to the reader's `spare` memory, which
+    the frames' windowing leaves free between blocks. Each product is
     formed as a pass over the beam's own spectrum would form it, from the
     same first channels of the frame, so each beam's sums are those of its
     own pass, bit for bit.
@@ -196,7 +196,7 @@ def _segment_sums(spec: SpectrumTensor, cfg: EstimatorConfig, beams,
     # blocks (one frame a run is not).
     frames = max(1, FRAME_BLOCK // (2 * runs))
 
-    def mean(seg, a1s, reader, conj_u, ref_outs, scratch):
+    def mean(seg, a1s, reader, conj_u, ref_outs, spare):
         # the means start at -0, which adds as nothing does: their bits are
         # those of np.mean's sums, which start at the first frame
         for a1 in a1s:
@@ -225,7 +225,7 @@ def _segment_sums(spec: SpectrumTensor, cfg: EstimatorConfig, beams,
                     u = np.conjugate(b[i], out=conj_u)
                     seg_phi += np.multiply(b[i], u, out=b[i]).real
                 for a1_n, ref_n, n in lower:
-                    a1_n += np.multiply(ref_n[i], u[:n], out=scratch[:n])
+                    a1_n += np.multiply(ref_n[i], u[:n], out=spare[:n])
                 a1 += np.multiply(ref[i], u, out=u)
         for a1 in a1s:
             a1 /= fps
@@ -236,13 +236,13 @@ def _segment_sums(spec: SpectrumTensor, cfg: EstimatorConfig, beams,
     # run's thread allocated and freed would stay in its own malloc arena.
     # A steered pass conjugates each frame in place; the omni pass needs the
     # frame too, for phi.
+    readers = [spec.reader(frames) for _ in range(runs)]
     args = [([np.empty((n, spec.bins), dtype=complex) for n in widths],
-             spec.reader(frames),
+             reader,
              None if r2 is None else np.empty(shape, dtype=complex),
              [np.empty((frames, 2 * spec.bins)) for _ in beams],
-             None if len(beams) == 1 else np.empty(
-                 (widths[fold[-2]], spec.bins), dtype=complex))
-            for _ in range(runs)]
+             None if len(beams) == 1 else reader.spare(widths[fold[-2]]))
+            for reader in readers]
     # The sums start at -0 too, as np.sum's start at the first segment.
     sums = [([np.full((n, spec.bins), -0.0) for _ in range(3)]
              + [np.full((n, spec.bins), _MINUS_ZERO) for _ in range(2)])
@@ -368,9 +368,8 @@ def _check_segmentation(phi, frames_per_seg, cfg: EstimatorConfig):
 
 
 class SharedOmni:
-    """The passes of a recording's top order, shared with its lower
-    orders: `orders`, each of whose recordings is the top's first (L+1)^2
-    channels, and `dictionary(order)`, each one's dictionary.
+    """The passes of a recording's top order, shared with its lower orders,
+    each of whose recordings is the top's first (L+1)^2 channels.
 
     The omni beam of order L weights channel 0 alone, and each channel's
     spectrum depends on that channel alone, so the omni sums, phi and r2
@@ -385,11 +384,8 @@ class SharedOmni:
     beam is the one they were formed for.
     """
 
-    def __init__(self, orders, dictionary):
-        self.orders = tuple(orders)
-        self.dictionary = dictionary
-        # the most channels that `stats` reads
-        self.channels = num_channels(max(self.orders))
+    def __init__(self, channels: int):
+        self.channels = channels  # the most channels that `stats` reads
         self.omni = self.phi = self.r2 = self.frames_per_seg = None
         self.steered = {}  # channels -> (beam bytes, NormalSums)
 
@@ -421,16 +417,22 @@ class SharedOmni:
 
     def steer(self, stats: SegmentStats, cfg: EstimatorConfig, beam,
               lower) -> NormalSums:
-        """One steered pass over the frames of `stats`' spectrum, with its
-        phi, for `beam` and the `lower` beams, which read the first
-        channels of each frame: keeps each lower beam's sums, by its
-        channel count, and returns `beam`'s."""
+        """One steered pass over the frames of `stats`' spectrum, the kept
+        pass's, with its phi, for `beam` and the `lower` beams, which read
+        the first channels of each frame: keeps each lower beam's sums, by
+        its channel count, and returns `beam`'s.
+
+        The pass over, the kept views become copies, so that the top
+        order's arrays go with its cell: a lower cell holds its own
+        channels of them, not the top order's."""
         _check_segmentation(stats.phi, stats.frames_per_seg, cfg)
         got = _segment_sums(stats.spectrum, cfg, [beam, *lower], stats.phi)
         for w, sums in zip(lower, got[1:]):
             for arr in sums:
                 arr.flags.writeable = False
             self.steered[w.size] = (w.tobytes(), sums)
+        self.omni = NormalSums(*(a.copy() for a in self.omni))
+        self.phi, self.r2 = self.phi.copy(), self.r2.copy()
         return got[0]
 
     def sums(self, beam) -> NormalSums:

@@ -300,19 +300,27 @@ class TestRunExperiment:
         # of the top cell's steered pass; the other records are unchanged
         cfg = small_config(orders=(1, 2, 4))
         want = {o: repr(run_single(cfg, 0, 0.16, o)) for o in (1, 2, 4)}
-        h_tdvv, failed = baselines.h_tdvv, []
+        failed = []
 
-        def failing(spec, *args):
-            if spec.channels == 9 and (fails == "always" or not failed):
-                failed.append(spec)
-                raise EstimatorDegenerateError(7)
-            return h_tdvv(spec, *args)
-        monkeypatch.setattr(baselines, "h_tdvv", failing)
+        def failing(fn):
+            def estimator(spec, *args):
+                if spec.channels == 9:
+                    failed.append(spec)
+                    raise EstimatorDegenerateError(7)
+                return fn(spec, *args)
+            return estimator
+        # the look-ahead's H-TDVV, and the cell's
+        monkeypatch.setattr(experiment, "estimate_gfvv_ls",
+                            failing(experiment.estimate_gfvv_ls))
+        if fails == "always":
+            monkeypatch.setattr(baselines, "h_tdvv",
+                                failing(baselines.h_tdvv))
         passes = self.counted_passes(monkeypatch)
         _, records = run_experiment(cfg)
         assert repr(records[0]) == want[1] and repr(records[2]) == want[4]
         top = [(25, [25], True), (25, [25, 4], False)]
         if fails == "always":
+            assert len(failed) == 2
             assert records[1].error == ("EstimatorDegenerateError: "
                                         "degenerate estimator system at "
                                         "bin 7")
@@ -320,6 +328,38 @@ class TestRunExperiment:
         else:
             assert len(failed) == 1 and repr(records[1]) == want[2]
             assert passes == top + [(9, [9], False)]
+
+    def test_look_ahead_calls_no_cell_layer(self, monkeypatch):
+        # the top cell works out the lower beams without the estimator,
+        # S-OMP and dictionary functions that each cell calls by name, so
+        # that each order's cell calls them as often as a cell alone does
+        counts, cell = {}, [None]
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def call(*args, **kwargs):
+                counts[name, cell[0]] = counts.get((name, cell[0]), 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, call)
+        for module, name in [(baselines, "h_tdvv"),
+                             (experiment, "estimate_gtvv"),
+                             (experiment, "somp"),
+                             (experiment, "build_dictionary"),
+                             (experiment, "stft")]:
+            counted(module, name)
+        run = experiment.run_single
+
+        def in_cell(cfg, scene, rt60, order, shared=None):
+            cell[0] = order
+            return run(cfg, scene, rt60, order, shared)
+        monkeypatch.setattr(experiment, "run_single", in_cell)
+        run_experiment(small_config(orders=(1, 2, 3, 4)))
+        grouped = dict(counts)
+        counts.clear()
+        for order in (1, 2, 3, 4):
+            run_experiment(small_config(orders=(order,)))
+        assert grouped == counts
 
     def test_lower_cell_holds_no_top_recording(self, monkeypatch):
         # the group holds views of the top pass's phi and sums, not its
@@ -341,13 +381,9 @@ class TestRunExperiment:
         finally:
             tracemalloc.stop()
         # the order-4 phi per segment; the real g11, spread and r2 and the
-        # complex g12 and r1: views keep the whole arrays; the order-3
-        # steered sums that the top cell's pass formed, real g11 and
-        # spread and complex g12 and r1; 64 KiB for the group's own
-        # objects, such as the top cell's record
-        bins = cfg.win_len // 2 + 1
-        held = (sh.num_channels(4) * bins * (8 * 8 + 7 * 8)
-                + sh.num_channels(3) * bins * (2 * 8 + 2 * 16))
+        # complex g12 and r1: views keep the whole arrays; 64 KiB for the
+        # group's own objects, such as the top cell's record
+        held = sh.num_channels(4) * (cfg.win_len // 2 + 1) * (8 * 8 + 7 * 8)
         assert peaks[3, True] < peaks[3, False] + held + 2 ** 16
 
     def test_cell_cardinality(self):

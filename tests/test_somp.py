@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from gtvv.room import GroundTruthScene, Wavefront
 from gtvv.sh import (Direction, angular_distance, build_dictionary,
                      make_reference_beam, num_channels, sh_eval)
-from gtvv.somp import EstimateSet, candidate_lags, match_to_truth, somp
+from gtvv.somp import (EstimateSet, candidate_lags, first_atom, match_to_truth,
+                       somp)
 from gtvv.spectral import GtvvMatrix
 from gtvv.velocity import RelativeWavefront, gtvv_closed_form
 from oracles import nearest
@@ -267,6 +268,24 @@ class TestSomp:
         one, full = somp(v, dic, 1), somp(v, dic, iters)
         assert one.directions[0] == full.directions[0]
         assert one.delays[0] == full.delays[0]
+        assert dic.directions[first_atom(v, dic.atoms)] == full.directions[0]
+
+    @pytest.mark.parametrize("top", [4, 6])
+    def test_first_atom_over_a_lower_orders_rows(self, top):
+        # a lower order's atoms are the first rows of a higher order's,
+        # bit for bit, so its first pick can be read off the higher
+        # order's dictionary
+        rng = np.random.default_rng(top)
+        high = build_dictionary(500, top)
+        for order in range(1, top):
+            low = build_dictionary(500, order)
+            rows = high.atoms[:(order + 1) ** 2]
+            assert rows.tobytes() == low.atoms.tobytes()
+            v = GtvvMatrix(rng.standard_normal(((order + 1) ** 2, 64)), FS)
+            assert (high.directions[first_atom(v, rows)]
+                    == somp(v, low, 1).directions[0])
+        with pytest.raises(ValueError, match="atoms do not match"):
+            first_atom(v, high.atoms)
 
     def test_json_serialization(self):
         d = Direction(math.radians(30), math.radians(-10))

@@ -157,6 +157,48 @@ class TestStft:
             with pytest.raises(ValueError, match="1 to 8 of 0:21"):
                 read(start, stop)
 
+    def test_spare_memory_leaves_the_blocks_alone(self):
+        # the spare rows live where the frames are windowed, and what the
+        # caller writes there between blocks is no part of the next one
+        sig = make_signal(np.random.default_rng(4).standard_normal((9, 1536)))
+        spec = stft(sig, 256)
+        reader = spec.reader(2)
+        spare = reader.spare(8)
+        assert spare.shape == (8, spec.bins) and spare.dtype == complex
+        assert spare.base is not None  # a view, of the windowing buffer
+        for start in range(0, spec.frames - 1, 2):
+            spare[...] = np.nan
+            np.testing.assert_array_equal(
+                reader.block(start, start + 2),
+                stft_stacked(sig, 256)[start:start + 2])
+        # more rows than that memory holds: a buffer of its own
+        big = reader.spare(9 * 2)
+        assert big.shape == (18, spec.bins) and big.base is None
+
+    def test_first_channels_are_their_own_spectrum(self):
+        sig = make_signal(np.random.default_rng(5).standard_normal((9, 1536)))
+        spec = stft(sig, 256)
+        for n in (1, 4, 9):
+            sub = spec.first_channels(n)
+            own = stft(AmbisonicSignal(FS, sig.channels[:n]), 256)
+            assert (sub.channels, sub.frames, sub.bins) == (
+                own.channels, own.frames, own.bins)
+            weights = np.linspace(0.5, 1.5, own.frames)
+            edges = np.empty((own.frames, n, 2))
+            for start, stop in frame_blocks(own.frames):
+                got, want = sub.energy(start, stop), own.energy(start, stop)
+                edges[start:stop] = want[1]
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes()
+                assert (sub.reader(FRAME_BLOCK).block(start, stop).tobytes()
+                        == own.reader(FRAME_BLOCK).block(start, stop)
+                        .tobytes())
+            assert (sub.weighted_cross_power(weights, edges).tobytes()
+                    == own.weighted_cross_power(weights, edges).tobytes())
+        for n in (0, 10):
+            with pytest.raises(ValueError, match=f"{n} of 9 channels"):
+                spec.first_channels(n)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e306,
                                      -1e306])
     def test_non_finite_or_overflowing_sample_rejected(self, bad):

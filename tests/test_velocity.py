@@ -483,7 +483,7 @@ class TestLsAccumulation:
         # the noise is seeded per (scene, rt60), so a lower order's
         # recording is the first channels of the top order's, and so are
         # its omni statistics
-        shared = SharedOmni([lower], None)
+        shared = SharedOmni((lower + 1) ** 2)
         shared.keep(segment_stats(sweep_cell_spectrum(top), EstimatorConfig()))
         spec = sweep_cell_spectrum(lower)
         got = shared.stats(spec, EstimatorConfig())
@@ -500,7 +500,7 @@ class TestLsAccumulation:
             estimate_gtvv(spec, EstimatorConfig(), want).data)
 
     def test_channel_slices_checked(self):
-        shared = SharedOmni([1], None)
+        shared = SharedOmni(4)
         stats = segment_stats(sweep_cell_spectrum(2), EstimatorConfig())
         shared.keep(stats)
         # the kept arrays are views of the pass's, not copies, of the
@@ -551,12 +551,16 @@ class TestLsAccumulation:
         cfg = EstimatorConfig()
         spec = sweep_cell_spectrum(4)
         stats = segment_stats(spec, cfg)
-        shared = SharedOmni([1, 2], None)
+        shared = SharedOmni(9)
         shared.keep(stats)
         beam = make_reference_beam(Direction(1.0, -0.4), 4)
         lower = [make_reference_beam(Direction(0.2 * o, 0.1), o)
                  for o in (1, 2)]
         top_sums = shared.steer(stats, cfg, beam, lower)
+        # the pass over, the group holds copies of the lower orders'
+        # channels, not views that keep the top order's arrays
+        for kept in (*shared.omni, shared.phi, shared.r2):
+            assert kept.base is None and kept.shape[-2] == 9
         np.testing.assert_array_equal(
             estimate_gtvv(spec, EstimatorConfig(beam), stats, top_sums).data,
             estimate_gtvv(spec, EstimatorConfig(beam), stats).data)
