@@ -173,12 +173,13 @@ class FrameReader:
     def spare(self, rows: int) -> np.ndarray:
         """A (rows, bins) complex buffer for the caller's use between
         blocks, which the next block overwrites: the memory where blocks
-        window their frames, which no block reads once it has returned,
-        if it is large enough, else a buffer of its own."""
-        size = rows * self._spectra.shape[-1]
-        if 2 * size > self._windowed.size:
-            return np.empty((rows, self._spectra.shape[-1]), dtype=complex)
-        return self._windowed.reshape(-1)[:2 * size].view(complex).reshape(
+        window their frames, which no block reads once it has returned.
+        More rows than that memory holds is a ValueError."""
+        size = 2 * rows * self._spectra.shape[-1]  # float64s
+        if size > self._windowed.size:
+            raise ValueError(f"{rows} spare rows of {self._spectra.shape[-1]}"
+                             " bins do not fit the reader's memory")
+        return self._windowed.reshape(-1)[:size].view(complex).reshape(
             rows, -1)
 
 

@@ -171,9 +171,10 @@ class TestStft:
             np.testing.assert_array_equal(
                 reader.block(start, start + 2),
                 stft_stacked(sig, 256)[start:start + 2])
-        # more rows than that memory holds: a buffer of its own
-        big = reader.spare(9 * 2)
-        assert big.shape == (18, spec.bins) and big.base is None
+        # 2 frames of 9 channels of 256 samples hold 17 rows of 129 bins
+        assert reader.spare(17).shape == (17, spec.bins)
+        with pytest.raises(ValueError, match="18 spare rows of 129 bins"):
+            reader.spare(18)
 
     def test_first_channels_are_their_own_spectrum(self):
         sig = make_signal(np.random.default_rng(5).standard_normal((9, 1536)))
