@@ -423,8 +423,8 @@ class SharedOmni:
         its channel count, and returns `beam`'s.
 
         The pass over, the kept views become copies, so that the top
-        order's arrays go with its cell: a lower cell holds its own
-        channels of them, not the top order's."""
+        order's arrays go with its cell and the group holds only the
+        lower orders' channels of them."""
         _check_segmentation(stats.phi, stats.frames_per_seg, cfg)
         got = _segment_sums(stats.spectrum, cfg, [beam, *lower], stats.phi)
         for w, sums in zip(lower, got[1:]):
