@@ -1,7 +1,8 @@
 """Command-line entry point: gtvv simulate|estimate|infer|evaluate|traces.
 
-Exit codes: 0 success, 2 configuration error, 3 run-time numerical error
-(for `evaluate`: any failed run, after the results are written).
+Exit codes: 0 success, 2 config or output-path error, 3 run-time
+numerical error (for `evaluate`: any failed run, after the results are
+written).
 """
 
 from __future__ import annotations
@@ -100,6 +101,7 @@ def cmd_infer(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
+    os.makedirs(args.out, exist_ok=True)
     start = time.monotonic()
     table, records = run_experiment(cfg)
     elapsed = time.monotonic() - start
@@ -119,11 +121,11 @@ def cmd_traces(args) -> int:
     cfg = _load_config(args)
     order = max(cfg.orders) if args.order is None else args.order
     cfg.check_order(order)
+    os.makedirs(args.out, exist_ok=True)
     _, sig = simulate_cell(cfg, 0, cfg.rt60[-1], order)
     spec = stft(sig, cfg.win_len)
     dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_directions)
     v_h, _, v_g = analyze(spec, dictionary, 1)
-    os.makedirs(args.out, exist_ok=True)
     for name, v in (("htdvv", v_h), ("gtvv", v_g)):
         path = os.path.join(args.out, f"trace_{name}.csv")
         dump_traces(v, path)
@@ -182,6 +184,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # input reads raise ConfigError
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except (GtvvError, ValueError, FloatingPointError,
             np.linalg.LinAlgError) as exc:

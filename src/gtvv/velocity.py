@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -158,13 +157,12 @@ def _segment_sums(spec: SpectrumTensor, cfg: EstimatorConfig, beams,
     loses. The beams' folds share their temporaries. The pass makes one
     run per CPU that the process may run on (one in all after
     `use_one_thread`), and no more than segments. One run reads the
-    segments on the calling thread. More read waves of `runs` consecutive
-    segments, run r segment r of each wave, each run on a thread of its
-    own into means of its own: the caller adds the segments in order as
-    they are finished, and a run starts its next segment once the caller
-    has added its last, so the pass holds O(runs × channels × bins)
-    whatever the segment count. The threads start and end within the
-    pass; at a run's error the caller stops every run, joins them and
+    segments on the calling thread. More runs read on a
+    `ThreadPoolExecutor` of `runs` threads, run r segments r, r + runs,
+    ..., each into means of its own: the caller adds the segments in order
+    as they are finished, and submits a run's next segment once it has
+    added its last, so the pass holds O(runs × channels × bins) whatever
+    the segment count. The pool's threads end within the pass, which
     raises the error of the earliest segment that failed. Each run reads
     its frames through a reader of its own and adds them one at a time in
     order, as `np.mean` over the frame axis adds them. phi sums the real
@@ -274,42 +272,17 @@ def _segment_sums(spec: SpectrumTensor, cfg: EstimatorConfig, beams,
             mean(seg, *args[0])
             add(seg)
     else:
+        from concurrent.futures import ThreadPoolExecutor
         # run r reads segments r, r + runs, ..., each once the caller has
         # added its last from its mean
-        free = [threading.Semaphore(1) for _ in range(runs)]
-        done = [threading.Semaphore(0) for _ in range(runs)]
-        errors = [None] * runs
-        stop = threading.Event()
-
-        def run(r):
-            for seg in range(r, cfg.seg_count, runs):
-                free[r].acquire()
-                if stop.is_set():
-                    return
-                try:
-                    mean(seg, *args[r])
-                except BaseException as exc:  # raised by the caller
-                    errors[r] = exc
-                    return
-                finally:
-                    done[r].release()
-        workers = [threading.Thread(target=run, args=(r,))
-                   for r in range(runs)]
-        for t in workers:
-            t.start()
-        try:
+        with ThreadPoolExecutor(runs) as pool:
+            running = [pool.submit(mean, r, *args[r]) for r in range(runs)]
             for seg in range(cfg.seg_count):
-                done[seg % runs].acquire()
-                if errors[seg % runs] is not None:
-                    raise errors[seg % runs]
+                r = seg % runs
+                running[r].result()
                 add(seg)
-                free[seg % runs].release()
-        finally:
-            stop.set()
-            for sem in free:
-                sem.release()
-            for t in workers:
-                t.join()
+                if seg + runs < cfg.seg_count:
+                    running[r] = pool.submit(mean, seg + runs, *args[r])
     # spread = sqrt(m2 / n) / (mean |a1| + tiny), in m2's buffer
     n = cfg.seg_count
     out = []

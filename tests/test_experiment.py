@@ -821,6 +821,35 @@ class TestCli:
         # the steered reference is the more causal one
         assert printed["gtvv"] < printed["htdvv"]
 
+    @pytest.mark.parametrize("sub", ["simulate", "infer", "estimate",
+                                     "evaluate", "traces"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, monkeypatch,
+                                    order2_wav, sub):
+        # an --out under a regular file is an output error, reported on
+        # one line; evaluate and traces make their directory before they
+        # simulate anything
+        cfg, wav = order2_wav
+        work = []
+
+        def counting(fn):
+            def counted(*args, **kwargs):
+                work.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return counted
+        for name in ("run_experiment", "simulate_cell"):
+            monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
+        blocker = tmp_path / "notadir"
+        blocker.touch()
+        argv = [sub, "--config", cfg, "--out", str(blocker / "out")]
+        if sub in ("infer", "estimate"):
+            argv += ["--wav", wav]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        if sub in ("evaluate", "traces"):
+            assert work == []
+
     @pytest.mark.parametrize("channels", [1, 5, 8])
     def test_wav_channel_count_not_a_full_order(self, tmp_path, capsys,
                                                 channels):

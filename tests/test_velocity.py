@@ -834,6 +834,46 @@ class TestSegmentThreads:
         assert sorted(read) == list(range(24, 4 * 24))
         assert threading.active_count() == before
 
+    def test_caller_error_raised_once_every_run_ends(self, thread_pool,
+                                                     monkeypatch):
+        thread_pool(4)
+        spec = random_strided_spectrum(1, frames=8 * 24)
+        cfg = EstimatorConfig()
+        phi = segment_stats(spec, cfg).phi
+        read, reader = [], spec.reader
+
+        class FoldError(Exception):
+            pass
+
+        class FailingPhi(np.ndarray):
+            """phi that raises when segment 3 is read: in a steered pass,
+            only the caller's fold of the segments reads phi."""
+
+            def __getitem__(self, key):
+                if isinstance(key, tuple) and key[0] == 3:
+                    raise FoldError(3)
+                return super().__getitem__(key)
+
+        class Noting:
+            """A reader that notes the frames it reads."""
+
+            def __init__(self, frames):
+                self.inner = reader(frames)
+
+            def block(self, start, stop):
+                read.extend(range(start, stop))
+                return self.inner.block(start, stop)
+        monkeypatch.setattr(spec, "reader", Noting)
+        beam = make_reference_beam(Direction(0.3, 0.2), 1)
+        before = threading.active_count()
+        with pytest.raises(FoldError):
+            velocity._segment_sums(spec, cfg, [beam], phi.view(FailingPhi))
+        # segments 4 to 6 were in flight as segment 3 was folded, and none
+        # after them started
+        assert set(range(4 * 24)) <= set(read)
+        assert max(read) < 7 * 24
+        assert threading.active_count() == before
+
     def test_forked_child_estimates_alone(self, thread_pool):
         # a child forked after a 2-thread estimate starts threads of its
         # own for its passes, and gets the parent's GTVV
