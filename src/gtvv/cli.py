@@ -20,7 +20,7 @@ from .experiment import (ExperimentConfig, analyze, dump_traces,
                          run_experiment, simulate_cell, write_results)
 from .sh import MAX_ORDER, build_dictionary, order_from_channels
 from .somp import somp
-from .spectral import stft
+from .spectral import frame_count, stft
 from .velocity import EstimatorConfig, negative_lag_energy_fraction
 
 
@@ -63,16 +63,36 @@ def _wav_order(path, channels: int) -> int:
                       "(order + 1)² channels")
 
 
+def _check_out_dir(path):
+    """An `OSError` unless the output file `path` is no directory and its
+    own directory is an existing, writable one: checked before any input
+    is read."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise OSError(f"{path} is a directory")
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise OSError(f"{folder} is not a writable directory")
+
+
 def _gtvv_from_wav(args, cfg: ExperimentConfig):
     """The `--method` trace of the `--wav` recording: returns (trace, order,
     dictionary), the dictionary None where the method needs none
-    (htdvv)."""
+    (htdvv). The estimator reads the first `seg_count × frames_per_seg`
+    frames; a recording that holds more whole segments is reported on
+    stderr."""
+    _check_out_dir(args.out)
     sig = cfg.read_recording(args.wav)
     order = _wav_order(args.wav, sig.channels.shape[0])
+    est = EstimatorConfig()
+    held = frame_count(sig.num_samples, cfg.win_len)
+    if held // est.frames_per_seg > est.seg_count:
+        print(f"note: the estimator reads the first "
+              f"{est.seg_count * est.frames_per_seg} of the {held} frames "
+              f"of {args.wav}", file=sys.stderr)
     cfg.check_order(order)
     spec = stft(sig, cfg.win_len)
     if args.method == "htdvv":
-        return baselines.h_tdvv(spec, EstimatorConfig()), order, None
+        return baselines.h_tdvv(spec, est), order, None
     dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_directions)
     _, _, v = analyze(spec, dictionary, 1)
     return v, order, dictionary
@@ -143,10 +163,15 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, out_default=None, out_help="output path"):
         p.add_argument("--config", help="experiment config JSON")
         p.add_argument("--out", default=out_default, help=out_help)
-        p.add_argument("--seed", type=int, default=None)
+
+    def seeded(p):  # the commands that simulate scenes
+        p.add_argument("--seed", type=int, default=None,
+                       help="scene, source and noise seed (default: the "
+                       "config's, 1)")
 
     p = sub.add_parser("simulate", help="generate scenes, truth JSON and WAVs")
     common(p, "sim_out", "output directory")
+    seeded(p)
     p.add_argument("--order", type=int, default=None,
                    choices=range(1, MAX_ORDER + 1))
     p.set_defaults(func=cmd_simulate)
@@ -165,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="run the full sweep and write tables")
     common(p, "results", "output directory")
+    seeded(p)
     p.add_argument("--workers", type=int, default=None,
                    help="sweep processes (default: the config's, 1)")
     p.set_defaults(func=cmd_evaluate)
@@ -172,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("traces", help="dump paired H-TDVV/GTVV trace CSVs "
                        "and print their negative-lag energy fractions")
     common(p, "traces", "output directory")
+    seeded(p)
     p.add_argument("--order", type=int, default=None,
                    choices=range(1, MAX_ORDER + 1))
     p.set_defaults(func=cmd_traces)

@@ -23,9 +23,9 @@ from .sh import (MAX_ORDER, Dictionary, angular_distance, build_dictionary,
                  make_reference_beam, num_channels, read_direction_file)
 from .somp import MatchReport, first_atom, match_to_truth, somp
 from .spectral import GtvvMatrix, frame_count, gfvv_to_gtvv, stft
-from .velocity import (EstimatorConfig, SharedOmni, estimate_gfvv_ls,
-                       estimate_gtvv, interpolate_invalid_bins, segment_stats,
-                       use_one_thread)
+from .velocity import (EstimatorConfig, SharedOmni, estimate_gtvv,
+                       interpolate_invalid_bins, lower_omni_gfvv,
+                       segment_stats, use_one_thread)
 
 METHODS = ("srp", "htdvv", "gtvv")
 
@@ -288,18 +288,18 @@ def simulate_cell(cfg: ExperimentConfig, scene_idx: int, rt60: float,
 
 
 def analyze(spec, dictionary: Dictionary, h_iters: int,
-            shared: SharedOmni = None, lower=()) -> tuple:
+            shared: SharedOmni = None) -> tuple:
     """H-TDVV, its S-OMP and the GTVV steered at that S-OMP's first atom:
     returns (v_h, est_h, v_g).
 
     Both estimates share one omni pass (`segment_stats`); the steered one
     adds a pass for its own cross-spectra. `shared`, a group's (see
-    `_execute_group`), shares both passes with the group's `lower` orders.
-    Empty, it is the top cell's: it keeps this omni pass, and this
-    steered pass also forms the sums of the lower orders' beams, each
-    formed as that order's cell forms it (`_lower_beams`). Filled, it
-    gives the omni statistics as channel slices, and the kept steered
-    sums if they were formed for this beam: then no pass is made.
+    `_execute_group`), shares both passes with the group's lower orders.
+    Empty, it is the top cell's: this steered pass also forms the sums of
+    the lower orders' beams, each formed as that order's cell forms it
+    (`_lower_beams`), and fills `shared`. Filled, it gives the omni
+    statistics as channel slices, and the kept steered sums if they were
+    formed for this beam: then no pass is made.
 
     `est_h` runs `h_iters` iterations. S-OMP is greedy, so one iteration
     picks the atom that a full run picks first, and steers alike.
@@ -310,41 +310,36 @@ def analyze(spec, dictionary: Dictionary, h_iters: int,
         stats = shared.stats(spec, cfg)
     else:
         stats = segment_stats(spec, cfg)
-        if top:
-            shared.keep(stats)
     v_h = baselines.h_tdvv(spec, cfg, stats)
     est_h = somp(v_h, dictionary, h_iters)
     steered = make_reference_beam(est_h.directions[0], dictionary.order)
     sums = None
     if top:
         sums = shared.steer(stats, cfg, steered,
-                            _lower_beams(spec, dictionary, shared, lower))
+                            _lower_beams(stats, dictionary, shared.orders))
     elif shared is not None:
         sums = shared.sums(steered)
     v_g = estimate_gtvv(spec, EstimatorConfig(steered), stats, sums)
     return v_h, est_h, v_g
 
 
-def _lower_beams(spec, dictionary: Dictionary, shared: SharedOmni,
-                 orders) -> list:
+def _lower_beams(stats, dictionary: Dictionary, orders) -> list:
     """The steered beam of each of `orders`, as `analyze` forms it in that
-    order's cell: H-TDVV on the spectrum of `spec`'s first (L+1)^2
-    channels, which is that cell's, with the kept omni statistics, then
-    the atom that S-OMP picks first over that order's dictionary, whose
-    atoms are the first (L+1)^2 rows of `dictionary`'s, bit for bit. An
-    order whose H-TDVV fails is left out, and its cell makes its own
-    pass.
+    order's cell: H-TDVV from the first (L+1)^2 channels of the omni
+    statistics `stats` of a higher order, which are that cell's, then the
+    atom that S-OMP picks first over that order's dictionary, whose atoms
+    are the first (L+1)^2 rows of `dictionary`'s, bit for bit. An order
+    whose H-TDVV fails is left out, and its cell makes its own pass.
 
     The chain calls the steps of `baselines.h_tdvv` and `somp` rather
     than those functions, so that each is called once per cell, by its
     cell, as perfbench's per-order spans count them."""
-    cfg, beams = EstimatorConfig(), []
+    beams = []
     for order in orders:
         n = num_channels(order)
-        sub = spec.first_channels(n)
         try:
-            v_h = gfvv_to_gtvv(interpolate_invalid_bins(estimate_gfvv_ls(
-                sub, cfg, shared.stats(sub, cfg))), sub.fs)
+            v_h = gfvv_to_gtvv(interpolate_invalid_bins(
+                lower_omni_gfvv(stats, n)), stats.spectrum.fs)
         except (GtvvError, np.linalg.LinAlgError):
             continue
         first = first_atom(v_h, dictionary.atoms[:n])
@@ -356,8 +351,8 @@ def run_single(cfg: ExperimentConfig, scene_idx: int, rt60: float,
                order: int, shared: SharedOmni = None) -> RunRecord:
     """One (scene, rt60, order) cell: simulate (see `simulate_cell`),
     estimate with all methods, match against ground truth. `shared`, the
-    group's passes, goes to `analyze` with the config's orders below this
-    one; the record is the same without it."""
+    group's passes, goes to `analyze`; the record is the same without
+    it."""
     scene, sig = simulate_cell(cfg, scene_idx, rt60, order)
     dictionary = build_dictionary(cfg.dict_size, order, cfg.dict_directions)
     spec = stft(sig, cfg.win_len)
@@ -375,8 +370,7 @@ def run_single(cfg: ExperimentConfig, scene_idx: int, rt60: float,
         math.nan, math.nan, math.nan)
 
     # H-TDVV (omni reference), and GTVV steered at its DoA estimate
-    _, est_h, v_g = analyze(spec, dictionary, iters, shared,
-                            [o for o in cfg.orders if o < order])
+    _, est_h, v_g = analyze(spec, dictionary, iters, shared)
     rep_h = match_to_truth(est_h, scene, gate)
     metrics["htdvv"] = _to_metrics(rep_h)
     estimates["htdvv"] = est_h.to_json()
@@ -411,7 +405,7 @@ def _execute_group(args) -> list:
     cfg, scene_idx, rt60 = args
     top = max(cfg.orders)
     lower = [o for o in cfg.orders if o != top]
-    shared = SharedOmni(num_channels(max(lower))) if lower else None
+    shared = SharedOmni(lower) if lower else None
     records = {top: _execute_run(cfg, scene_idx, rt60, top, shared)}
     if records[top].error:
         shared = None

@@ -8,7 +8,6 @@ off `time_axis`, never off raw column indices.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,18 +63,6 @@ class SpectrumTensor:
         # alternating sum, as products of the frame with these columns
         self._window_edges = np.stack([self._window, self._window], axis=1)
         self._window_edges[1::2, 1] *= -1.0
-
-    def first_channels(self, channels: int) -> "SpectrumTensor":
-        """The spectrum of the first `channels` channels of the signal:
-        bit for bit a new `SpectrumTensor` of them, without the check of
-        samples that this one's has passed."""
-        if not 0 < channels <= self.channels:
-            raise ValueError(f"{channels} of {self.channels} channels")
-        sub = copy.copy(self)
-        sub.signal = AmbisonicSignal(self.fs, self.signal.channels[:channels])
-        sub.channels = channels
-        sub._view = self._view[:, :channels]
-        return sub
 
     def _check_run(self, start: int, stop: int):
         if not 0 <= start < stop <= min(self.frames, start + FRAME_BLOCK):

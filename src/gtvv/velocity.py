@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import EstimatorDegenerateError, ExpansionInvalidError
 from .room import GroundTruthScene, fractional_delay_kernel
-from .sh import Direction, make_omni_beam, order_from_channels, sh_eval
+from .sh import (Direction, make_omni_beam, num_channels, order_from_channels,
+                 sh_eval)
 from .spectral import FRAME_BLOCK, GtvvMatrix, SpectrumTensor, gfvv_to_gtvv
 
 _ENERGY_FLOOR = 1e-9
@@ -312,13 +313,19 @@ class SegmentStats:
     frames_per_seg: int
 
 
+def _valid_bins(r2, segments: int) -> np.ndarray:
+    """The bins whose energy, over the channels of r2 = Σ_segments phi,
+    is above the floor. phi >= 0, so the mean of |phi| over the segments
+    is r2 over their count, bit for bit."""
+    bin_energy = np.mean(r2 / segments, axis=0)  # (bins,)
+    return bin_energy > _ENERGY_FLOOR * float(np.max(bin_energy))
+
+
 def _bound_stats(omni: NormalSums, phi, r2, spec: SpectrumTensor,
                  frames_per_seg: int) -> SegmentStats:
     """The read-only `SegmentStats` of `spec` with this pass: the validity
-    mask formed from r2. phi >= 0, so the mean of |phi| over the segments
-    is r2 over their count, bit for bit."""
-    bin_energy = np.mean(r2 / len(phi), axis=0)  # (bins,)
-    valid = bin_energy > _ENERGY_FLOOR * float(np.max(bin_energy))
+    mask formed from r2."""
+    valid = _valid_bins(r2, len(phi))
     for arr in (*omni, phi, r2, valid):
         arr.flags.writeable = False
     return SegmentStats(omni, phi, valid, r2, spec, frames_per_seg)
@@ -341,39 +348,32 @@ def _check_segmentation(phi, frames_per_seg, cfg: EstimatorConfig):
 
 
 class SharedOmni:
-    """The passes of a recording's top order, shared with its lower orders,
-    each of whose recordings is the top's first (L+1)^2 channels.
+    """The passes of a recording's top order, shared with the group's
+    lower `orders`, each of whose recordings is the top's first (L+1)^2
+    channels.
 
     The omni beam of order L weights channel 0 alone, and each channel's
     spectrum depends on that channel alone, so the omni sums, phi and r2
     of the recording's first (L+1)^2 channels are the first channels of a
-    higher order's, bit for bit. `keep` holds views of a pass's first
-    `channels` channels of them; it holds no `SegmentStats`, whose
-    spectrum would keep the higher order's recording alive. `stats` reads
-    them back as the statistics of a lower order's own spectrum.
-
-    The top order's steered pass also forms the sums of the lower orders'
-    beams (`steer`); each lower order reads its own back (`sums`) if its
-    beam is the one they were formed for.
+    higher order's, bit for bit. The top order's steered pass (`steer`)
+    also forms the sums of the lower orders' beams, and keeps copies of
+    the first `channels` channels of the top order's omni sums, phi and
+    r2; it holds no `SegmentStats`, whose spectrum would keep the top
+    order's recording alive. `stats` reads them back as the statistics of
+    a lower order's own spectrum, and each lower order reads its steered
+    sums back (`sums`) if its beam is the one they were formed for.
     """
 
-    def __init__(self, channels: int):
-        self.channels = channels  # the most channels that `stats` reads
+    def __init__(self, orders):
+        self.orders = tuple(orders)
+        self.channels = num_channels(max(self.orders))  # what `stats` reads
         self.omni = self.phi = self.r2 = self.frames_per_seg = None
         self.steered = {}  # channels -> (beam bytes, NormalSums)
-
-    def keep(self, stats: SegmentStats):
-        """Hold views of the first `channels` channels of the omni sums,
-        phi and r2 of `stats`."""
-        n = self.channels
-        self.omni = NormalSums(*(a[:n] for a in stats.omni))
-        self.phi, self.r2 = stats.phi[:, :n], stats.r2[:n]
-        self.frames_per_seg = stats.frames_per_seg
 
     def stats(self, spec: SpectrumTensor,
               cfg: EstimatorConfig) -> SegmentStats:
         """The `SegmentStats` of `spec`, the spectrum of the first
-        `spec.channels` channels of the kept pass's recording, in `cfg`'s
+        `spec.channels` channels of the top order's recording, in `cfg`'s
         segmentation: views of the first channels of the kept arrays, with
         the validity mask formed from that r2, bound to `spec`; bit for
         bit `segment_stats(spec, cfg)`. More channels than are held, or
@@ -390,22 +390,21 @@ class SharedOmni:
 
     def steer(self, stats: SegmentStats, cfg: EstimatorConfig, beam,
               lower) -> NormalSums:
-        """One steered pass over the frames of `stats`' spectrum, the kept
-        pass's, with its phi, for `beam` and the `lower` beams, which read
+        """One steered pass over the frames of `stats`' spectrum, the top
+        order's, with its phi, for `beam` and the `lower` beams, which read
         the first channels of each frame: keeps each lower beam's sums, by
-        its channel count, and returns `beam`'s.
-
-        The pass over, the kept views become copies, so that the top
-        order's arrays go with its cell and the group holds only the
-        lower orders' channels of them."""
+        its channel count, and copies of the first `channels` channels of
+        the omni sums, phi and r2 of `stats`, and returns `beam`'s."""
         _check_segmentation(stats.phi, stats.frames_per_seg, cfg)
         got = _segment_sums(stats.spectrum, cfg, [beam, *lower], stats.phi)
         for w, sums in zip(lower, got[1:]):
             for arr in sums:
                 arr.flags.writeable = False
             self.steered[w.size] = (w.tobytes(), sums)
-        self.omni = NormalSums(*(a.copy() for a in self.omni))
-        self.phi, self.r2 = self.phi.copy(), self.r2.copy()
+        n = self.channels
+        self.omni = NormalSums(*(a[:n].copy() for a in stats.omni))
+        self.phi, self.r2 = stats.phi[:, :n].copy(), stats.r2[:n].copy()
+        self.frames_per_seg = stats.frames_per_seg
         return got[0]
 
     def sums(self, beam) -> NormalSums:
@@ -415,6 +414,31 @@ class SharedOmni:
         own spectrum; None otherwise."""
         formed, sums = self.steered.pop(beam.size, (None, None))
         return sums if formed == beam.tobytes() else None
+
+
+def _solve_gfvv(sums: NormalSums, r2, valid, segments: int) -> GfvvEstimate:
+    """The least-squares GFVV of a pass's `sums`, with its r2 and bin
+    validity mask, over `segments` segments; a valid bin whose segments
+    are all collinear raises."""
+    degenerate = np.all(sums.spread < _COLLINEAR_TOL, axis=0) & valid
+    if np.any(degenerate):
+        raise EstimatorDegenerateError(int(np.nonzero(degenerate)[0][0]))
+
+    # normal equations of [a1 1] [v, phi_U]^T = phi, per (channel, bin)
+    values, near_singular = _solve_loaded_2x2(
+        sums.g11, sums.g12, float(segments), sums.r1, r2)
+    values[:, ~valid] = np.nan
+    return GfvvEstimate(values, valid, near_singular)
+
+
+def lower_omni_gfvv(stats: SegmentStats, channels: int) -> GfvvEstimate:
+    """The omni-referenced GFVV of the first `channels` channels of the
+    recording of `stats`, from the first channels of its omni sums and r2
+    (see `SharedOmni`): bit for bit `estimate_gfvv_ls` on their own
+    spectrum, with no spectrum and no pass."""
+    r2, segments = stats.r2[:channels], len(stats.phi)
+    return _solve_gfvv(NormalSums(*(a[:channels] for a in stats.omni)), r2,
+                       _valid_bins(r2, segments), segments)
 
 
 def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig,
@@ -454,15 +478,7 @@ def estimate_gfvv_ls(spec: SpectrumTensor, cfg: EstimatorConfig,
         sums = stats.omni
     elif sums is None:
         sums, = _segment_sums(spec, cfg, [w], stats.phi)
-    degenerate = np.all(sums.spread < _COLLINEAR_TOL, axis=0) & stats.valid
-    if np.any(degenerate):
-        raise EstimatorDegenerateError(int(np.nonzero(degenerate)[0][0]))
-
-    # normal equations of [a1 1] [v, phi_U]^T = phi, per (channel, bin)
-    values, near_singular = _solve_loaded_2x2(
-        sums.g11, sums.g12, float(cfg.seg_count), sums.r1, stats.r2)
-    values[:, ~stats.valid] = np.nan
-    return GfvvEstimate(values, stats.valid, near_singular)
+    return _solve_gfvv(sums, stats.r2, stats.valid, cfg.seg_count)
 
 
 def interpolate_invalid_bins(est: GfvvEstimate) -> np.ndarray:

@@ -301,20 +301,23 @@ class TestRunExperiment:
         cfg = small_config(orders=(1, 2, 4))
         want = {o: repr(run_single(cfg, 0, 0.16, o)) for o in (1, 2, 4)}
         failed = []
+        look_ahead, h_tdvv = experiment.lower_omni_gfvv, baselines.h_tdvv
 
-        def failing(fn):
-            def estimator(spec, *args):
-                if spec.channels == 9:
-                    failed.append(spec)
-                    raise EstimatorDegenerateError(7)
-                return fn(spec, *args)
-            return estimator
+        def failing_look_ahead(stats, channels):
+            if channels == 9:
+                failed.append(channels)
+                raise EstimatorDegenerateError(7)
+            return look_ahead(stats, channels)
+
+        def failing_cell(spec, *args):
+            if spec.channels == 9:
+                failed.append(spec.channels)
+                raise EstimatorDegenerateError(7)
+            return h_tdvv(spec, *args)
         # the look-ahead's H-TDVV, and the cell's
-        monkeypatch.setattr(experiment, "estimate_gfvv_ls",
-                            failing(experiment.estimate_gfvv_ls))
+        monkeypatch.setattr(experiment, "lower_omni_gfvv", failing_look_ahead)
         if fails == "always":
-            monkeypatch.setattr(baselines, "h_tdvv",
-                                failing(baselines.h_tdvv))
+            monkeypatch.setattr(baselines, "h_tdvv", failing_cell)
         passes = self.counted_passes(monkeypatch)
         _, records = run_experiment(cfg)
         assert repr(records[0]) == want[1] and repr(records[2]) == want[4]
@@ -827,7 +830,8 @@ class TestCli:
                                     order2_wav, sub):
         # an --out under a regular file is an output error, reported on
         # one line; evaluate and traces make their directory before they
-        # simulate anything
+        # simulate anything, infer and estimate check theirs before they
+        # read the recording
         cfg, wav = order2_wav
         work = []
 
@@ -836,8 +840,10 @@ class TestCli:
                 work.append(fn.__name__)
                 return fn(*args, **kwargs)
             return counted
-        for name in ("run_experiment", "simulate_cell"):
+        for name in ("run_experiment", "simulate_cell", "analyze"):
             monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
+        monkeypatch.setattr(ExperimentConfig, "read_recording",
+                            counting(ExperimentConfig.read_recording))
         blocker = tmp_path / "notadir"
         blocker.touch()
         argv = [sub, "--config", cfg, "--out", str(blocker / "out")]
@@ -847,8 +853,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("output error:") and "Traceback" not in err
         assert len(err.splitlines()) == 1
-        if sub in ("evaluate", "traces"):
+        if sub != "simulate":
             assert work == []
+        if sub in ("infer", "estimate"):  # a directory is no output file
+            argv[argv.index("--out") + 1] = str(tmp_path)
+            assert main(argv) == 2 and work == []
+            assert capsys.readouterr().err == (
+                f"output error: {tmp_path} is a directory\n")
 
     @pytest.mark.parametrize("channels", [1, 5, 8])
     def test_wav_channel_count_not_a_full_order(self, tmp_path, capsys,
@@ -907,6 +918,34 @@ class TestCli:
         assert Counter(reads["block"]) == twice
         assert reads["energy"] == list(range(frames))
         assert weighted == [frames]
+
+    def test_frames_left_unread_are_reported(self, tmp_path, capsys):
+        # the estimator reads the first 8 x 24 frames: a recording that
+        # holds more whole segments says so on stderr, and its estimate is
+        # that of its first 3.2 s, which say nothing
+        _, sig = simulate_cell(small_config(), 0, 0.16, 1)
+        n = int(3.2 * FS)
+        recording = np.concatenate([sig.channels, sig.channels[:, ::-1]],
+                                   axis=1)[:, :2 * n]
+        wavs = {"long": tmp_path / "long.wav", "short": tmp_path / "short.wav"}
+        write_wav(wavs["long"], AmbisonicSignal(FS, recording))
+        write_wav(wavs["short"], AmbisonicSignal(FS, recording[:, :n]))
+        assert frame_count(n, 1024) == 197
+        path = self._write_cfg(tmp_path)
+        outs, errs = {}, {}
+        for name, wav in wavs.items():
+            for sub, out in (("infer", "est.json"), ("estimate", "tr.csv")):
+                out = tmp_path / f"{name}_{out}"
+                assert main([sub, "--config", path, "--wav", str(wav),
+                             "--out", str(out)]) == 0
+                outs[name, sub] = out.read_bytes()
+                errs[name, sub] = capsys.readouterr().err
+        for sub in ("infer", "estimate"):
+            assert outs["long", sub] == outs["short", sub]
+            assert errs["short", sub] == ""
+            assert errs["long", sub] == (
+                "note: the estimator reads the first 192 of the 397 frames "
+                f"of {wavs['long']}\n")
 
     # the estimator is no longer a config setting: each of these blocks,
     # once accepted, names a removed key
@@ -1245,6 +1284,21 @@ class TestCli:
                 == (tmp_path / "serial" / "results.csv").read_bytes())
         assert main(["evaluate", "--config", cfg, "--out", pool,
                      "--workers", "0"]) == 2
+
+    @pytest.mark.parametrize("sub", ["infer", "estimate"])
+    def test_seed_only_where_scenes_are_simulated(self, tmp_path, capsys,
+                                                  order2_wav, sub):
+        # the seed places scenes and draws sources and noise: a command
+        # that reads a recording has no use for it
+        cfg, wav = order2_wav
+        with pytest.raises(SystemExit) as exit_info:
+            main([sub, "--config", cfg, "--wav", wav, "--seed", "1",
+                  "--out", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        for seeded in ("simulate", "evaluate", "traces"):
+            args = cli.build_parser().parse_args([seeded, "--seed", "3"])
+            assert args.seed == 3
 
     def test_seed_override(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)

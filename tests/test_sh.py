@@ -186,6 +186,20 @@ class TestBeams:
             w = make_reference_beam(d, 4)
             assert abs(w @ sh_eval(d, 4) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_reference_beam_pattern_is_mean_of_legendre(self, order):
+        # SN3D addition theorem: y(u).y(v) = sum_l P_l(u.v), so the beam
+        # y(u) / |y(u)|^2 responds (1/(L+1)) sum_{l<=L} P_l(u.v) at v; a
+        # cardioid at order 1
+        rng = np.random.default_rng(order)
+        for _ in range(200):
+            u, v = (from_unit_vector(rng.standard_normal(3))
+                    for _ in range(2))
+            cos = float(u.unit_vector() @ v.unit_vector())
+            want = np.polynomial.legendre.legval(cos, np.ones(order + 1))
+            got = make_reference_beam(u, order) @ sh_eval(v, order)
+            assert abs(got - want / (order + 1)) <= 1e-12
+
     def test_omni_beam(self):
         np.testing.assert_array_equal(make_omni_beam(1), [1, 0, 0, 0])
         w4 = make_omni_beam(4)

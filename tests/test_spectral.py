@@ -176,30 +176,6 @@ class TestStft:
         with pytest.raises(ValueError, match="18 spare rows of 129 bins"):
             reader.spare(18)
 
-    def test_first_channels_are_their_own_spectrum(self):
-        sig = make_signal(np.random.default_rng(5).standard_normal((9, 1536)))
-        spec = stft(sig, 256)
-        for n in (1, 4, 9):
-            sub = spec.first_channels(n)
-            own = stft(AmbisonicSignal(FS, sig.channels[:n]), 256)
-            assert (sub.channels, sub.frames, sub.bins) == (
-                own.channels, own.frames, own.bins)
-            weights = np.linspace(0.5, 1.5, own.frames)
-            edges = np.empty((own.frames, n, 2))
-            for start, stop in frame_blocks(own.frames):
-                got, want = sub.energy(start, stop), own.energy(start, stop)
-                edges[start:stop] = want[1]
-                for g, w in zip(got, want):
-                    assert g.tobytes() == w.tobytes()
-                assert (sub.reader(FRAME_BLOCK).block(start, stop).tobytes()
-                        == own.reader(FRAME_BLOCK).block(start, stop)
-                        .tobytes())
-            assert (sub.weighted_cross_power(weights, edges).tobytes()
-                    == own.weighted_cross_power(weights, edges).tobytes())
-        for n in (0, 10):
-            with pytest.raises(ValueError, match=f"{n} of 9 channels"):
-                spec.first_channels(n)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e306,
                                      -1e306])
     def test_non_finite_or_overflowing_sample_rejected(self, bad):

@@ -10,13 +10,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gtvv import baselines, velocity
+from gtvv import baselines, experiment, velocity
 from gtvv.errors import EstimatorDegenerateError, ExpansionInvalidError
 from gtvv.experiment import ExperimentConfig, simulate_cell
 from gtvv.room import (AmbisonicSignal, GroundTruthScene, Wavefront,
                        add_noise, encode_scene, image_source_scene,
                        make_burst_source)
-from gtvv.sh import Direction, make_omni_beam, make_reference_beam, sh_eval
+from gtvv.sh import (Direction, build_dictionary, make_omni_beam,
+                     make_reference_beam, sh_eval)
 from gtvv.spectral import FRAME_BLOCK, FrameReader, stft
 from gtvv.velocity import (EstimatorConfig, GfvvEstimate, RelativeWavefront,
                            SharedOmni, estimate_gfvv_ls, estimate_gtvv,
@@ -478,13 +479,22 @@ class TestLsAccumulation:
                 with pytest.raises(ValueError, match=message):
                     estimate_gfvv_ls(spec, EstimatorConfig(beam), stats)
 
+    @staticmethod
+    def filled(top, lower) -> SharedOmni:
+        """The `SharedOmni` of a sweep group's `lower` orders, filled by
+        the steered pass of the `top` order's cell, an omni beam's here."""
+        spec = sweep_cell_spectrum(top)
+        shared = SharedOmni(lower)
+        shared.steer(segment_stats(spec, EstimatorConfig()),
+                     EstimatorConfig(), make_omni_beam(top), [])
+        return shared
+
     @pytest.mark.parametrize("top, lower", [(4, 1), (4, 2), (4, 3), (6, 4)])
     def test_channel_slices_equal_fresh_statistics(self, top, lower):
         # the noise is seeded per (scene, rt60), so a lower order's
         # recording is the first channels of the top order's, and so are
         # its omni statistics
-        shared = SharedOmni((lower + 1) ** 2)
-        shared.keep(segment_stats(sweep_cell_spectrum(top), EstimatorConfig()))
+        shared = self.filled(top, [lower])
         spec = sweep_cell_spectrum(lower)
         got = shared.stats(spec, EstimatorConfig())
         want = segment_stats(spec, EstimatorConfig())
@@ -500,19 +510,38 @@ class TestLsAccumulation:
             estimate_gtvv(spec, EstimatorConfig(), want).data)
 
     def test_channel_slices_checked(self):
-        shared = SharedOmni(4)
-        stats = segment_stats(sweep_cell_spectrum(2), EstimatorConfig())
-        shared.keep(stats)
-        # the kept arrays are views of the pass's, not copies, of the
-        # channels that `stats` reads
-        for kept, full in zip((*shared.omni, shared.phi, shared.r2),
-                              (*stats.omni, stats.phi, stats.r2)):
-            assert kept.base is full and kept.shape[-2] == 4
+        shared = self.filled(2, [1])
         with pytest.raises(ValueError, match="statistics of 4 channels"):
             shared.stats(sweep_cell_spectrum(2), EstimatorConfig())
         for seg in (dict(frames_per_seg=12), dict(seg_count=4)):
             with pytest.raises(ValueError, match="statistics of 8 x 24"):
                 shared.stats(sweep_cell_spectrum(1), EstimatorConfig(**seg))
+
+    @pytest.mark.parametrize("top", [4, 6])
+    def test_look_ahead_htdvv_is_each_lower_order_s_own(self, monkeypatch,
+                                                          top):
+        # the top cell's look-ahead forms each lower order's H-TDVV from
+        # the first channels of its own omni statistics: bit for bit
+        # h_tdvv on that order's own spectrum and statistics
+        cfg = EstimatorConfig()
+        stats = segment_stats(sweep_cell_spectrum(top), cfg)
+        seen, first_atom = [], experiment.first_atom
+
+        def noting(v_h, atoms):
+            seen.append(v_h)
+            return first_atom(v_h, atoms)
+        monkeypatch.setattr(experiment, "first_atom", noting)
+        orders = range(1, top)
+        beams = experiment._lower_beams(
+            stats, build_dictionary(ExperimentConfig.dict_size, top), orders)
+        assert [w.size for w in beams] == [(o + 1) ** 2 for o in orders]
+        assert len(seen) == len(orders)
+        for order, v_h in zip(orders, seen):
+            own = sweep_cell_spectrum(order)
+            want = baselines.h_tdvv(own, cfg, segment_stats(own, cfg))
+            assert v_h.data.shape == want.data.shape
+            assert v_h.data.tobytes() == want.data.tobytes()
+            assert v_h.fs == want.fs
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("top", [4, 6])
@@ -551,8 +580,7 @@ class TestLsAccumulation:
         cfg = EstimatorConfig()
         spec = sweep_cell_spectrum(4)
         stats = segment_stats(spec, cfg)
-        shared = SharedOmni(9)
-        shared.keep(stats)
+        shared = SharedOmni([1, 2])
         beam = make_reference_beam(Direction(1.0, -0.4), 4)
         lower = [make_reference_beam(Direction(0.2 * o, 0.1), o)
                  for o in (1, 2)]
